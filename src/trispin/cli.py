@@ -23,13 +23,7 @@ import numpy as np
 
 from . import encoding, gates, spectra
 from .encoding import TrackingError
-from .hamiltonian import (
-    CouplingGraph,
-    build_hamiltonian,
-    single_lq_graph,
-    sz_sectors,
-    total_spin,
-)
+from .hamiltonian import CouplingGraph, sector_spectrum, single_lq_graph, sz_sectors
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -208,7 +202,7 @@ COMMANDS: dict[str, dict] = {
                   ("simultaneous", "sequential")),
             Param("ramp-shape", "choice", "smooth", "pulse ramp profile",
                   ("smooth", "linear")),
-            Param("steps-per-unit", "float", 100.0, "propagation steps per 1/J"),
+            Param("steps-per-unit", "float", 100.0, "propagation steps per 1/J of ramp"),
             Param("h", "float", 0.75),
         ),
     },
@@ -221,7 +215,7 @@ COMMANDS: dict[str, dict] = {
             Param("cal-steps", "int", 160),
             Param("ramp-shape", "choice", "smooth", "pulse ramp profile",
                   ("smooth", "linear")),
-            Param("steps-per-unit", "float", 100.0),
+            Param("steps-per-unit", "float", 100.0, "propagation steps per 1/J of ramp"),
             Param("h", "float", 0.75),
         ),
     },
@@ -397,10 +391,7 @@ def _run_spectrum(cfg: RunConfig) -> str:
         graph = CouplingGraph(parsed.n_sites, parsed.edges, p["h"])
     else:
         graph = single_lq_graph(p["j12"], p["j13"], p["j23"], p["h"])
-    hmat = build_hamiltonian(graph)
-    vals, vecs = np.linalg.eigh(hmat)
-    sz_op = total_spin(graph.n_sites, "z")
-    sz = np.real(np.einsum("ij,ik,kj->j", vecs.conj(), sz_op, vecs))
+    vals, sz = sector_spectrum(graph)
     degeneracy = int(np.sum(np.abs(vals - vals[0]) <= 1e-9))
     gap = float(vals[degeneracy] - vals[0]) if degeneracy < len(vals) else 0.0
     if cfg.fmt == "csv":
@@ -526,9 +517,7 @@ def _run_gate(cfg: RunConfig) -> str:
             target = gates.rz_gate(a) @ gates.rx_gate(b) @ gates.rz_gate(c)
             schedule = gates.decompose_su2(target, h=p["h"])
         basis = encoding.logical_basis((0, 1, 2), 3)
-    longest = max((s.duration for s in schedule.segments), default=1.0)
-    n_steps = max(1, int(np.ceil(longest * p["steps_per_unit"])))
-    u = gates.propagate(schedule, n_steps)
+    u = gates.propagate(schedule, gates.ramp_steps(schedule, p["steps_per_unit"]))
     report = gates.gate_report(u, target, basis)
     write_json(cfg.output_path, {
         "type": kind,

@@ -27,12 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import (
+    SectorOperators,
     basis_state,
     build_hamiltonian,
     exchange_term,
-    sector_restriction,
     single_lq_graph,
-    sz_sectors,
     two_lq_graph,
 )
 from .linalg import max_abs
@@ -224,21 +223,14 @@ class _SectorTracker:
     """
 
     def __init__(self, h: float = 0.75):
-        sector = next(s for s in sz_sectors(6) if s.m == 1.0)
-        self.idx = np.asarray(sector.indices)
         graph = two_lq_graph(h=h)
-        self.pairs = [(i, j) for (i, j, _) in graph.edges]
-        base = build_hamiltonian(graph.with_couplings(
-            {(i, j): 0.0 for (i, j) in self.pairs}))
-        self.h_base = sector_restriction(base, sector)  # Zeeman only
-        self.h_terms = np.stack([
-            sector_restriction(exchange_term(6, i, j), sector) for (i, j) in self.pairs
-        ])
-        self.refs = two_lq_basis()[self.idx, :]
+        self.ops = SectorOperators(6, [(i, j) for (i, j, _) in graph.edges], ms=(1.0,))
+        self.field_h = h
+        self.refs = two_lq_basis()[self.ops.groups[0].indices[0], :]
 
     def hamiltonian(self, j14: float, shift: float) -> np.ndarray:
         w = np.array([1.0, 1.0, 1.0 + shift, 1.0, 1.0, 1.0 + shift, j14])
-        return self.h_base + np.tensordot(w, self.h_terms, axes=1)
+        return self.ops.blocks(w, self.field_h)[0][0]
 
     def walk(self, path: list[tuple[float, float]], step: float = TRACK_STEP) -> np.ndarray:
         """Eigenvalues of the tracked quartet at each requested path point.
@@ -264,22 +256,20 @@ class _SectorTracker:
 
     def _advance(self, pt: tuple[float, float], refs: np.ndarray) -> np.ndarray:
         vals, vecs = np.linalg.eigh(self.hamiltonian(*pt))
-        picked = np.empty(4)
-        new_refs = np.empty_like(refs)
-        for q in range(4):
-            amps = vecs.conj().T @ refs[:, q]
-            best = int(np.argmax(np.abs(amps)))
-            cls = np.abs(vals - vals[best]) <= 1e-8
-            weight = float(np.sum(np.abs(amps[cls]) ** 2))
-            if weight < TRACK_MIN_OVERLAP:
-                raise TrackingError(
-                    f"tracking ambiguity at (j14={pt[0]:.6f}, shift={pt[1]:.6f}): "
-                    f"overlap {weight:.3f} < {TRACK_MIN_OVERLAP}")
-            proj = vecs[:, cls] @ amps[cls]
-            new_refs[:, q] = proj / np.linalg.norm(proj)
-            picked[q] = vals[best]
-        refs[:, :] = new_refs
-        return picked
+        amps = vecs.T @ refs                     # vecs are real
+        best = np.argmax(np.abs(amps), axis=0)
+        # cls[:, q]: the degeneracy class of the level that q follows
+        cls = np.abs(vals[:, None] - vals[best][None, :]) <= 1e-8
+        amps = np.where(cls, amps, 0.0)
+        weights = np.sum(np.abs(amps) ** 2, axis=0)
+        lost = np.flatnonzero(weights < TRACK_MIN_OVERLAP)
+        if lost.size:
+            raise TrackingError(
+                f"tracking ambiguity at (j14={pt[0]:.6f}, shift={pt[1]:.6f}): "
+                f"overlap {weights[lost[0]]:.3f} < {TRACK_MIN_OVERLAP}")
+        proj = vecs @ amps
+        refs[:, :] = proj / np.linalg.norm(proj, axis=0)
+        return vals[best]
 
 
 def track_lambda_path(path: list[tuple[float, float]], h: float = 0.75,

@@ -19,14 +19,15 @@ import numpy as np
 from .encoding import _SectorTracker, logical_basis, two_lq_basis
 from .hamiltonian import (
     CouplingGraph,
-    exchange_term,
+    SectorOperators,
     single_lq_graph,
-    total_spin,
     two_lq_graph,
 )
 from .linalg import check_unitary, max_abs
 
 COUPLING_WINDOW = (0.25, 1.75)
+CALIBRATION_TOL = 1e-10
+CALIBRATION_MAX_PROBES = 200
 AXIS120 = {
     "j12": np.array([np.sqrt(3) / 2, 0.0, 0.5]),
     "j13": np.array([-np.sqrt(3) / 2, 0.0, 0.5]),
@@ -100,9 +101,14 @@ class PulseSchedule:
             raise ValueError("non-empty schedule needs its idle configuration")
         if any(j not in (0.0, 1.0) for (_, _, j) in idle.edges):
             raise ValueError("idle couplings must be 1 (intra) or 0 (inter)")
+        first = segs[0].start
+        pairs = [(i, j) for (i, j, _) in first.edges]
         for seg in segs:
             if seg.start.n_sites != self.n_sites:
                 raise ValueError("segment dimension does not match schedule")
+            if (seg.start.field_h != first.field_h
+                    or [(i, j) for (i, j, _) in seg.start.edges] != pairs):
+                raise ValueError("segments must share the field and the edge set")
         ramped = ("linear", "smooth")
         for a, b in zip(segs[:-1], segs[1:]):
             if a.ramp in ramped and b.ramp in ramped and a.end != b.start:
@@ -143,25 +149,14 @@ def empty_schedule(n_sites: int = 3) -> PulseSchedule:
     return PulseSchedule((), n_sites)
 
 
-class _HamiltonianCache:
-    """Per-edge exchange operators so ramp steps only reweight fixed terms."""
-
-    def __init__(self, graph: CouplingGraph):
-        self.pairs = [(i, j) for (i, j, _) in graph.edges]
-        self.terms = np.stack([exchange_term(graph.n_sites, i, j) for i, j in self.pairs])
-        self.zeeman = total_spin(graph.n_sites, "z")
-        self.h_field = graph.field_h
-
-    def weights(self, graph: CouplingGraph) -> np.ndarray:
-        return np.array([graph.coupling(i, j) for (i, j) in self.pairs])
-
-    def hamiltonian(self, weights: np.ndarray) -> np.ndarray:
-        return np.tensordot(weights, self.terms, axes=1) - self.h_field * self.zeeman
-
-
-def _step(h: np.ndarray, dt: float) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * vals * dt)) @ vecs.conj().T
+def _evolve(blocks: list[np.ndarray], dt: float, u: list[np.ndarray]) -> list[np.ndarray]:
+    """exp(-i H dt) applied to the stacked sector propagators ``u``."""
+    out = []
+    for h, prev in zip(blocks, u):
+        vals, vecs = np.linalg.eigh(h)
+        out.append((vecs * np.exp(-1j * vals * dt)[..., None, :])
+                   @ vecs.swapaxes(-1, -2) @ prev)
+    return out
 
 
 def propagate(schedule: PulseSchedule, n_steps_per_segment: int = 200) -> np.ndarray:
@@ -169,27 +164,42 @@ def propagate(schedule: PulseSchedule, n_steps_per_segment: int = 200) -> np.nda
 
     Ramps use midpoint stepping (the Hamiltonian at each step's midpoint
     couplings, second-order accurate); constant segments evolve in one exact
-    exponential independent of the step count.
+    exponential independent of the step count.  Total S_z is conserved, so
+    each sector block evolves on its own and the full unitary is assembled
+    at the end.
     """
     if n_steps_per_segment < 1:
         raise ValueError("n_steps_per_segment must be at least 1")
-    dim = 2**schedule.n_sites
-    u = np.eye(dim, dtype=np.complex128)
     if not schedule.segments:
-        return u
-    cache = _HamiltonianCache(schedule.segments[0].start)
+        return np.eye(2**schedule.n_sites, dtype=np.complex128)
+    first = schedule.segments[0].start
+    ops = SectorOperators(first.n_sites, [(i, j) for (i, j, _) in first.edges])
+    field_h = first.field_h
+    u = [np.broadcast_to(np.eye(grp.indices.shape[1], dtype=np.complex128),
+                         grp.terms.shape[1:]).copy() for grp in ops.groups]
     for seg in schedule.segments:
-        w0 = cache.weights(seg.start)
+        w0 = ops.weights(seg.start)
         if seg.ramp == "constant":
-            u = _step(cache.hamiltonian(w0), seg.duration) @ u
+            u = _evolve(ops.blocks(w0, field_h), seg.duration, u)
             continue
         profile = RAMP_PROFILES[seg.ramp]
-        w1 = cache.weights(seg.end)
+        w1 = ops.weights(seg.end)
         dt = seg.duration / n_steps_per_segment
         for k in range(n_steps_per_segment):
             f = profile((k + 0.5) / n_steps_per_segment)
-            u = _step(cache.hamiltonian(w0 + f * (w1 - w0)), dt) @ u
-    return check_unitary(u)
+            u = _evolve(ops.blocks(w0 + f * (w1 - w0), field_h), dt, u)
+    return check_unitary(ops.embed(u))
+
+
+def ramp_steps(schedule: PulseSchedule, steps_per_unit_time: float) -> int:
+    """Propagation steps per segment: the longest ramp times ``steps_per_unit_time``.
+
+    A hold is one exact exponential, so only ramps set the count; a schedule
+    without ramps counts as one unit of ramp time.
+    """
+    longest = max((s.duration for s in schedule.segments if s.ramp != "constant"),
+                  default=1.0)
+    return max(1, int(np.ceil(longest * steps_per_unit_time)))
 
 
 def propagation_error_estimate(schedule: PulseSchedule, n_steps_per_segment: int) -> float:
@@ -367,10 +377,12 @@ def synthesize_cphase(phi: float, j14_peak: float, ramp_time: float,
     the total equals -phi modulo 2 pi.
 
     In ``simultaneous`` mode the J23 = J56 couplings follow the same pulse
-    profile scaled to a shift calibrated by bisection (residual single-qubit
-    phase below 1e-10), so the single-LQ z-phases cancel inside the one
-    pulse interval.  In ``sequential`` mode the pulse runs uncalibrated and
-    a sudden equal z-correction on both triples follows.
+    profile scaled to a shift calibrated by a bracketed secant iteration
+    (Illinois regula falsi from the probes at shift 0 and 0.35; residual
+    single-qubit phase below 1e-10, else ``ArithmeticError``), so the
+    single-LQ z-phases cancel inside the one pulse interval.  In
+    ``sequential`` mode the pulse runs uncalibrated and a sudden equal
+    z-correction on both triples follows.
 
     ``ramp_shape`` defaults to ``smooth``: with plain linear ramps the
     residual leakage oscillates with ramp duration (interfering kicks from
@@ -421,27 +433,40 @@ def synthesize_cphase(phi: float, j14_peak: float, ramp_time: float,
 
     if mode == "simultaneous":
         eps_hi = 0.35
-        _, sq0 = solve(0.0)
+        hold, sq = solve(0.0)
         _, sq1 = solve(eps_hi)
-        for m in range(int(np.floor(sq0 / (2 * np.pi))), -1, -1):
+        for m in range(int(np.floor(sq / (2 * np.pi))), -1, -1):
             offset = 2 * np.pi * m
-            if sq0 - offset >= 0 >= sq1 - offset:
+            if sq - offset >= 0 >= sq1 - offset:
                 break
         else:
             raise ValueError("cannot cancel the single-qubit phase inside the shift window")
-        lo, hi = 0.0, eps_hi
-        eps, residual = 0.0, sq0 - offset
-        for _ in range(200):
-            if abs(residual) <= 1e-10:
+        # Illinois regula falsi on residual(eps) = sq - offset, which is
+        # >= 0 at lo and <= 0 at hi.  When the same end moves twice in a
+        # row, the residual kept at the other end is halved, so the secant
+        # cannot stall on one side of the root.
+        lo, r_lo, hi, r_hi = 0.0, sq - offset, eps_hi, sq1 - offset
+        eps, residual, moved = 0.0, r_lo, 0
+        for _ in range(CALIBRATION_MAX_PROBES):
+            if abs(residual) <= CALIBRATION_TOL:
                 break
-            eps = (lo + hi) / 2
-            _, sq = solve(eps)
+            eps = (lo * r_hi - hi * r_lo) / (r_hi - r_lo)
+            hold, sq = solve(eps)
             residual = sq - offset
             if residual > 0:
-                lo = eps
+                lo, r_lo = eps, residual
+                if moved == 1:
+                    r_hi /= 2
+                moved = 1
             else:
-                hi = eps
-        hold, sq = solve(eps)
+                hi, r_hi = eps, residual
+                if moved == -1:
+                    r_lo /= 2
+                moved = -1
+        if abs(residual) > CALIBRATION_TOL:
+            raise ArithmeticError(
+                f"shift calibration did not converge: single-qubit phase residual "
+                f"{residual:.3e} after {CALIBRATION_MAX_PROBES} probes")
     else:
         eps = 0.0
         hold, sq = solve(0.0)

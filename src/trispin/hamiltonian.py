@@ -169,6 +169,99 @@ def sector_restriction(h: np.ndarray, sector: SectorBasis) -> np.ndarray:
     return h[np.ix_(idx, idx)]
 
 
+@dataclass(frozen=True)
+class SectorGroup:
+    """Sectors of equal size, stacked for batched eigensolves.
+
+    ``indices[k]`` are the product-basis indices of the sector with
+    magnetization ``m[k]``; ``terms[e, k]`` is the exchange operator of edge
+    ``e`` restricted to that sector (real symmetric).
+    """
+
+    m: np.ndarray
+    indices: np.ndarray
+    terms: np.ndarray
+
+
+class SectorOperators:
+    """Exchange operators of a fixed edge set, block by block in total S_z.
+
+    Every Hamiltonian built from exchange and a uniform field conserves total
+    S_z, so it is the direct sum of its sector blocks, and the Zeeman term is
+    the constant -h m on the sector of magnetization m.  The blocks come from
+    bit operations on the product index; they equal the restrictions of
+    ``exchange_term`` exactly.  ``ms`` keeps only the listed sectors.
+    """
+
+    def __init__(self, n_sites: int, pairs, ms=None):
+        self.n_sites = int(n_sites)
+        self.pairs = tuple((int(i), int(j)) for (i, j) in pairs)
+        by_size: dict[int, list[SectorBasis]] = {}
+        for s in sz_sectors(self.n_sites):
+            if ms is None or s.m in ms:
+                by_size.setdefault(len(s.indices), []).append(s)
+        self.groups = []
+        for group in by_size.values():
+            idx = np.array([s.indices for s in group])
+            self.groups.append(
+                SectorGroup(np.array([s.m for s in group]), idx, self._exchange_blocks(idx)))
+
+    def _exchange_blocks(self, idx: np.ndarray) -> np.ndarray:
+        # S_i . S_j is +1/4 on parallel spins and -1/4 on antiparallel ones,
+        # plus 1/2 between a state and its (i, j) flip-flop partner.
+        n_sec, size = idx.shape
+        pos = np.empty(2**self.n_sites, dtype=np.intp)
+        pos[idx] = np.arange(size)
+        out = np.zeros((len(self.pairs), n_sec, size, size))
+        diag = np.arange(size)
+        for e, (i, j) in enumerate(self.pairs):
+            bi, bj = 1 << (self.n_sites - 1 - i), 1 << (self.n_sites - 1 - j)
+            differ = ((idx & bi) != 0) != ((idx & bj) != 0)
+            out[e][:, diag, diag] = np.where(differ, -0.25, 0.25)
+            sec, col = np.nonzero(differ)
+            out[e, sec, pos[idx[sec, col] ^ (bi | bj)], col] = 0.5
+        return out
+
+    def weights(self, g: CouplingGraph) -> np.ndarray:
+        """Couplings of ``g`` in the order of ``pairs``."""
+        return np.array([g.coupling(i, j) for (i, j) in self.pairs])
+
+    def blocks(self, weights: np.ndarray, field_h: float) -> list[np.ndarray]:
+        """Hamiltonian blocks, one stack per group."""
+        out = []
+        for grp in self.groups:
+            size = grp.indices.shape[1]
+            out.append(np.tensordot(weights, grp.terms, axes=1)
+                       - field_h * grp.m[:, None, None] * np.eye(size))
+        return out
+
+    def embed(self, blocks: list[np.ndarray]) -> np.ndarray:
+        """Full 2^n matrix with the given sector blocks on its diagonal."""
+        dim = 2**self.n_sites
+        full = np.zeros((dim, dim), dtype=np.result_type(*blocks))
+        for grp, stack in zip(self.groups, blocks):
+            for idx, blk in zip(grp.indices, stack):
+                full[np.ix_(idx, idx)] = blk
+        return full
+
+
+def sector_spectrum(g: CouplingGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of H and the exact total S_z of each.
+
+    The spectrum is assembled from the sector blocks, so every level carries
+    the magnetization of its sector, also inside degeneracies across sectors.
+    """
+    ops = SectorOperators(g.n_sites, [(i, j) for (i, j, _) in g.edges])
+    vals, labels = [], []
+    for grp, stack in zip(ops.groups, ops.blocks(ops.weights(g), g.field_h)):
+        ev = np.linalg.eigvalsh(stack)
+        vals.append(ev.ravel())
+        labels.append(np.repeat(grp.m, ev.shape[1]))
+    vals, labels = np.concatenate(vals), np.concatenate(labels)
+    order = np.argsort(vals, kind="stable")
+    return vals[order], labels[order]
+
+
 def basis_state(n_sites: int, down_sites: tuple[int, ...]) -> np.ndarray:
     """Product state with the given sites down and all others up."""
     idx = 0

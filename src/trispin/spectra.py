@@ -9,7 +9,6 @@ logical levels stop being the ground levels.
 
 from __future__ import annotations
 
-import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -22,9 +21,10 @@ from .gates import (
     cphase_gate,
     gate_report,
     propagate,
+    ramp_steps,
     synthesize_cphase,
 )
-from .hamiltonian import build_hamiltonian, single_lq_graph, total_spin, two_lq_graph
+from .hamiltonian import sector_spectrum, single_lq_graph, two_lq_graph
 
 MU_B_MICROEV_PER_TESLA = 57.88
 INTRA_COUPLINGS = ("j12", "j13", "j23")
@@ -35,7 +35,7 @@ class SweepResult:
     """Spectra tabulated over one swept parameter.
 
     ``spectra`` rows are ascending eigenvalues, ``sz_labels`` the matching
-    total-S_z expectations, ``logical`` the exact logical level(s), and
+    total-S_z sector labels, ``logical`` the exact logical level(s), and
     ``gap`` the distance from the top logical level to the nearest level
     outside the logical set (negative past a crossing).
     """
@@ -85,25 +85,11 @@ def _gap_above(values: np.ndarray, logical_values) -> float:
     return float(np.min(rest) - np.max(logical_values))
 
 
-def _field_point(h: float) -> tuple[np.ndarray, np.ndarray]:
-    hmat = build_hamiltonian(single_lq_graph(h=h))
-    vals, vecs = np.linalg.eigh(hmat)
-    sz = np.real(np.einsum("ij,ik,kj->j", vecs.conj(), total_spin(3, "z"), vecs))
-    return vals, sz
-
-
-def _intra_point(x: float, which: str, h: float) -> tuple[np.ndarray, np.ndarray]:
-    hmat = build_hamiltonian(single_lq_graph(**{which: x}, h=h))
-    vals, vecs = np.linalg.eigh(hmat)
-    sz = np.real(np.einsum("ij,ik,kj->j", vecs.conj(), total_spin(3, "z"), vecs))
-    return vals, sz
-
-
-def _pooled(fn, grid, workers: int):
+def _pooled(fn, items, workers: int):
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, grid))
-    return [fn(x) for x in grid]
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 def idle_logical_energy(h: float) -> float:
@@ -113,7 +99,7 @@ def idle_logical_energy(h: float) -> float:
 
 def field_gap(h: float) -> float:
     """Distance from the idle logical level to the nearest other level."""
-    vals, _ = _field_point(h)
+    vals, _ = sector_spectrum(single_lq_graph(h=h))
     e_log = idle_logical_energy(h)
     rest, _ = _remove_matched(vals, [e_log, e_log])
     return float(np.min(np.abs(rest - e_log)))
@@ -125,7 +111,7 @@ def sweep_field(h_min: float, h_max: float, n_points: int,
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     grid = np.linspace(h_min, h_max, n_points)
-    points = _pooled(_field_point, grid, workers)
+    points = _pooled(sector_spectrum, [single_lq_graph(h=h) for h in grid], workers)
     spectra = np.stack([p[0] for p in points])
     sz = np.stack([p[1] for p in points])
     logical = np.array([[idle_logical_energy(h)] for h in grid])
@@ -184,11 +170,13 @@ def _bisect_zero(fn, lo: float, hi: float, tol: float) -> float:
 
 def _find_crossings(fn, grid: np.ndarray, gaps: np.ndarray,
                     tol: float = 1e-6) -> CrossingReport:
+    # A gap of exactly zero at a grid point is that point's crossing, so
+    # the interval ending there is not searched again.
     crossings = []
     for a, b, ga, gb in zip(grid[:-1], grid[1:], gaps[:-1], gaps[1:]):
         if ga == 0.0:
             crossings.append(float(a))
-        elif (ga > 0) != (gb > 0):
+        elif gb != 0.0 and (ga > 0) != (gb > 0):
             crossings.append(float(_bisect_zero(fn, a, b, tol)))
     if len(gaps) and gaps[-1] == 0.0:
         crossings.append(float(grid[-1]))
@@ -203,25 +191,19 @@ def sweep_intra(which: str, j_min: float, j_max: float, n_points: int,
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     grid = np.linspace(j_min, j_max, n_points)
-    points = _pooled(functools.partial(_intra_point, which=which, h=h), grid, workers)
+    points = _pooled(sector_spectrum,
+                     [single_lq_graph(**{which: x}, h=h) for x in grid], workers)
     spectra = np.stack([p[0] for p in points])
     sz = np.stack([p[1] for p in points])
     logical = np.stack([_logical_pair(which, x, h) for x in grid])
     gap = np.array([_gap_above(vals, pair) for vals, pair in zip(spectra, logical)])
 
     def gap_at(x: float) -> float:
-        vals, _ = _intra_point(x, which, h)
+        vals, _ = sector_spectrum(single_lq_graph(**{which: x}, h=h))
         return _gap_above(vals, _logical_pair(which, x, h))
 
     result = SweepResult(which, grid, spectra, gap, sz, logical)
     return result, _find_crossings(gap_at, grid, gap)
-
-
-def _inter_point(x: float, h: float) -> tuple[np.ndarray, np.ndarray]:
-    hmat = build_hamiltonian(two_lq_graph(j14=x, h=h))
-    vals, vecs = np.linalg.eigh(hmat)
-    sz = np.real(np.einsum("ij,ik,kj->j", vecs.conj(), total_spin(6, "z"), vecs))
-    return vals, sz
 
 
 def sweep_inter(j_min: float, j_max: float, n_points: int,
@@ -237,13 +219,13 @@ def sweep_inter(j_min: float, j_max: float, n_points: int,
         raise ValueError("n_points must be at least 2")
     grid = np.linspace(j_min, j_max, n_points)
     quartet = lambda_curve(grid, h=h)
-    points = [_inter_point(x, h) for x in grid]
+    points = [sector_spectrum(two_lq_graph(j14=x, h=h)) for x in grid]
     spectra = np.stack([p[0] for p in points])
     sz = np.stack([p[1] for p in points])
     gap = np.array([_gap_above(vals, q) for vals, q in zip(spectra, quartet)])
 
     def gap_at(x: float) -> float:
-        vals, _ = _inter_point(x, h)
+        vals, _ = sector_spectrum(two_lq_graph(j14=x, h=h))
         return _gap_above(vals, lambda_curve([x], h=h)[0])
 
     result = SweepResult("j14", grid, spectra, gap, sz, quartet)
@@ -280,9 +262,7 @@ def adiabatic_leakage_curve(phi: float, j14_peak: float, ramp_times,
             schedule = synthesize_cphase(phi, j14_peak, ramp,
                                          n_calibration_steps=n_calibration_steps,
                                          h=h, ramp_shape=ramp_shape)
-        longest = max((s.duration for s in schedule.segments if s.ramp != "constant"),
-                      default=1.0)
-        n_steps = max(1, int(np.ceil(longest * steps_per_unit_time)))
+        n_steps = ramp_steps(schedule, steps_per_unit_time)
         report = gate_report(propagate(schedule, n_steps), target, basis)
         out.append(AdiabaticPoint(float(ramp), report.max_leakage,
                                   report.fidelity, report.conditional_phase))

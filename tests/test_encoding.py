@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from trispin.encoding import (
+    TRACK_MIN_OVERLAP,
+    TrackingError,
+    _SectorTracker,
     effective_h1,
     initialization_ground,
     lambda_curve,
@@ -234,3 +237,52 @@ class TestInitialization:
             initialization_ground(0.8)
         with pytest.raises(ValueError):
             initialization_ground(-0.75)
+
+
+def _loop_advance(tracker, pt, refs):
+    """Per-state form of the tracker step: the reference for the batched one."""
+    vals, vecs = np.linalg.eigh(tracker.hamiltonian(*pt))
+    picked = np.empty(4)
+    new_refs = np.empty_like(refs)
+    for q in range(4):
+        amps = vecs.conj().T @ refs[:, q]
+        best = int(np.argmax(np.abs(amps)))
+        cls = np.abs(vals - vals[best]) <= 1e-8
+        weight = float(np.sum(np.abs(amps[cls]) ** 2))
+        if weight < TRACK_MIN_OVERLAP:
+            raise TrackingError(
+                f"tracking ambiguity at (j14={pt[0]:.6f}, shift={pt[1]:.6f}): "
+                f"overlap {weight:.3f} < {TRACK_MIN_OVERLAP}")
+        proj = vecs[:, cls] @ amps[cls]
+        new_refs[:, q] = proj / np.linalg.norm(proj)
+        picked[q] = vals[best]
+    refs[:, :] = new_refs
+    return picked
+
+
+class TestTrackerStep:
+    @pytest.fixture(scope="class")
+    def tracker(self):
+        return _SectorTracker(0.75)
+
+    def test_matches_per_state_reference(self, tracker):
+        # from the degenerate quartet at j14 = 0 along a shifted ramp
+        refs_a = np.array(tracker.refs, copy=True)
+        refs_b = np.array(tracker.refs, copy=True)
+        for x in np.linspace(0.0, 0.7, 141):
+            pt = (x, 0.3 * x)
+            assert max_abs(tracker._advance(pt, refs_a) - _loop_advance(tracker, pt, refs_b)) <= 1e-12
+            assert max_abs(refs_a - refs_b) <= 1e-10
+
+    def test_same_error_as_reference(self, tracker):
+        # references spread evenly over three distinct levels: overlap 1/3
+        vals, vecs = np.linalg.eigh(tracker.hamiltonian(0.3, 0.0))
+        levels = [0, 7, 14]
+        assert np.min(np.diff(vals[levels])) > 1e-3
+        spread = np.sum(vecs[:, levels], axis=1) / np.sqrt(3)
+        refs = np.tile(spread[:, None], (1, 4)).astype(np.complex128)
+        with pytest.raises(TrackingError) as batched:
+            tracker._advance((0.3, 0.0), refs.copy())
+        with pytest.raises(TrackingError) as looped:
+            _loop_advance(tracker, (0.3, 0.0), refs.copy())
+        assert str(batched.value) == str(looped.value)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from trispin.encoding import effective_h1, logical_basis, two_lq_basis
+from trispin import cli, gates
+from trispin.encoding import _SectorTracker, effective_h1, logical_basis, two_lq_basis
 from trispin.gates import (
+    CALIBRATION_TOL,
     PulseSchedule,
     Segment,
     axis120_gate,
@@ -13,6 +15,7 @@ from trispin.gates import (
     gate_report,
     propagate,
     propagation_error_estimate,
+    ramp_steps,
     rx_gate,
     rz_gate,
     single_lq_report,
@@ -23,7 +26,7 @@ from trispin.gates import (
     two_lq_report,
     zxz_angles,
 )
-from trispin.hamiltonian import build_hamiltonian, single_lq_graph, two_lq_graph
+from trispin.hamiltonian import CouplingGraph, build_hamiltonian, single_lq_graph, two_lq_graph
 from trispin.linalg import expm_minus_i_h_t, max_abs
 
 
@@ -107,6 +110,33 @@ class TestScheduleValidation:
         g = single_lq_graph(j23=1.2)
         with pytest.raises(ValueError, match="idle couplings"):
             PulseSchedule((constant_segment(1.0, g),), 3, idle=g)
+
+    def test_rejects_concatenation_across_fields(self):
+        # One operator set serves the whole schedule, so the second field
+        # would silently be replaced by the first.
+        with pytest.raises(ValueError, match="share the field"):
+            synthesize_rz(0.9, 0.5, h=0.75).then(synthesize_rz(0.7, 0.5, h=0.5))
+
+    def test_rejects_mixed_edge_sets(self):
+        idle = single_lq_graph()
+        path = CouplingGraph(3, ((0, 1, 1.0), (1, 2, 1.0)), idle.field_h)
+        with pytest.raises(ValueError, match="edge set"):
+            PulseSchedule((constant_segment(1.0, idle), constant_segment(1.0, path)),
+                          3, idle=idle)
+
+
+class TestRampSteps:
+    def test_holds_do_not_set_the_count(self):
+        idle = two_lq_graph()
+        peak = idle.with_couplings({(0, 3): 0.1})
+        sched = PulseSchedule((Segment(10.0, idle, peak, "smooth"),
+                               constant_segment(57.4, peak),
+                               Segment(10.0, peak, idle, "smooth")), 6, idle=idle)
+        assert ramp_steps(sched, 20.0) == 200
+
+    def test_schedule_without_ramps(self):
+        assert ramp_steps(synthesize_rz(0.9, 0.5), 100.0) == 100
+        assert ramp_steps(empty_schedule(3), 0.1) == 1
 
 
 class TestRz:
@@ -274,6 +304,56 @@ class TestCphase:
         with pytest.raises(ValueError, match="unreachable"):
             synthesize_cphase(np.pi, 0.05, 1.0, n_calibration_steps=20,
                               max_duration=30.0)
+
+
+class TestCphaseCalibration:
+    @pytest.fixture(scope="class")
+    def default_gate(self):
+        return synthesize_cphase(np.pi, 0.5, 20.0)
+
+    def test_residual_recomputed_below_tolerance(self, default_gate):
+        ramp_seg, hold_seg, _ = default_gate.segments
+        peak = ramp_seg.end
+        eps = peak.coupling(1, 2) - 1.0
+        assert eps == peak.coupling(4, 5) - 1.0
+        ramp, top = gates._trapezoid_phases(_SectorTracker(0.75), 0.5, eps, 20.0,
+                                            160, 1e-3, "smooth")
+        sq = 2 * gates._single_qubit(ramp) + gates._single_qubit(top) * hold_seg.duration
+        residual = sq - 2 * np.pi * np.round(sq / (2 * np.pi))
+        assert abs(residual) <= CALIBRATION_TOL
+
+    def test_default_gate_takes_few_walks(self, monkeypatch):
+        count = [0]
+        walk = _SectorTracker.walk
+
+        def counted(self, *args, **kwargs):
+            count[0] += 1
+            return walk(self, *args, **kwargs)
+
+        monkeypatch.setattr(_SectorTracker, "walk", counted)
+        synthesize_cphase(np.pi, 0.5, 20.0)
+        assert count[0] <= 6
+
+    @staticmethod
+    def _step_phases(monkeypatch):
+        # Single-qubit phase +2 below shift 0.1 and -2 above it: the sign
+        # changes inside the bracket but no shift brings it near zero.
+        def phases(tracker, j14_peak, eps, ramp_time, n_nodes, track_step, ramp_shape):
+            s = 1.0 if eps < 0.1 else -1.0
+            return np.array([s, 0.0, 0.0, 1.0 - s]), np.array([0.0, 0.0, 0.0, 1.0])
+
+        monkeypatch.setattr(gates, "_trapezoid_phases", phases)
+
+    def test_non_converging_calibration_raises(self, monkeypatch):
+        self._step_phases(monkeypatch)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            synthesize_cphase(np.pi, 0.5, 20.0)
+
+    def test_non_converging_calibration_exits_numerical(self, monkeypatch, tmp_path, capsys):
+        self._step_phases(monkeypatch)
+        code = cli.main(["gate", "--type", "cphase", "--out", str(tmp_path / "g.json")])
+        assert code == cli.EXIT_NUMERICAL
+        assert "did not converge" in capsys.readouterr().err
 
 
 class TestGateReport:

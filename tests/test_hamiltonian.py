@@ -5,6 +5,7 @@ import pytest
 
 from trispin.hamiltonian import (
     CouplingGraph,
+    SectorOperators,
     basis_state,
     build_hamiltonian,
     exchange_term,
@@ -192,3 +193,31 @@ class TestCouplingGraph:
         assert v[1] == 1.0 and np.sum(np.abs(v)) == 1.0
         v = basis_state(3, (0,))
         assert v[4] == 1.0
+
+
+class TestSectorOperators:
+    @pytest.mark.parametrize("n_sites", [2, 3, 4, 6])
+    def test_blocks_equal_restricted_exchange_terms(self, n_sites):
+        pairs = list(itertools.combinations(range(n_sites), 2))
+        ops = SectorOperators(n_sites, pairs)
+        seen = 0
+        for grp in ops.groups:
+            for k, idx in enumerate(grp.indices):
+                seen += len(idx)
+                for e, (i, j) in enumerate(pairs):
+                    block = exchange_term(n_sites, i, j)[np.ix_(idx, idx)]
+                    assert np.array_equal(grp.terms[e, k], block.real)
+                    assert not np.any(block.imag)
+        assert seen == 2**n_sites
+
+    def test_embedded_blocks_rebuild_the_hamiltonian(self):
+        g = two_lq_graph(j14=0.4, j23=1.2, h=0.6)
+        ops = SectorOperators(g.n_sites, [(i, j) for (i, j, _) in g.edges])
+        full = ops.embed(ops.blocks(ops.weights(g), g.field_h))
+        assert max_abs(full - build_hamiltonian(g)) <= 1e-14
+
+    def test_selected_sectors_only(self):
+        ops = SectorOperators(6, [(0, 1)], ms=(1.0,))
+        assert len(ops.groups) == 1
+        assert ops.groups[0].m.tolist() == [1.0]
+        assert ops.groups[0].indices.shape == (1, 15)

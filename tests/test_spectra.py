@@ -4,6 +4,7 @@ import pytest
 from trispin.encoding import lambda_spectrum
 from trispin.hamiltonian import build_hamiltonian, single_lq_graph, two_lq_graph
 from trispin.spectra import (
+    _find_crossings,
     adiabatic_leakage_curve,
     field_gap,
     optimal_field,
@@ -107,6 +108,11 @@ class TestSweepIntra:
         assert abs(c1.crossings[0] - c2.crossings[0]) <= 2e-6
         assert abs(c1.crossings[1] - c2.crossings[1]) <= 2e-6
 
+    def test_exact_zero_at_a_grid_point_counts_once(self):
+        grid = np.array([0.0, 1.0, 2.0])
+        report = _find_crossings(lambda x: 1.0 - x, grid, np.array([1.0, 0.0, -1.0]))
+        assert report.crossings == (1.0,)
+
     def test_unknown_coupling(self):
         with pytest.raises(ValueError):
             sweep_intra("j45", 0.5, 1.5, 11)
@@ -180,3 +186,23 @@ class TestUnits:
             to_physical(-1.0, 0.44, 0.75)
         with pytest.raises(ValueError):
             to_physical(7.0, 0.0, 0.75)
+
+
+class TestExactSzLabels:
+    def test_field_and_intra_labels_are_allowed_m(self, field_result):
+        allowed = [-1.5, -0.5, 0.5, 1.5]
+        intra, _ = sweep_intra("j23", 0.1, 1.9, 61)
+        for result in (field_result, intra):
+            assert np.all(np.isin(result.sz_labels, allowed))
+
+    def test_inter_labels_are_allowed_m(self, inter_result):
+        result, _ = inter_result
+        # j14 = 0 has degeneracies across sectors, where <S_z> of a mixed
+        # eigenvector is not a label
+        assert np.all(np.isin(result.sz_labels, np.arange(-3.0, 4.0)))
+
+    def test_each_sector_keeps_its_dimension(self, inter_result):
+        result, _ = inter_result
+        for labels in result.sz_labels:
+            counts = [int(np.sum(labels == m)) for m in np.arange(-3.0, 4.0)]
+            assert counts == [1, 6, 15, 20, 15, 6, 1]
