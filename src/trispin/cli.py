@@ -147,7 +147,7 @@ COMMANDS: dict[str, dict] = {
         "params": (
             Param("min", "float", 0.0), Param("max", "float", 1.5),
             Param("points", "int", 301),
-            Param("workers", "int", 1, "worker pool size for grid points"),
+            Param("workers", "int", 1, "accepted for compatibility and ignored"),
         ),
     },
     "sweep-intra": {
@@ -157,7 +157,7 @@ COMMANDS: dict[str, dict] = {
             Param("which", "choice", "j23", "coupling to vary", ("j12", "j13", "j23")),
             Param("min", "float", 0.1), Param("max", "float", 1.9),
             Param("points", "int", 301), Param("h", "float", 0.75),
-            Param("workers", "int", 1),
+            Param("workers", "int", 1, "accepted for compatibility and ignored"),
         ),
     },
     "sweep-inter": {
@@ -412,7 +412,7 @@ def _run_spectrum(cfg: RunConfig) -> str:
 
 def _run_sweep_field(cfg: RunConfig) -> str:
     p = cfg.params
-    result = spectra.sweep_field(p["min"], p["max"], p["points"], workers=p["workers"])
+    result = spectra.sweep_field(p["min"], p["max"], p["points"])
     h_star = spectra.optimal_field(p["min"], p["max"])
     _sweep_artifact(cfg, result, {"h_star": h_star})
     return f"gap maximized at h* = {fmt_float(h_star)}"
@@ -421,7 +421,7 @@ def _run_sweep_field(cfg: RunConfig) -> str:
 def _run_sweep_intra(cfg: RunConfig) -> str:
     p = cfg.params
     result, crossings = spectra.sweep_intra(p["which"], p["min"], p["max"],
-                                            p["points"], h=p["h"], workers=p["workers"])
+                                            p["points"], h=p["h"])
     _sweep_artifact(cfg, result, {"crossings": list(crossings.crossings)})
     pts = ", ".join(fmt_float(c) for c in crossings.crossings) or "none"
     return f"level crossings of {p['which']} at: {pts}"
@@ -437,6 +437,8 @@ def _run_sweep_inter(cfg: RunConfig) -> str:
 
 def _run_lambdas(cfg: RunConfig) -> str:
     p = cfg.params
+    if p["points"] < 1:
+        raise ConfigError(f"--points: need at least one point, got {p['points']}")
     grid = np.linspace(p["min"], p["max"], p["points"])
     rows = encoding.lambda_curve(grid, h=p["h"])
     table = [[x, r[0], (r[1] + r[2]) / 2, r[3], r[0] + r[3] - r[1] - r[2]]

@@ -195,8 +195,12 @@ def ramp_steps(schedule: PulseSchedule, steps_per_unit_time: float) -> int:
     """Propagation steps per segment: the longest ramp times ``steps_per_unit_time``.
 
     A hold is one exact exponential, so only ramps set the count; a schedule
-    without ramps counts as one unit of ramp time.
+    without ramps counts as one unit of ramp time.  ``steps_per_unit_time``
+    must be finite and positive.
     """
+    if not (np.isfinite(steps_per_unit_time) and steps_per_unit_time > 0):
+        raise ValueError(
+            f"steps per unit time must be finite and positive, got {steps_per_unit_time}")
     longest = max((s.duration for s in schedule.segments if s.ramp != "constant"),
                   default=1.0)
     return max(1, int(np.ceil(longest * steps_per_unit_time)))
@@ -239,12 +243,25 @@ def cphase_gate(phi: float) -> np.ndarray:
 # Single-LQ synthesis
 # ---------------------------------------------------------------------------
 
-def _check_window(*couplings: float):
+def _hold_rotation(theta: float, delta: float, shifts: dict[str, int], rate: float,
+                   h: float) -> PulseSchedule:
+    """Hold each coupling of ``shifts`` at 1 + k delta' for |theta| / (rate |delta|).
+
+    ``shifts`` maps couplings to their multiples k of delta' = sign(theta) |delta|;
+    every shifted coupling must stay inside ``COUPLING_WINDOW`` for either sign.
+    """
+    if delta == 0 or not np.isfinite(delta):
+        raise ValueError("delta must be finite and nonzero")
     lo, hi = COUPLING_WINDOW
-    for j in couplings:
+    for j in (1 + sign * abs(k) * abs(delta) for k in shifts.values() for sign in (1, -1)):
         if not lo < j < hi:
-            raise ValueError(
-                f"coupling {j:g} outside the crossing-free window ({lo}, {hi})")
+            raise ValueError(f"coupling {j:g} outside the crossing-free window ({lo}, {hi})")
+    if theta == 0:
+        return empty_schedule(3)
+    eff = np.sign(theta) * abs(delta)
+    graph = single_lq_graph(**{name: 1 + k * eff for name, k in shifts.items()}, h=h)
+    return PulseSchedule((constant_segment(abs(theta) / (rate * abs(delta)), graph),), 3,
+                         idle=single_lq_graph(h=h))
 
 
 def synthesize_rz(theta: float, delta: float, h: float = 0.75) -> PulseSchedule:
@@ -254,15 +271,7 @@ def synthesize_rz(theta: float, delta: float, h: float = 0.75) -> PulseSchedule:
     -sign(theta) * |delta|; both rotation senses are available because the
     idle coupling is nonzero.
     """
-    if delta == 0 or not np.isfinite(delta):
-        raise ValueError("delta must be finite and nonzero")
-    _check_window(1 + abs(delta), 1 - abs(delta))
-    if theta == 0:
-        return empty_schedule(3)
-    eff = -np.sign(theta) * abs(delta)
-    graph = single_lq_graph(j23=1 + eff, h=h)
-    return PulseSchedule((constant_segment(abs(theta / delta), graph),), 3,
-                         idle=single_lq_graph(h=h))
+    return _hold_rotation(theta, delta, {"j23": -1}, 1.0, h)
 
 
 def synthesize_axis120(theta: float, delta: float, which: str = "j12",
@@ -275,16 +284,7 @@ def synthesize_axis120(theta: float, delta: float, which: str = "j12",
     """
     if which not in AXIS120:
         raise ValueError("which must be 'j12' or 'j13'")
-    if delta == 0 or not np.isfinite(delta):
-        raise ValueError("delta must be finite and nonzero")
-    _check_window(1 + abs(delta), 1 - abs(delta))
-    if theta == 0:
-        return empty_schedule(3)
-    eff = np.sign(theta) * abs(delta)
-    kwargs = {which: 1 + eff}
-    graph = single_lq_graph(**kwargs, h=h)
-    return PulseSchedule((constant_segment(abs(theta / delta), graph),), 3,
-                         idle=single_lq_graph(h=h))
+    return _hold_rotation(theta, delta, {which: 1}, 1.0, h)
 
 
 def synthesize_rx(theta: float, delta: float, h: float = 0.75) -> PulseSchedule:
@@ -293,15 +293,7 @@ def synthesize_rx(theta: float, delta: float, h: float = 0.75) -> PulseSchedule:
     The matched shifts cancel the sigma_z part exactly, leaving the generator
     (sqrt(3) delta / 2) sigma_x; hold time |theta / (sqrt(3) delta)|.
     """
-    if delta == 0 or not np.isfinite(delta):
-        raise ValueError("delta must be finite and nonzero")
-    _check_window(1 + 2 * abs(delta), 1 - 2 * abs(delta), 1 + abs(delta), 1 - abs(delta))
-    if theta == 0:
-        return empty_schedule(3)
-    eff = np.sign(theta) * abs(delta)
-    graph = single_lq_graph(j12=1 + 2 * eff, j23=1 + eff, h=h)
-    return PulseSchedule((constant_segment(abs(theta) / (np.sqrt(3) * abs(delta)), graph),),
-                         3, idle=single_lq_graph(h=h))
+    return _hold_rotation(theta, delta, {"j12": 2, "j23": 1}, np.sqrt(3), h)
 
 
 def zxz_angles(target: np.ndarray) -> tuple[float, float, float]:

@@ -226,12 +226,19 @@ class SectorOperators:
         """Couplings of ``g`` in the order of ``pairs``."""
         return np.array([g.coupling(i, j) for (i, j) in self.pairs])
 
-    def blocks(self, weights: np.ndarray, field_h: float) -> list[np.ndarray]:
-        """Hamiltonian blocks, one stack per group."""
+    def blocks(self, weights: np.ndarray, field_h) -> list[np.ndarray]:
+        """Hamiltonian blocks, one stack per group.
+
+        ``weights`` and ``field_h`` may carry matching leading batch axes.  Each
+        row is its own matrix-vector product, so it equals its unbatched block.
+        """
+        weights = np.asarray(weights, dtype=float)
+        field_h = np.asarray(field_h, dtype=float)[..., None, None, None]
         out = []
         for grp in self.groups:
             size = grp.indices.shape[1]
-            out.append(np.tensordot(weights, grp.terms, axes=1)
+            exchange = weights[..., None, :] @ grp.terms.reshape(len(self.pairs), -1)
+            out.append(exchange.reshape(weights.shape[:-1] + grp.terms.shape[1:])
                        - field_h * grp.m[:, None, None] * np.eye(size))
         return out
 
@@ -245,21 +252,34 @@ class SectorOperators:
         return full
 
 
-def sector_spectrum(g: CouplingGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of H and the exact total S_z of each.
+def sector_spectra(graphs: list[CouplingGraph]) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of H and exact total-S_z labels, one row per graph.
 
-    The spectrum is assembled from the sector blocks, so every level carries
-    the magnetization of its sector, also inside degeneracies across sectors.
+    The graphs share the site count and the edge set (in order); each sector
+    size takes one ``eigvalsh`` call for the whole batch.  Every level carries
+    its sector's magnetization, also inside degeneracies across sectors.
     """
-    ops = SectorOperators(g.n_sites, [(i, j) for (i, j, _) in g.edges])
+    shapes = {(g.n_sites, tuple((i, j) for (i, j, _) in g.edges)) for g in graphs}
+    if len(shapes) != 1:
+        raise ValueError("need graphs sharing one site count and one edge set")
+    ((n_sites, pairs),) = shapes
+    ops = SectorOperators(n_sites, pairs)
+    weights = np.array([ops.weights(g) for g in graphs])
+    fields = np.array([g.field_h for g in graphs])
     vals, labels = [], []
-    for grp, stack in zip(ops.groups, ops.blocks(ops.weights(g), g.field_h)):
+    for grp, stack in zip(ops.groups, ops.blocks(weights, fields)):
         ev = np.linalg.eigvalsh(stack)
-        vals.append(ev.ravel())
-        labels.append(np.repeat(grp.m, ev.shape[1]))
-    vals, labels = np.concatenate(vals), np.concatenate(labels)
-    order = np.argsort(vals, kind="stable")
-    return vals[order], labels[order]
+        vals.append(ev.reshape(len(graphs), -1))
+        labels.append(np.repeat(grp.m, ev.shape[-1]))
+    vals, labels = np.concatenate(vals, axis=1), np.concatenate(labels)
+    order = np.argsort(vals, axis=1, kind="stable")
+    return np.take_along_axis(vals, order, axis=1), labels[order]
+
+
+def sector_spectrum(g: CouplingGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of H and the exact total S_z of each level."""
+    vals, labels = sector_spectra([g])
+    return vals[0], labels[0]
 
 
 def basis_state(n_sites: int, down_sites: tuple[int, ...]) -> np.ndarray:

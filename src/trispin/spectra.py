@@ -9,7 +9,6 @@ logical levels stop being the ground levels.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .gates import (
     ramp_steps,
     synthesize_cphase,
 )
-from .hamiltonian import sector_spectrum, single_lq_graph, two_lq_graph
+from .hamiltonian import sector_spectra, sector_spectrum, single_lq_graph, two_lq_graph
 
 MU_B_MICROEV_PER_TESLA = 57.88
 INTRA_COUPLINGS = ("j12", "j13", "j23")
@@ -70,26 +69,45 @@ class PhysicalUnits:
     gap_microev: float
 
 
-def _remove_matched(values: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
-    """Split eigenvalues into (rest, matched) removing one entry per target."""
+def _remove_matched(values: np.ndarray, targets) -> np.ndarray:
+    """Eigenvalues left after removing the one nearest to each target in turn."""
     pool = list(values)
-    matched = []
     for t in targets:
-        k = int(np.argmin(np.abs(np.asarray(pool) - t)))
-        matched.append(pool.pop(k))
-    return np.asarray(pool), np.asarray(matched)
+        pool.pop(int(np.argmin(np.abs(np.asarray(pool) - t))))
+    return np.asarray(pool)
 
 
 def _gap_above(values: np.ndarray, logical_values) -> float:
-    rest, _ = _remove_matched(values, logical_values)
+    rest = _remove_matched(values, logical_values)
     return float(np.min(rest) - np.max(logical_values))
 
 
-def _pooled(fn, items, workers: int):
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
+def _gap_around(values: np.ndarray, logical_values) -> float:
+    """Distance from the doubly degenerate idle logical level to the nearest other."""
+    rest = _remove_matched(values, [logical_values[0]] * 2)
+    return float(np.min(np.abs(rest - logical_values[0])))
+
+
+def _sweep(name: str, lo: float, hi: float, n_points: int, graph_at, logical_at, gap_fn):
+    """Spectra, logical levels and gaps on a uniform grid, plus ``gap_at(x)`` off it.
+
+    ``graph_at(x)`` gives the graph at one value and ``logical_at(xs)`` the
+    logical levels at an array of values, one row each; ``gap_fn(values,
+    logical)`` is the gap of one spectrum.  The graphs share an edge set, so
+    the grid is one ``sector_spectra`` call.
+    """
+    if n_points < 2:
+        raise ValueError("n_points must be at least 2")
+    grid = np.linspace(lo, hi, n_points)
+    spectra, sz = sector_spectra([graph_at(x) for x in grid])
+    logical = logical_at(grid)
+    gap = np.array([gap_fn(vals, lv) for vals, lv in zip(spectra, logical)])
+
+    def gap_at(x: float) -> float:
+        vals, _ = sector_spectrum(graph_at(x))
+        return gap_fn(vals, logical_at(np.array([x]))[0])
+
+    return SweepResult(name, grid, spectra, gap, sz, logical), gap_at
 
 
 def idle_logical_energy(h: float) -> float:
@@ -99,27 +117,14 @@ def idle_logical_energy(h: float) -> float:
 
 def field_gap(h: float) -> float:
     """Distance from the idle logical level to the nearest other level."""
-    vals, _ = sector_spectrum(single_lq_graph(h=h))
-    e_log = idle_logical_energy(h)
-    rest, _ = _remove_matched(vals, [e_log, e_log])
-    return float(np.min(np.abs(rest - e_log)))
+    return _gap_around(sector_spectrum(single_lq_graph(h=h))[0], [idle_logical_energy(h)])
 
 
-def sweep_field(h_min: float, h_max: float, n_points: int,
-                workers: int = 1) -> SweepResult:
+def sweep_field(h_min: float, h_max: float, n_points: int) -> SweepResult:
     """Idle single-LQ spectrum and protection gap across the Zeeman field."""
-    if n_points < 2:
-        raise ValueError("n_points must be at least 2")
-    grid = np.linspace(h_min, h_max, n_points)
-    points = _pooled(sector_spectrum, [single_lq_graph(h=h) for h in grid], workers)
-    spectra = np.stack([p[0] for p in points])
-    sz = np.stack([p[1] for p in points])
-    logical = np.array([[idle_logical_energy(h)] for h in grid])
-    gap = np.empty(n_points)
-    for k, (vals, e) in enumerate(zip(spectra, logical)):
-        rest, _ = _remove_matched(vals, [e[0], e[0]])
-        gap[k] = np.min(np.abs(rest - e[0]))
-    return SweepResult("h", grid, spectra, gap, sz, logical)
+    result, _ = _sweep("h", h_min, h_max, n_points, lambda h: single_lq_graph(h=h),
+                       lambda hs: idle_logical_energy(hs)[:, None], _gap_around)
+    return result
 
 
 def optimal_field(h_lo: float, h_hi: float, tol: float = 1e-6,
@@ -131,11 +136,10 @@ def optimal_field(h_lo: float, h_hi: float, tol: float = 1e-6,
     """
     if not h_lo < h_hi:
         raise ValueError("need h_lo < h_hi")
-    grid = np.linspace(h_lo, h_hi, coarse_points)
-    gaps = np.array([field_gap(h) for h in grid])
-    k = int(np.argmax(gaps))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, coarse_points - 1)]
+    coarse = sweep_field(h_lo, h_hi, coarse_points)
+    k = int(np.argmax(coarse.gap))
+    lo = coarse.grid[max(k - 1, 0)]
+    hi = coarse.grid[min(k + 1, coarse_points - 1)]
     while hi - lo > tol:
         m1 = lo + (hi - lo) / 3
         m2 = hi - (hi - lo) / 3
@@ -184,52 +188,28 @@ def _find_crossings(fn, grid: np.ndarray, gaps: np.ndarray,
 
 
 def sweep_intra(which: str, j_min: float, j_max: float, n_points: int,
-                h: float = 0.75, workers: int = 1) -> tuple[SweepResult, CrossingReport]:
+                h: float = 0.75) -> tuple[SweepResult, CrossingReport]:
     """Spectrum during a single-LQ gate coupling excursion, with crossings."""
     if which not in INTRA_COUPLINGS:
         raise ValueError(f"which must be one of {INTRA_COUPLINGS}")
-    if n_points < 2:
-        raise ValueError("n_points must be at least 2")
-    grid = np.linspace(j_min, j_max, n_points)
-    points = _pooled(sector_spectrum,
-                     [single_lq_graph(**{which: x}, h=h) for x in grid], workers)
-    spectra = np.stack([p[0] for p in points])
-    sz = np.stack([p[1] for p in points])
-    logical = np.stack([_logical_pair(which, x, h) for x in grid])
-    gap = np.array([_gap_above(vals, pair) for vals, pair in zip(spectra, logical)])
-
-    def gap_at(x: float) -> float:
-        vals, _ = sector_spectrum(single_lq_graph(**{which: x}, h=h))
-        return _gap_above(vals, _logical_pair(which, x, h))
-
-    result = SweepResult(which, grid, spectra, gap, sz, logical)
-    return result, _find_crossings(gap_at, grid, gap)
+    result, gap_at = _sweep(
+        which, j_min, j_max, n_points, lambda x: single_lq_graph(**{which: x}, h=h),
+        lambda xs: np.stack([_logical_pair(which, x, h) for x in xs]), _gap_above)
+    return result, _find_crossings(gap_at, result.grid, result.gap)
 
 
 def sweep_inter(j_min: float, j_max: float, n_points: int,
                 h: float = 0.75) -> tuple[SweepResult, CrossingReport]:
     """Two-LQ spectrum against the inter-triple coupling, with the gap closing.
 
-    The logical quartet energies come from adiabatic tracking (sequential by
-    nature), so this sweep does not fan out to workers.
+    The logical quartet energies come from adiabatic tracking from j14 = 0.
     """
     if j_min < 0:
         raise ValueError("j_min must be nonnegative")
-    if n_points < 2:
-        raise ValueError("n_points must be at least 2")
-    grid = np.linspace(j_min, j_max, n_points)
-    quartet = lambda_curve(grid, h=h)
-    points = [sector_spectrum(two_lq_graph(j14=x, h=h)) for x in grid]
-    spectra = np.stack([p[0] for p in points])
-    sz = np.stack([p[1] for p in points])
-    gap = np.array([_gap_above(vals, q) for vals, q in zip(spectra, quartet)])
-
-    def gap_at(x: float) -> float:
-        vals, _ = sector_spectrum(two_lq_graph(j14=x, h=h))
-        return _gap_above(vals, lambda_curve([x], h=h)[0])
-
-    result = SweepResult("j14", grid, spectra, gap, sz, quartet)
-    return result, _find_crossings(gap_at, grid, gap)
+    result, gap_at = _sweep("j14", j_min, j_max, n_points,
+                            lambda x: two_lq_graph(j14=x, h=h),
+                            lambda xs: lambda_curve(xs, h=h), _gap_above)
+    return result, _find_crossings(gap_at, result.grid, result.gap)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import trispin
+from trispin import cli
 
 # Directory holding the trispin package this test process imported. The child
 # runs in a temporary directory, where a relative PYTHONPATH would not resolve.
@@ -186,6 +189,27 @@ class TestConfigFile:
         res = run_cli(["units", "--config", "run.cfg"], tmp_path)
         assert res.returncode == 2
         assert "uints" in res.stderr
+
+
+class TestRejectedValues:
+    @pytest.mark.parametrize("points", ["0", "-2"])
+    def test_lambdas_needs_a_point(self, tmp_path, points):
+        res = run_cli(["lambdas", "--points", points, "--out", "lam.csv"], tmp_path)
+        assert res.returncode == 2
+        assert "--points" in res.stderr and "Traceback" not in res.stderr
+        assert not (tmp_path / "lam.csv").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["gate", "--type", "rz"],
+        ["adiabatic", "--j14", "0", "--ramp-times", "1"],
+    ])
+    @pytest.mark.parametrize("rate", ["0", "-3", "inf", "nan"])
+    def test_steps_per_unit_must_be_finite_and_positive(self, tmp_path, capsys, monkeypatch,
+                                                        command, rate):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([*command, "--steps-per-unit", rate, "--out", "x.out"]) == 3
+        assert "steps per unit time" in capsys.readouterr().err
+        assert not (tmp_path / "x.out").exists()
 
 
 class TestNumericalFailureExit:

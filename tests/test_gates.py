@@ -138,6 +138,11 @@ class TestRampSteps:
         assert ramp_steps(synthesize_rz(0.9, 0.5), 100.0) == 100
         assert ramp_steps(empty_schedule(3), 0.1) == 1
 
+    @pytest.mark.parametrize("rate", [0.0, -3.0, np.inf, np.nan])
+    def test_rejects_nonpositive_or_non_finite_rate(self, rate):
+        with pytest.raises(ValueError, match="steps per unit time"):
+            ramp_steps(synthesize_rz(0.9, 0.5), rate)
+
 
 class TestRz:
     def test_quarter_turn(self):

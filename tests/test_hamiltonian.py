@@ -10,6 +10,8 @@ from trispin.hamiltonian import (
     build_hamiltonian,
     exchange_term,
     sector_restriction,
+    sector_spectra,
+    sector_spectrum,
     single_lq_graph,
     spin_operator,
     sz_sectors,
@@ -221,3 +223,26 @@ class TestSectorOperators:
         assert len(ops.groups) == 1
         assert ops.groups[0].m.tolist() == [1.0]
         assert ops.groups[0].indices.shape == (1, 15)
+
+
+class TestSectorSpectra:
+    def test_batch_of_fields_and_couplings(self):
+        batch = [two_lq_graph(j14=x, h=h) for x, h in ((0.0, 0.75), (0.3, 0.5), (0.6, 0.0))]
+        vals, labels = sector_spectra(batch)
+        assert vals.shape == labels.shape == (3, 64)
+        for g, row in zip(batch, vals):
+            assert max_abs(row - np.linalg.eigvalsh(build_hamiltonian(g))) <= 1e-12
+            assert np.array_equal(row, sector_spectrum(g)[0])
+
+    @pytest.mark.parametrize("other", [
+        CouplingGraph(3, ((0, 1, 1.0), (1, 2, 1.0))),
+        CouplingGraph(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0))),
+        CouplingGraph(4, ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0))),
+    ])
+    def test_rejects_mismatched_edge_sets(self, other):
+        with pytest.raises(ValueError, match="edge set"):
+            sector_spectra([single_lq_graph(), other])
+
+    def test_rejects_empty_batch(self):
+        with pytest.raises(ValueError):
+            sector_spectra([])

@@ -4,11 +4,23 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trispin.gates import RAMP_PROFILES, PulseSchedule, Segment, constant_segment, propagate
+from trispin.encoding import effective_h1, logical_basis, project_effective
+from trispin.gates import (
+    RAMP_PROFILES,
+    PulseSchedule,
+    Segment,
+    constant_segment,
+    propagate,
+    synthesize_axis120,
+    synthesize_rx,
+    synthesize_rz,
+)
 from trispin.hamiltonian import (
     CouplingGraph,
     build_hamiltonian,
+    sector_spectra,
     sector_spectrum,
+    single_lq_graph,
     sz_sectors,
     total_spin,
 )
@@ -33,6 +45,29 @@ def edge_sets(draw, min_sites=2, max_sites=5):
 def graphs(draw):
     n, pairs = draw(edge_sets())
     return CouplingGraph(n, tuple((i, j, draw(couplings)) for (i, j) in pairs), draw(fields))
+
+
+@st.composite
+def graph_batches(draw):
+    """Two to six graphs on one edge set, with generic (not round) couplings and fields."""
+    n, pairs = draw(edge_sets())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [CouplingGraph(n, tuple((i, j, rng.uniform(-1.5, 1.5)) for (i, j) in pairs),
+                          rng.uniform(-1.0, 1.0))
+            for _ in range(draw(st.integers(2, 6)))]
+
+
+@st.composite
+def single_lq_schedules(draw, h):
+    """A sudden single-LQ rotation (empty at zero angle) at field ``h``."""
+    theta = draw(st.sampled_from((0.0, np.pi / 2, -1.3, 2.9)))
+    delta = draw(st.floats(0.05, 0.35))
+    kind = draw(st.sampled_from(("rz", "rx", "j12", "j13")))
+    if kind == "rz":
+        return synthesize_rz(theta, delta, h=h)
+    if kind == "rx":
+        return synthesize_rx(theta, delta, h=h)
+    return synthesize_axis120(theta, delta, which=kind, h=h)
 
 
 @st.composite
@@ -98,3 +133,43 @@ def test_sector_spectrum_matches_dense_with_exact_labels(g):
     gaps = np.diff(dense_vals)
     alone = np.concatenate(([True], gaps > 1e-6)) & np.concatenate((gaps > 1e-6, [True]))
     assert max_abs(sz[alone] - labels[alone]) <= 1e-8
+
+
+@PROPERTY_SETTINGS
+@given(graph_batches())
+def test_batched_sector_spectra_equal_single_graph_rows(batch):
+    vals, labels = sector_spectra(batch)
+    assert vals.shape == labels.shape == (len(batch), 2**batch[0].n_sites)
+    for g, row_vals, row_labels in zip(batch, vals, labels):
+        one_vals, one_labels = sector_spectrum(g)
+        assert np.array_equal(row_vals, one_vals)
+        assert np.array_equal(row_labels, one_labels)
+
+
+@PROPERTY_SETTINGS
+@given(graphs())
+def test_hamiltonian_conserves_sz_and_total_spin_at_zero_field(g):
+    hmat = build_hamiltonian(g)
+    sz = total_spin(g.n_sites, "z")
+    assert max_abs(hmat @ sz - sz @ hmat) <= 1e-12
+    h0 = build_hamiltonian(CouplingGraph(g.n_sites, g.edges, 0.0))
+    s2 = sum(total_spin(g.n_sites, a) @ total_spin(g.n_sites, a) for a in "xyz")
+    assert max_abs(h0 @ s2 - s2 @ h0) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(couplings, couplings, couplings, fields)
+def test_logical_block_is_effective_h1(j12, j13, j23, h):
+    proj = project_effective(build_hamiltonian(single_lq_graph(j12, j13, j23, h)),
+                             logical_basis((0, 1, 2), 3))
+    eff = effective_h1(j12, j13, j23, h)
+    assert max_abs(proj.matrix - eff.matrix) <= 1e-12
+    assert abs(proj.trace_offset - eff.trace_offset) <= 1e-12
+    assert proj.off_block_residual <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), fields)
+def test_then_is_associative(data, h):
+    a, b, c = (data.draw(single_lq_schedules(h)) for _ in range(3))
+    assert a.then(b).then(c) == a.then(b.then(c))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trispin import spectra
 from trispin.encoding import lambda_spectrum
 from trispin.hamiltonian import build_hamiltonian, single_lq_graph, two_lq_graph
 from trispin.spectra import (
@@ -206,3 +207,34 @@ class TestExactSzLabels:
         for labels in result.sz_labels:
             counts = [int(np.sum(labels == m)) for m in np.arange(-3.0, 4.0)]
             assert counts == [1, 6, 15, 20, 15, 6, 1]
+
+
+class TestBatchedSweeps:
+    @pytest.mark.parametrize("run", [
+        lambda: spectra.sweep_field(0.0, 1.5, 31),
+        lambda: spectra.sweep_intra("j12", 0.1, 1.9, 31),
+        lambda: spectra.sweep_inter(0.0, 0.85, 31),
+    ])
+    def test_one_sector_spectra_call_per_grid(self, monkeypatch, run):
+        calls = []
+        original = spectra.sector_spectra
+
+        def counted(graphs):
+            calls.append(len(graphs))
+            return original(graphs)
+
+        monkeypatch.setattr(spectra, "sector_spectra", counted)
+        run()
+        assert calls == [31]
+
+    def test_coarse_grid_of_optimal_field_is_the_field_sweep(self, monkeypatch):
+        grids = []
+        original = spectra.sweep_field
+
+        def recorded(*args):
+            grids.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(spectra, "sweep_field", recorded)
+        assert abs(spectra.optimal_field(0.0, 1.5) - 0.75) <= 1e-6
+        assert grids == [(0.0, 1.5, 33)]
