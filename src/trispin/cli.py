@@ -483,8 +483,8 @@ def _parse_ramp_times(token: str) -> list[float]:
         times = [float(t) for t in str(token).split(",") if t.strip()]
     except ValueError:
         raise ConfigError(f"--ramp-times: bad list {token!r}") from None
-    if not times or any(t <= 0 for t in times):
-        raise ConfigError("--ramp-times: need positive durations")
+    if not times or not all(np.isfinite(t) and t > 0 for t in times):
+        raise ConfigError("--ramp-times: need positive finite durations")
     return times
 
 

@@ -23,6 +23,7 @@ so raising J23 lowers |0_L> (stronger antiferromagnetic coupling favors the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -38,6 +39,10 @@ from .linalg import max_abs
 
 TRACK_STEP = 1e-3
 TRACK_MIN_OVERLAP = 0.5
+# Parameter points diagonalized per batched eigh call: tracker substeps here,
+# propagation steps in gates.propagate.  Larger chunks are no faster and
+# raise the peak memory of a gate.
+_CHUNK = 16
 
 
 class TrackingError(RuntimeError):
@@ -229,33 +234,48 @@ class _SectorTracker:
         self.refs = two_lq_basis()[self.ops.groups[0].indices[0], :]
 
     def hamiltonian(self, j14: float, shift: float) -> np.ndarray:
-        w = np.array([1.0, 1.0, 1.0 + shift, 1.0, 1.0, 1.0 + shift, j14])
-        return self.ops.blocks(w, self.field_h)[0][0]
+        return self._blocks([(j14, shift)])[0]
 
-    def walk(self, path: list[tuple[float, float]], step: float = TRACK_STEP) -> np.ndarray:
+    def _blocks(self, pts) -> np.ndarray:
+        """m=+1 blocks at a batch of (j14, shift) points, one row each."""
+        pts = np.asarray(pts, dtype=float)
+        w = np.ones((len(pts), 7))
+        w[:, 2] = w[:, 5] = 1.0 + pts[:, 1]
+        w[:, 6] = pts[:, 0]
+        return self.ops.blocks(w, self.field_h)[0][:, 0]
+
+    def walk(self, path: list[tuple[float, float]], step: float = TRACK_STEP,
+             refs: np.ndarray | None = None) -> np.ndarray:
         """Eigenvalues of the tracked quartet at each requested path point.
 
-        ``path`` lists (j14, j23_shift) pairs, starting from j14 = 0 where the
-        logical product states seed the continuation exactly.  Substeps are
-        inserted so consecutive parameter moves never exceed ``step``.
+        ``path`` lists (j14, j23_shift) pairs.  Without ``refs`` it starts from
+        j14 = 0, where the logical product states seed the continuation
+        exactly; ``refs`` is instead a tracked state at ``path[0]`` to resume
+        from, and it is left holding the state at the last point.  Substeps
+        are inserted so consecutive parameter moves never exceed ``step``.
+        The substep points are diagonalized ``_CHUNK`` at a time in one batched
+        ``eigh`` call; the overlap selection then runs substep by substep.
         """
-        if not path or path[0][0] != 0.0:
-            raise ValueError("tracking path must start at j14 = 0")
-        refs = np.array(self.refs, copy=True)
+        if refs is None:
+            if not path or path[0][0] != 0.0:
+                raise ValueError("tracking path must start at j14 = 0")
+            refs = np.array(self.refs, copy=True)
         out = np.empty((len(path), 4))
-        out[0] = self._advance(path[0], refs)
-        for p, (prev, cur) in enumerate(zip(path[:-1], path[1:]), start=1):
-            dist = max(abs(cur[0] - prev[0]), abs(cur[1] - prev[1]))
-            nsub = max(1, int(np.ceil(dist / step)))
-            for k in range(1, nsub + 1):
-                s = k / nsub
-                pt = (prev[0] + s * (cur[0] - prev[0]), prev[1] + s * (cur[1] - prev[1]))
-                vals = self._advance(pt, refs)
-            out[p] = vals
+        points = _substeps(path, step)
+        while chunk := list(islice(points, _CHUNK)):
+            vals, vecs = np.linalg.eigh(self._blocks([pt for _, pt in chunk]))
+            for (p, pt), levels, states in zip(chunk, vals, vecs):
+                out[p] = self._select(levels, states, pt, refs)
         return out
 
     def _advance(self, pt: tuple[float, float], refs: np.ndarray) -> np.ndarray:
         vals, vecs = np.linalg.eigh(self.hamiltonian(*pt))
+        return self._select(vals, vecs, pt, refs)
+
+    @staticmethod
+    def _select(vals: np.ndarray, vecs: np.ndarray, pt: tuple[float, float],
+                refs: np.ndarray) -> np.ndarray:
+        """Follow each tracked state into the eigenspace it overlaps most (refs in place)."""
         amps = vecs.T @ refs                     # vecs are real
         best = np.argmax(np.abs(amps), axis=0)
         # cls[:, q]: the degeneracy class of the level that q follows
@@ -270,6 +290,17 @@ class _SectorTracker:
         proj = vecs @ amps
         refs[:, :] = proj / np.linalg.norm(proj, axis=0)
         return vals[best]
+
+
+def _substeps(path, step):
+    """Yield (path index, point) for ``path[0]``, then for every substep toward each later point."""
+    yield 0, tuple(path[0])
+    for p, (prev, cur) in enumerate(zip(path[:-1], path[1:]), start=1):
+        dist = max(abs(cur[0] - prev[0]), abs(cur[1] - prev[1]))
+        nsub = max(1, int(np.ceil(dist / step)))
+        for k in range(1, nsub + 1):
+            s = k / nsub
+            yield p, (prev[0] + s * (cur[0] - prev[0]), prev[1] + s * (cur[1] - prev[1]))
 
 
 def track_lambda_path(path: list[tuple[float, float]], h: float = 0.75,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import _SectorTracker, logical_basis, two_lq_basis
+from .encoding import _CHUNK, _SectorTracker, logical_basis, two_lq_basis
 from .hamiltonian import (
     CouplingGraph,
     SectorOperators,
@@ -150,13 +150,18 @@ def empty_schedule(n_sites: int = 3) -> PulseSchedule:
 
 
 def _evolve(blocks: list[np.ndarray], dt: float, u: list[np.ndarray]) -> list[np.ndarray]:
-    """exp(-i H dt) applied to the stacked sector propagators ``u``."""
-    out = []
-    for h, prev in zip(blocks, u):
+    """Apply the step propagators exp(-i H_k dt) of a chunk of steps to ``u`` in time order.
+
+    ``blocks`` holds one stack per sector group with the steps on its leading
+    axis; every block size takes one batched ``eigh`` call for the chunk.
+    """
+    steps = []
+    for h in blocks:
         vals, vecs = np.linalg.eigh(h)
-        out.append((vecs * np.exp(-1j * vals * dt)[..., None, :])
-                   @ vecs.swapaxes(-1, -2) @ prev)
-    return out
+        steps.append((vecs * np.exp(-1j * vals * dt)[..., None, :]) @ vecs.swapaxes(-1, -2))
+    for k in range(len(blocks[0])):
+        u = [step[k] @ prev for step, prev in zip(steps, u)]
+    return u
 
 
 def propagate(schedule: PulseSchedule, n_steps_per_segment: int = 200) -> np.ndarray:
@@ -166,7 +171,9 @@ def propagate(schedule: PulseSchedule, n_steps_per_segment: int = 200) -> np.nda
     couplings, second-order accurate); constant segments evolve in one exact
     exponential independent of the step count.  Total S_z is conserved, so
     each sector block evolves on its own and the full unitary is assembled
-    at the end.
+    at the end.  The steps of a ramp are built and diagonalized in chunks of
+    ``_CHUNK``, one ``eigh`` call per block size and chunk; only the product
+    of the step propagators runs step by step.
     """
     if n_steps_per_segment < 1:
         raise ValueError("n_steps_per_segment must be at least 1")
@@ -180,14 +187,15 @@ def propagate(schedule: PulseSchedule, n_steps_per_segment: int = 200) -> np.nda
     for seg in schedule.segments:
         w0 = ops.weights(seg.start)
         if seg.ramp == "constant":
-            u = _evolve(ops.blocks(w0, field_h), seg.duration, u)
+            u = _evolve(ops.blocks(w0[None], field_h), seg.duration, u)
             continue
         profile = RAMP_PROFILES[seg.ramp]
         w1 = ops.weights(seg.end)
         dt = seg.duration / n_steps_per_segment
-        for k in range(n_steps_per_segment):
+        for k0 in range(0, n_steps_per_segment, _CHUNK):
+            k = np.arange(k0, min(k0 + _CHUNK, n_steps_per_segment))
             f = profile((k + 0.5) / n_steps_per_segment)
-            u = _evolve(ops.blocks(w0 + f * (w1 - w0), field_h), dt, u)
+            u = _evolve(ops.blocks(w0 + f[:, None] * (w1 - w0), field_h), dt, u)
     return check_unitary(ops.embed(u))
 
 
@@ -394,7 +402,7 @@ def synthesize_cphase(phi: float, j14_peak: float, ramp_time: float,
     if not 0 < j14_peak < 0.75:
         raise ValueError("j14_peak outside the gapped window (0, 0.75)")
     if not (np.isfinite(ramp_time) and ramp_time > 0):
-        raise ValueError("ramp_time must be positive")
+        raise ValueError("ramp_time must be positive and finite")
     if n_calibration_steps < 1:
         raise ValueError("n_calibration_steps must be at least 1")
     if mode not in ("simultaneous", "sequential"):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import effective_h1, lambda_curve, two_lq_basis
+from .encoding import _SectorTracker, effective_h1, lambda_curve, two_lq_basis
 from .gates import (
     PulseSchedule,
     Segment,
@@ -206,9 +206,23 @@ def sweep_inter(j_min: float, j_max: float, n_points: int,
     """
     if j_min < 0:
         raise ValueError("j_min must be nonnegative")
-    result, gap_at = _sweep("j14", j_min, j_max, n_points,
-                            lambda x: two_lq_graph(j14=x, h=h),
-                            lambda xs: lambda_curve(xs, h=h), _gap_above)
+    result, _ = _sweep("j14", j_min, j_max, n_points, lambda x: two_lq_graph(j14=x, h=h),
+                       lambda xs: lambda_curve(xs, h=h), _gap_above)
+    tracker = _SectorTracker(h)
+    seeds = {}
+
+    def gap_at(x: float) -> float:
+        # Resume tracking from the state at the grid point below x: the walk
+        # from j14 = 0 to that point runs once per bracket, not once per probe.
+        i = int(np.searchsorted(result.grid, x, side="right")) - 1
+        if i not in seeds:
+            seeds[i] = np.array(tracker.refs, copy=True)
+            tracker.walk([(0.0, 0.0)] + [(float(g), 0.0) for g in result.grid[:i + 1]],
+                         refs=seeds[i])
+        levels = tracker.walk([(float(result.grid[i]), 0.0), (x, 0.0)],
+                              refs=seeds[i].copy())[-1]
+        return _gap_above(sector_spectrum(two_lq_graph(j14=x, h=h))[0], levels)
+
     return result, _find_crossings(gap_at, result.grid, result.gap)
 
 

@@ -211,6 +211,13 @@ class TestRejectedValues:
         assert "steps per unit time" in capsys.readouterr().err
         assert not (tmp_path / "x.out").exists()
 
+    @pytest.mark.parametrize("times", ["nan", "inf", "4,inf", "-inf", "0", "4,-1"])
+    def test_ramp_times_must_be_finite_and_positive(self, tmp_path, capsys, monkeypatch, times):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["adiabatic", f"--ramp-times={times}", "--out", "x.csv"]) == 2
+        assert "--ramp-times" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestNumericalFailureExit:
     def test_tracking_error_maps_to_exit_four(self, monkeypatch, tmp_path, capsys):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from trispin import encoding
 from trispin.encoding import (
+    _CHUNK,
     TRACK_MIN_OVERLAP,
     TrackingError,
     _SectorTracker,
@@ -15,6 +17,7 @@ from trispin.encoding import (
     two_lq_basis,
     verify_lambda_polynomials,
 )
+from trispin.gates import RAMP_PROFILES
 from trispin.hamiltonian import build_hamiltonian, single_lq_graph, total_spin, two_lq_graph
 from trispin.linalg import max_abs
 
@@ -286,3 +289,74 @@ class TestTrackerStep:
         with pytest.raises(TrackingError) as looped:
             _loop_advance(tracker, (0.3, 0.0), refs.copy())
         assert str(batched.value) == str(looped.value)
+
+
+def _loop_walk(tracker, path, step, refs):
+    """Per-substep form of the walk, one ``_advance`` each: the reference for the batched one."""
+    out = np.empty((len(path), 4))
+    out[0] = tracker._advance(path[0], refs)
+    for p, (prev, cur) in enumerate(zip(path[:-1], path[1:]), start=1):
+        dist = max(abs(cur[0] - prev[0]), abs(cur[1] - prev[1]))
+        nsub = max(1, int(np.ceil(dist / step)))
+        for k in range(1, nsub + 1):
+            s = k / nsub
+            pt = (prev[0] + s * (cur[0] - prev[0]), prev[1] + s * (cur[1] - prev[1]))
+            out[p] = tracker._advance(pt, refs)
+    return out
+
+
+def _calibration_path(j14_peak=0.5, eps=0.12, n_nodes=40):
+    """The midpoint nodes of one smooth ramp, as the shift calibration walks them."""
+    mids = [RAMP_PROFILES["smooth"]((k + 0.5) / n_nodes) for k in range(n_nodes)]
+    return [(0.0, 0.0)] + [(j14_peak * f, eps * f) for f in mids] + [(j14_peak, eps)]
+
+
+class TestBatchedWalk:
+    @pytest.fixture(scope="class")
+    def tracker(self):
+        return _SectorTracker(0.75)
+
+    def test_equals_per_substep_loop(self, tracker):
+        path = _calibration_path()
+        refs_walk = np.array(tracker.refs, copy=True)
+        refs_loop = np.array(tracker.refs, copy=True)
+        assert np.array_equal(tracker.walk(path, refs=refs_walk),
+                              _loop_walk(tracker, path, 1e-3, refs_loop))
+        assert np.array_equal(refs_walk, refs_loop)
+
+    def test_resumed_walk_continues_the_levels(self, tracker):
+        path = _calibration_path()
+        refs = np.array(tracker.refs, copy=True)
+        head = tracker.walk(path[:21], refs=refs)
+        tail = tracker.walk(path[20:], refs=refs)
+        assert np.array_equal(np.concatenate((head, tail[1:])), tracker.walk(path))
+
+    def test_needs_a_seed_away_from_zero(self, tracker):
+        with pytest.raises(ValueError, match="j14 = 0"):
+            tracker.walk([(0.1, 0.0), (0.2, 0.0)])
+
+    def test_same_error_and_point_as_per_substep_loop(self, tracker, monkeypatch):
+        # twenty short moves, then a long one whose first substep (point 21,
+        # inside the second chunk) loses overlap against a strict threshold
+        monkeypatch.setattr(encoding, "TRACK_MIN_OVERLAP", 0.999)
+        path = [(0.0, 0.0)] + [(0.002 * k, 0.0) for k in range(1, 21)] + [(0.6, 0.25)]
+        with pytest.raises(TrackingError) as batched:
+            tracker.walk(path, step=0.2)
+        with pytest.raises(TrackingError) as looped:
+            _loop_walk(tracker, path, 0.2, np.array(tracker.refs, copy=True))
+        assert str(batched.value) == str(looped.value)
+        assert "j14=0.226667, shift=0.083333" in str(batched.value)
+
+    def test_one_eigh_call_per_chunk_of_substeps(self, tracker, monkeypatch):
+        sizes = []
+        original = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            sizes.append(int(np.prod(np.shape(a)[:-2])))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        tracker.walk(_calibration_path())
+        substeps = sum(sizes)
+        assert substeps > 10 * _CHUNK
+        assert len(sizes) <= -(-substeps // _CHUNK)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from trispin import cli, gates
-from trispin.encoding import _SectorTracker, effective_h1, logical_basis, two_lq_basis
+from trispin.encoding import _CHUNK, _SectorTracker, effective_h1, logical_basis, two_lq_basis
 from trispin.gates import (
     CALIBRATION_TOL,
     PulseSchedule,
@@ -80,6 +80,29 @@ class TestPropagate:
         e1 = propagation_error_estimate(sched, 20)
         e2 = propagation_error_estimate(sched, 40)
         assert 2.0 < e1 / e2 < 8.0  # ratio ~4 within a factor of 2
+
+
+class TestBatchedPropagation:
+    @pytest.mark.parametrize("n_steps", [1, 15, 16, 17, 40])
+    def test_eigh_calls_per_ramp_chunk(self, monkeypatch, n_steps):
+        idle = two_lq_graph()
+        peak = idle.with_couplings({(0, 3): 0.5, (1, 2): 1.1, (4, 5): 1.1})
+        schedule = PulseSchedule((Segment(2.0, idle, peak, "smooth"),
+                                  constant_segment(1.5, peak),
+                                  Segment(2.0, peak, idle, "smooth")), 6, idle=idle)
+        calls = []
+        original = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a)[-1])
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        propagate(schedule, n_steps)
+        chunks = -(-n_steps // _CHUNK)
+        # block sizes 1, 6, 15 and 20; two ramps and one hold
+        for size in (1, 6, 15, 20):
+            assert calls.count(size) <= 2 * chunks + 1
 
 
 class TestScheduleValidation:
@@ -304,6 +327,11 @@ class TestCphase:
             synthesize_cphase(np.pi, 0.9, 10.0)
         with pytest.raises(ValueError, match="gapped window"):
             synthesize_cphase(np.pi, 0.0, 10.0)
+
+    @pytest.mark.parametrize("ramp_time", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_ramp_time_must_be_positive_and_finite(self, ramp_time):
+        with pytest.raises(ValueError, match="positive and finite"):
+            synthesize_cphase(np.pi, 0.5, ramp_time)
 
     def test_unreachable_phase(self):
         with pytest.raises(ValueError, match="unreachable"):
