@@ -47,11 +47,15 @@ def parse_angle(token: str) -> float:
         den = float(m.group(3)) if m.group(3) else 1.0
         if den == 0:
             raise ConfigError(f"invalid angle {token!r}: zero denominator")
-        return sign * coef * np.pi / den
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"invalid angle {token!r}: use radians or pi tokens") from None
+        angle = sign * coef * np.pi / den
+    else:
+        try:
+            angle = float(text)
+        except ValueError:
+            raise ConfigError(f"invalid angle {token!r}: use radians or pi tokens") from None
+    if not np.isfinite(angle):
+        raise ConfigError(f"invalid angle {token!r}: must be finite")
+    return angle
 
 
 def parse_grid(token: str) -> tuple[float, float, int]:
@@ -497,7 +501,7 @@ def _run_gate(cfg: RunConfig) -> str:
             n_calibration_steps=p["cal_steps"], h=p["h"], mode=p["mode"],
             ramp_shape=p["ramp_shape"])
         target = gates.cphase_gate(p["phi"])
-        basis = encoding.two_lq_basis()
+        score = gates.two_lq_report
     else:
         if kind == "rz":
             schedule = gates.synthesize_rz(p["theta"], p["delta"], h=p["h"])
@@ -518,9 +522,8 @@ def _run_gate(cfg: RunConfig) -> str:
             a, b, c = (parse_angle(t) for t in toks)
             target = gates.rz_gate(a) @ gates.rx_gate(b) @ gates.rz_gate(c)
             schedule = gates.decompose_su2(target, h=p["h"])
-        basis = encoding.logical_basis((0, 1, 2), 3)
-    u = gates.propagate(schedule, gates.ramp_steps(schedule, p["steps_per_unit"]))
-    report = gates.gate_report(u, target, basis)
+        score = gates.single_lq_report
+    report = score(schedule, target, gates.ramp_steps(schedule, p["steps_per_unit"]))
     write_json(cfg.output_path, {
         "type": kind,
         "fidelity": report.fidelity,

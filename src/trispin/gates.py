@@ -21,6 +21,7 @@ from .hamiltonian import (
     CouplingGraph,
     SectorOperators,
     single_lq_graph,
+    sz_sectors,
     two_lq_graph,
 )
 from .linalg import check_unitary, max_abs
@@ -164,30 +165,29 @@ def _evolve(blocks: list[np.ndarray], dt: float, u: list[np.ndarray]) -> list[np
     return u
 
 
-def propagate(schedule: PulseSchedule, n_steps_per_segment: int = 200) -> np.ndarray:
-    """Time-ordered propagator of a schedule on the full Hilbert space.
+def _evolve_sectors(schedule: PulseSchedule, n_steps_per_segment: int, ops: SectorOperators,
+                    picks: list[tuple[int, slice]]) -> list[np.ndarray]:
+    """Time-ordered propagator blocks of the picked sectors of a non-empty schedule.
 
-    Ramps use midpoint stepping (the Hamiltonian at each step's midpoint
-    couplings, second-order accurate); constant segments evolve in one exact
-    exponential independent of the step count.  Total S_z is conserved, so
-    each sector block evolves on its own and the full unitary is assembled
-    at the end.  The steps of a ramp are built and diagonalized in chunks of
-    ``_CHUNK``, one ``eigh`` call per block size and chunk; only the product
-    of the step propagators runs step by step.
+    ``picks`` lists ``(g, sl)`` pairs: the sectors ``sl`` of ``ops.groups[g]``.
+    Every group's blocks are built and the picked ones sliced out, so each
+    block is bit-equal to its all-sector build; only the picked blocks are
+    diagonalized and multiplied.  Returns one stack per pick.
     """
-    if n_steps_per_segment < 1:
-        raise ValueError("n_steps_per_segment must be at least 1")
-    if not schedule.segments:
-        return np.eye(2**schedule.n_sites, dtype=np.complex128)
-    first = schedule.segments[0].start
-    ops = SectorOperators(first.n_sites, [(i, j) for (i, j, _) in first.edges])
-    field_h = first.field_h
-    u = [np.broadcast_to(np.eye(grp.indices.shape[1], dtype=np.complex128),
-                         grp.terms.shape[1:]).copy() for grp in ops.groups]
+    field_h = schedule.segments[0].start.field_h
+
+    def picked(weights: np.ndarray) -> list[np.ndarray]:
+        built = ops.blocks(weights, field_h)
+        return [built[g][:, sl] for g, sl in picks]
+
+    u = []
+    for g, sl in picks:
+        n_sec, size = ops.groups[g].indices[sl].shape
+        u.append(np.broadcast_to(np.eye(size, dtype=np.complex128), (n_sec, size, size)).copy())
     for seg in schedule.segments:
         w0 = ops.weights(seg.start)
         if seg.ramp == "constant":
-            u = _evolve(ops.blocks(w0[None], field_h), seg.duration, u)
+            u = _evolve(picked(w0[None]), seg.duration, u)
             continue
         profile = RAMP_PROFILES[seg.ramp]
         w1 = ops.weights(seg.end)
@@ -195,7 +195,33 @@ def propagate(schedule: PulseSchedule, n_steps_per_segment: int = 200) -> np.nda
         for k0 in range(0, n_steps_per_segment, _CHUNK):
             k = np.arange(k0, min(k0 + _CHUNK, n_steps_per_segment))
             f = profile((k + 0.5) / n_steps_per_segment)
-            u = _evolve(ops.blocks(w0 + f[:, None] * (w1 - w0), field_h), dt, u)
+            u = _evolve(picked(w0 + f[:, None] * (w1 - w0)), dt, u)
+    return u
+
+
+def _schedule_operators(schedule: PulseSchedule) -> SectorOperators:
+    first = schedule.segments[0].start
+    return SectorOperators(first.n_sites, [(i, j) for (i, j, _) in first.edges])
+
+
+def propagate(schedule: PulseSchedule, n_steps_per_segment: int = 200) -> np.ndarray:
+    """Time-ordered propagator of a schedule on the full Hilbert space.
+
+    Ramps use midpoint stepping (the Hamiltonian at each step's midpoint
+    couplings, second-order accurate); constant segments evolve in one exact
+    exponential independent of the step count.  Total S_z is conserved, so
+    each sector block evolves on its own; this evolves every sector and
+    assembles the full unitary at the end.  The steps of a ramp are built and
+    diagonalized in chunks of ``_CHUNK``, one ``eigh`` call per block size and
+    chunk; only the product of the step propagators runs step by step.
+    """
+    if n_steps_per_segment < 1:
+        raise ValueError("n_steps_per_segment must be at least 1")
+    if not schedule.segments:
+        return np.eye(2**schedule.n_sites, dtype=np.complex128)
+    ops = _schedule_operators(schedule)
+    u = _evolve_sectors(schedule, n_steps_per_segment, ops,
+                        [(g, slice(None)) for g in range(len(ops.groups))])
     return check_unitary(ops.embed(u))
 
 
@@ -258,6 +284,8 @@ def _hold_rotation(theta: float, delta: float, shifts: dict[str, int], rate: flo
     ``shifts`` maps couplings to their multiples k of delta' = sign(theta) |delta|;
     every shifted coupling must stay inside ``COUPLING_WINDOW`` for either sign.
     """
+    if not np.isfinite(theta):
+        raise ValueError("theta must be finite")
     if delta == 0 or not np.isfinite(delta):
         raise ValueError("delta must be finite and nonzero")
     lo, hi = COUPLING_WINDOW
@@ -399,6 +427,8 @@ def synthesize_cphase(phi: float, j14_peak: float, ramp_time: float,
     max_duration : reject gates longer than this (phase unreachable).
     ramp_shape : 'smooth' or 'linear'.
     """
+    if not np.isfinite(phi):
+        raise ValueError("phi must be finite")
     if not 0 < j14_peak < 0.75:
         raise ValueError("j14_peak outside the gapped window (0, 0.75)")
     if not (np.isfinite(ramp_time) and ramp_time > 0):
@@ -506,6 +536,9 @@ class GateReport:
 def gate_report(u_full: np.ndarray, target: np.ndarray, basis) -> GateReport:
     """Score a full-space propagator against a logical target.
 
+    ``u_full`` may also be the block of one S_z sector, with ``basis`` cut to
+    that sector's rows.
+
     fidelity = |tr(target^dag M)|^2 / (d tr(M^dag M)) with M the logical
     block of U (global-phase invariant); leakage_k = 1 - |P U psi_k|^2 over
     the logical basis inputs.
@@ -529,15 +562,43 @@ def gate_report(u_full: np.ndarray, target: np.ndarray, basis) -> GateReport:
                       float(np.mean(leaks)), phase)
 
 
+def _sector_report(schedule: PulseSchedule, target: np.ndarray, cols: np.ndarray,
+                   n_steps_per_segment: int) -> GateReport:
+    """Score a schedule on basis columns that lie in one S_z sector, evolving only it.
+
+    Raises ``ValueError`` when the columns have nonzero rows in several sectors.
+    """
+    if n_steps_per_segment < 1:
+        raise ValueError("n_steps_per_segment must be at least 1")
+    rows = np.flatnonzero(np.any(cols != 0, axis=1))
+    sector = next((s for s in sz_sectors(schedule.n_sites) if np.isin(rows, s.indices).all()),
+                  None)
+    if sector is None:
+        raise ValueError("basis columns span more than one S_z sector")
+    idx = np.asarray(sector.indices)
+    if not schedule.segments:
+        return gate_report(np.eye(len(idx), dtype=np.complex128), target, cols[idx])
+    ops = _schedule_operators(schedule)
+    g, s = next((g, s) for g, grp in enumerate(ops.groups)
+                for s, m in enumerate(grp.m) if m == sector.m)
+    (u,) = _evolve_sectors(schedule, n_steps_per_segment, ops, [(g, slice(s, s + 1))])
+    return gate_report(check_unitary(u[0]), target, cols[idx])
+
+
 def single_lq_report(schedule: PulseSchedule, target: np.ndarray,
                      n_steps_per_segment: int = 200) -> GateReport:
-    """Propagate a 3-site schedule and score it on the logical doublet."""
-    u = propagate(schedule, n_steps_per_segment)
-    return gate_report(u, target, logical_basis((0, 1, 2), 3))
+    """Propagate a 3-site schedule and score it on the logical doublet.
+
+    Only the m = +1/2 sector, which holds the doublet, is evolved.
+    """
+    return _sector_report(schedule, target, logical_basis((0, 1, 2), 3).columns,
+                          n_steps_per_segment)
 
 
 def two_lq_report(schedule: PulseSchedule, target: np.ndarray,
                   n_steps_per_segment: int = 200) -> GateReport:
-    """Propagate a 6-site schedule and score it on the logical quartet."""
-    u = propagate(schedule, n_steps_per_segment)
-    return gate_report(u, target, two_lq_basis())
+    """Propagate a 6-site schedule and score it on the logical quartet.
+
+    Only the m = +1 sector, which holds the quartet, is evolved.
+    """
+    return _sector_report(schedule, target, two_lq_basis(), n_steps_per_segment)

@@ -13,15 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import _SectorTracker, effective_h1, lambda_curve, two_lq_basis
+from .encoding import _SectorTracker, effective_h1, lambda_curve
 from .gates import (
     PulseSchedule,
     Segment,
     cphase_gate,
-    gate_report,
-    propagate,
     ramp_steps,
     synthesize_cphase,
+    two_lq_report,
 )
 from .hamiltonian import sector_spectra, sector_spectrum, single_lq_graph, two_lq_graph
 
@@ -244,7 +243,6 @@ def adiabatic_leakage_curve(phi: float, j14_peak: float, ramp_times,
     A zero peak coupling degenerates to idle evolution: exactly zero leakage
     at every ramp time (and no conditional phase, whatever ``phi`` asked).
     """
-    basis = two_lq_basis()
     target = cphase_gate(phi)
     out = []
     for ramp in ramp_times:
@@ -257,7 +255,7 @@ def adiabatic_leakage_curve(phi: float, j14_peak: float, ramp_times,
                                          n_calibration_steps=n_calibration_steps,
                                          h=h, ramp_shape=ramp_shape)
         n_steps = ramp_steps(schedule, steps_per_unit_time)
-        report = gate_report(propagate(schedule, n_steps), target, basis)
+        report = two_lq_report(schedule, target, n_steps)
         out.append(AdiabaticPoint(float(ramp), report.max_leakage,
                                   report.fidelity, report.conditional_phase))
     return out

@@ -219,6 +219,25 @@ class TestRejectedValues:
         assert not (tmp_path / "x.csv").exists()
 
 
+    @pytest.mark.parametrize("command", [
+        ["gate", "--type", "cphase", "--phi", "inf"],
+        ["gate", "--type", "cphase", "--phi", "nan", "--mode", "sequential"],
+        ["gate", "--type", "rz", "--theta", "inf"],
+        ["gate", "--type", "rx", "--theta=-inf"],
+        ["gate", "--type", "su2", "--euler", "0,nan,pi/2"],
+    ])
+    def test_angles_must_be_finite(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([*command, "--out", "g.json"]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "g.json").exists()
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "9" * 400 + "pi"])
+    def test_parse_angle_rejects_non_finite_values(self, token):
+        with pytest.raises(cli.ConfigError, match="must be finite"):
+            cli.parse_angle(token)
+
+
 class TestNumericalFailureExit:
     def test_tracking_error_maps_to_exit_four(self, monkeypatch, tmp_path, capsys):
         from trispin import cli

@@ -105,6 +105,58 @@ class TestBatchedPropagation:
             assert calls.count(size) <= 2 * chunks + 1
 
 
+class TestSectorScoring:
+    @staticmethod
+    def _ramp_hold_ramp():
+        idle = two_lq_graph()
+        peak = idle.with_couplings({(0, 3): 0.5, (1, 2): 1.1, (4, 5): 1.1})
+        return PulseSchedule((Segment(2.0, idle, peak, "smooth"),
+                              constant_segment(1.5, peak),
+                              Segment(2.0, peak, idle, "smooth")), 6, idle=idle)
+
+    @pytest.mark.parametrize("n_steps", [1, 15, 16, 17, 40])
+    def test_two_lq_report_diagonalizes_only_the_quartet_sector(self, monkeypatch, n_steps):
+        shapes = []
+        original = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        two_lq_report(self._ramp_hold_ramp(), cphase_gate(np.pi), n_steps)
+        assert all(shape[-2:] == (15, 15) for shape in shapes)
+        # one m = +1 matrix per ramp step and one for the hold
+        assert sum(int(np.prod(shape[:-2])) for shape in shapes) == 2 * n_steps + 1
+
+    def test_basis_spanning_two_sectors_is_rejected(self, monkeypatch):
+        mixed = two_lq_basis()
+        mixed[:, 3] = 0
+        mixed[0b000111, 3] = 1.0  # three spins down: the m = 0 sector
+        monkeypatch.setattr(gates, "two_lq_basis", lambda: mixed)
+        with pytest.raises(ValueError, match="more than one S_z sector"):
+            two_lq_report(self._ramp_hold_ramp(), cphase_gate(np.pi), 4)
+
+    def test_empty_schedule_scores_as_identity(self):
+        two = two_lq_report(PulseSchedule((), 6, idle=two_lq_graph()), np.eye(4))
+        one = single_lq_report(empty_schedule(3), np.eye(2))
+        for rep, u_full, basis in ((two, np.eye(64), two_lq_basis()),
+                                   (one, np.eye(8), logical_basis((0, 1, 2), 3))):
+            assert rep.fidelity == pytest.approx(1.0, abs=1e-15)
+            assert rep.max_leakage <= 1e-15
+            assert max_abs(rep.logical_unitary - np.eye(len(rep.logical_unitary))) <= 1e-15
+            full = gate_report(u_full, np.eye(len(rep.logical_unitary)), basis)
+            assert np.array_equal(rep.logical_unitary, full.logical_unitary)
+        assert two.conditional_phase == 0.0
+
+    def test_step_count_must_be_positive(self):
+        for schedule in (PulseSchedule((), 6), self._ramp_hold_ramp()):
+            with pytest.raises(ValueError, match="n_steps_per_segment must be at least 1"):
+                two_lq_report(schedule, cphase_gate(np.pi), 0)
+        with pytest.raises(ValueError, match="n_steps_per_segment must be at least 1"):
+            single_lq_report(synthesize_rz(1.0, 0.5), rz_gate(1.0), 0)
+
+
 class TestScheduleValidation:
     def test_rejects_nonpositive_duration(self):
         g = single_lq_graph()
@@ -190,6 +242,16 @@ class TestRz:
     def test_window_violation(self):
         with pytest.raises(ValueError, match="window"):
             synthesize_rz(np.pi / 2, 0.8)
+
+
+@pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("synthesize", [
+    synthesize_rz, synthesize_rx,
+    lambda theta, delta: synthesize_axis120(theta, delta, which="j13"),
+])
+def test_rotation_angle_must_be_finite(synthesize, theta):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        synthesize(theta, 0.25)
 
 
 class TestAxis120:
@@ -332,6 +394,16 @@ class TestCphase:
     def test_ramp_time_must_be_positive_and_finite(self, ramp_time):
         with pytest.raises(ValueError, match="positive and finite"):
             synthesize_cphase(np.pi, 0.5, ramp_time)
+
+    @pytest.mark.parametrize("phi", [float("nan"), float("inf"), -float("inf")])
+    def test_phi_must_be_finite_before_calibration(self, monkeypatch, phi):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("calibration ran")
+
+        monkeypatch.setattr(_SectorTracker, "walk", no_walk)
+        for mode in ("simultaneous", "sequential"):
+            with pytest.raises(ValueError, match="phi must be finite"):
+                synthesize_cphase(phi, 0.5, 10.0, mode=mode)
 
     def test_unreachable_phase(self):
         with pytest.raises(ValueError, match="unreachable"):

@@ -4,16 +4,21 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trispin.encoding import effective_h1, logical_basis, project_effective
+from trispin.encoding import effective_h1, logical_basis, project_effective, two_lq_basis
 from trispin.gates import (
     RAMP_PROFILES,
     PulseSchedule,
     Segment,
     constant_segment,
+    cphase_gate,
+    gate_report,
     propagate,
+    rotation_gate,
+    single_lq_report,
     synthesize_axis120,
     synthesize_rx,
     synthesize_rz,
+    two_lq_report,
 )
 from trispin.hamiltonian import (
     CouplingGraph,
@@ -24,6 +29,7 @@ from trispin.hamiltonian import (
     single_lq_graph,
     sz_sectors,
     total_spin,
+    two_lq_graph,
 )
 from trispin.linalg import expm_minus_i_h_t, max_abs
 
@@ -85,6 +91,57 @@ def ramp_hold_schedules(draw):
     segments = (Segment(ramp, idle, peak, shape), constant_segment(hold, peak),
                 Segment(ramp, peak, idle, shape))
     return PulseSchedule(segments, n, idle=idle), draw(st.integers(1, 6))
+
+
+@st.composite
+def two_lq_schedules(draw):
+    """Ramp-hold-ramp on the two-LQ edge set to generic peak couplings."""
+    idle = two_lq_graph(h=draw(fields))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    peak = idle.with_couplings({(i, j): rng.uniform(-1.5, 1.5) for (i, j, _) in idle.edges})
+    shape = draw(st.sampled_from(sorted(RAMP_PROFILES)))
+    ramp, hold = rng.uniform(0.1, 2.0, 2)
+    segments = (Segment(ramp, idle, peak, shape), constant_segment(hold, peak),
+                Segment(ramp, peak, idle, shape))
+    return PulseSchedule(segments, 6, idle=idle), cphase_gate(rng.uniform(-np.pi, np.pi))
+
+
+@st.composite
+def single_lq_hold_schedules(draw):
+    """One to three sudden holds of generic 3-site couplings."""
+    h = draw(fields)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    segments = tuple(constant_segment(rng.uniform(0.1, 3.0),
+                                      single_lq_graph(*rng.uniform(-1.5, 1.5, 3), h=h))
+                     for _ in range(draw(st.integers(1, 3))))
+    axis = rng.normal(size=3)
+    target = rotation_gate(rng.uniform(-np.pi, np.pi), axis / np.linalg.norm(axis))
+    return PulseSchedule(segments, 3, idle=single_lq_graph(h=h)), target
+
+
+def assert_same_report(a, b):
+    assert np.array_equal(a.logical_unitary, b.logical_unitary)
+    assert a.fidelity == b.fidelity
+    assert a.max_leakage == b.max_leakage
+    assert a.avg_leakage == b.avg_leakage
+    assert a.conditional_phase == b.conditional_phase
+
+
+@PROPERTY_SETTINGS
+@given(two_lq_schedules(), st.sampled_from((1, 15, 16, 17, 40)))
+def test_two_lq_report_equals_full_propagator_report_exactly(case, n_steps):
+    schedule, target = case
+    assert_same_report(two_lq_report(schedule, target, n_steps),
+                       gate_report(propagate(schedule, n_steps), target, two_lq_basis()))
+
+
+@PROPERTY_SETTINGS
+@given(single_lq_hold_schedules(), st.integers(1, 4))
+def test_single_lq_report_equals_full_propagator_report_exactly(case, n_steps):
+    schedule, target = case
+    assert_same_report(single_lq_report(schedule, target, n_steps),
+                       gate_report(propagate(schedule, n_steps), target,
+                                   logical_basis((0, 1, 2), 3)))
 
 
 def dense_propagator(schedule: PulseSchedule, n_steps: int) -> np.ndarray:
