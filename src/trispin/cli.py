@@ -473,6 +473,8 @@ def _run_verify(cfg: RunConfig) -> str:
         "max_cubic_residual_on_11": max(r["cubic_residual_on_11"] for r in report),
         "min_cubic_residual_on_01": min(r["cubic_residual_on_01"] for r in report),
         "max_corrected_line_residual": max(r["line_corrected_residual"] for r in report),
+        "max_corrected_quadratic_residual_on_01": max(
+            r["quadratic_corrected_residual_on_01"] for r in report),
         "min_line_residual": min(r["line_residual"] for r in report),
         "quadratic_real_anywhere": any(r["quadratic_has_real_roots"] for r in report),
     }

@@ -23,7 +23,6 @@ so raising J23 lowers |0_L> (stronger antiferromagnetic coupling favors the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -32,21 +31,15 @@ from .hamiltonian import (
     basis_state,
     build_hamiltonian,
     exchange_term,
+    invariant_blocks,
     single_lq_graph,
     two_lq_graph,
 )
 from .linalg import max_abs
 
-TRACK_STEP = 1e-3
-TRACK_MIN_OVERLAP = 0.5
-# Parameter points diagonalized per batched eigh call: tracker substeps here,
-# propagation steps in gates.propagate.  Larger chunks are no faster and
-# raise the peak memory of a gate.
-_CHUNK = 16
-
 
 class TrackingError(RuntimeError):
-    """Adiabatic continuation lost the tracked state (overlap below 0.5)."""
+    """The tracked quartet levels disagree (lambda_01 and lambda_10 split)."""
 
 
 @dataclass(frozen=True)
@@ -219,112 +212,62 @@ def initialization_ground(j23_shift: float, h: float = 0.75) -> GroundStateRepor
 # ---------------------------------------------------------------------------
 
 class _SectorTracker:
-    """Adiabatic continuation of the logical quartet in the m=+1 sector.
+    """Quartet levels of the two-LQ register, each from its invariant block.
 
-    The two-LQ Hamiltonian conserves total S_z, so tracking runs in the
-    15-dimensional m=+1 block.  The J23=J56 shift keeps both triple swap
-    symmetries, hence the quartet stays diagonal in the logical basis and
-    the product logical states are exact eigenstates at J14 = 0 (the seed).
+    Every (j14, shift) Hamiltonian of the m=+1 sector is H(0, 0) + j14 dH/dj14
+    + shift dH/dshift.  The shift moves J23 and J56 together, so the three
+    generators keep both triple swap symmetries and each quartet column stays
+    in its own invariant block (dimensions 1, 2, 2 and 3).  The level
+    adiabatically connected to a column is the lowest level of its block.
+
+    The name and ``walk`` remain from the overlap-tracking walk this replaced:
+    the benchmark traces ``_SectorTracker.walk`` by name, and the tests count
+    its calls.
     """
 
     def __init__(self, h: float = 0.75):
         graph = two_lq_graph(h=h)
-        self.ops = SectorOperators(6, [(i, j) for (i, j, _) in graph.edges], ms=(1.0,))
-        self.field_h = h
-        self.refs = two_lq_basis()[self.ops.groups[0].indices[0], :]
+        ops = SectorOperators(6, [(i, j) for (i, j, _) in graph.edges], ms=(1.0,))
+        (grp,) = ops.groups
+        terms = grp.terms[:, 0]
+        idle = grp.hamiltonians(ops.weights(graph), h)[0]
+        # edge order of two_lq_graph: (1, 2) and (4, 5) are 2 and 5, (0, 3) is 6
+        generators = np.stack([idle, terms[6], terms[2] + terms[5]])
+        columns = two_lq_basis()[grp.indices[0]].real
+        self.blocks = [(col, basis.T @ generators @ basis)
+                       for (col,), basis in invariant_blocks(generators, columns)]
 
-    def hamiltonian(self, j14: float, shift: float) -> np.ndarray:
-        return self._blocks([(j14, shift)])[0]
+    def walk(self, path: list[tuple[float, float]]) -> np.ndarray:
+        """Quartet levels [l00, l01, l10, l11] at each (j14, j23_shift) point of ``path``.
 
-    def _blocks(self, pts) -> np.ndarray:
-        """m=+1 blocks at a batch of (j14, shift) points, one row each."""
-        pts = np.asarray(pts, dtype=float)
-        w = np.ones((len(pts), 7))
-        w[:, 2] = w[:, 5] = 1.0 + pts[:, 1]
-        w[:, 6] = pts[:, 0]
-        return self.ops.blocks(w, self.field_h)[0][:, 0]
-
-    def walk(self, path: list[tuple[float, float]], step: float = TRACK_STEP,
-             refs: np.ndarray | None = None) -> np.ndarray:
-        """Eigenvalues of the tracked quartet at each requested path point.
-
-        ``path`` lists (j14, j23_shift) pairs.  Without ``refs`` it starts from
-        j14 = 0, where the logical product states seed the continuation
-        exactly; ``refs`` is instead a tracked state at ``path[0]`` to resume
-        from, and it is left holding the state at the last point.  Substeps
-        are inserted so consecutive parameter moves never exceed ``step``.
-        The substep points are diagonalized ``_CHUNK`` at a time in one batched
-        ``eigh`` call; the overlap selection then runs substep by substep.
+        One batched ``eigvalsh`` call per block covers every point; each point's
+        levels are independent of the rest of the path.
         """
-        if refs is None:
-            if not path or path[0][0] != 0.0:
-                raise ValueError("tracking path must start at j14 = 0")
-            refs = np.array(self.refs, copy=True)
+        j14, shift = np.reshape(path, (-1, 2)).T[:, :, None, None]
         out = np.empty((len(path), 4))
-        points = _substeps(path, step)
-        while chunk := list(islice(points, _CHUNK)):
-            vals, vecs = np.linalg.eigh(self._blocks([pt for _, pt in chunk]))
-            for (p, pt), levels, states in zip(chunk, vals, vecs):
-                out[p] = self._select(levels, states, pt, refs)
+        for col, (idle, d_j14, d_shift) in self.blocks:
+            out[:, col] = np.linalg.eigvalsh(idle + j14 * d_j14 + shift * d_shift)[:, 0]
         return out
 
-    def _advance(self, pt: tuple[float, float], refs: np.ndarray) -> np.ndarray:
-        vals, vecs = np.linalg.eigh(self.hamiltonian(*pt))
-        return self._select(vals, vecs, pt, refs)
 
-    @staticmethod
-    def _select(vals: np.ndarray, vecs: np.ndarray, pt: tuple[float, float],
-                refs: np.ndarray) -> np.ndarray:
-        """Follow each tracked state into the eigenspace it overlaps most (refs in place)."""
-        amps = vecs.T @ refs                     # vecs are real
-        best = np.argmax(np.abs(amps), axis=0)
-        # cls[:, q]: the degeneracy class of the level that q follows
-        cls = np.abs(vals[:, None] - vals[best][None, :]) <= 1e-8
-        amps = np.where(cls, amps, 0.0)
-        weights = np.sum(np.abs(amps) ** 2, axis=0)
-        lost = np.flatnonzero(weights < TRACK_MIN_OVERLAP)
-        if lost.size:
-            raise TrackingError(
-                f"tracking ambiguity at (j14={pt[0]:.6f}, shift={pt[1]:.6f}): "
-                f"overlap {weights[lost[0]]:.3f} < {TRACK_MIN_OVERLAP}")
-        proj = vecs @ amps
-        refs[:, :] = proj / np.linalg.norm(proj, axis=0)
-        return vals[best]
-
-
-def _substeps(path, step):
-    """Yield (path index, point) for ``path[0]``, then for every substep toward each later point."""
-    yield 0, tuple(path[0])
-    for p, (prev, cur) in enumerate(zip(path[:-1], path[1:]), start=1):
-        dist = max(abs(cur[0] - prev[0]), abs(cur[1] - prev[1]))
-        nsub = max(1, int(np.ceil(dist / step)))
-        for k in range(1, nsub + 1):
-            s = k / nsub
-            yield p, (prev[0] + s * (cur[0] - prev[0]), prev[1] + s * (cur[1] - prev[1]))
-
-
-def track_lambda_path(path: list[tuple[float, float]], h: float = 0.75,
-                      step: float = TRACK_STEP) -> np.ndarray:
+def track_lambda_path(path: list[tuple[float, float]], h: float = 0.75) -> np.ndarray:
     """Quartet eigenvalues [l00, l01, l10, l11] along a (j14, shift) path."""
-    return _SectorTracker(h).walk(path, step)
+    return _SectorTracker(h).walk(path)
 
 
-def lambda_curve(j14_values, h: float = 0.75, j23_shift: float = 0.0,
-                 step: float = TRACK_STEP) -> np.ndarray:
-    """Tracked quartet eigenvalues on an ascending J14 grid starting near 0."""
+def lambda_curve(j14_values, h: float = 0.75, j23_shift: float = 0.0) -> np.ndarray:
+    """Tracked quartet eigenvalues on an ascending, nonnegative J14 grid."""
     grid = [float(x) for x in j14_values]
     if any(b < a for a, b in zip(grid, grid[1:])) or (grid and grid[0] < 0):
         raise ValueError("j14 grid must be ascending and nonnegative")
-    path = [(0.0, j23_shift)] + [(x, j23_shift) for x in grid]
-    return track_lambda_path(path, h, step)[1:]
+    return track_lambda_path([(x, j23_shift) for x in grid], h)
 
 
-def lambda_spectrum(j14: float, h: float = 0.75, j23_shift: float = 0.0,
-                    step: float = TRACK_STEP) -> LambdaTriple:
+def lambda_spectrum(j14: float, h: float = 0.75, j23_shift: float = 0.0) -> LambdaTriple:
     """Tracked lambda_00, lambda_01, lambda_11 at one inter-LQ coupling value."""
     if j14 < 0:
         raise ValueError("j14 must be nonnegative")
-    row = lambda_curve([j14], h, j23_shift, step)[0]
+    row = lambda_curve([j14], h, j23_shift)[0]
     if abs(row[1] - row[2]) > 1e-9:
         raise TrackingError(f"lambda_01/lambda_10 split by {row[1] - row[2]:.3e}")
     return LambdaTriple(j14, float(row[0]), float((row[1] + row[2]) / 2), float(row[3]))
@@ -347,6 +290,12 @@ def reference_quadratic(lam: float, j14: float) -> float:
     return 16 * lam**2 + 8 * j14 * lam - 3 * j14**2 + 16 * j14 + 27
 
 
+def reference_quadratic_corrected(lam: float, j14: float) -> float:
+    # Characteristic polynomial of the 2-dim block of |01> (h = 0.75): the
+    # reference form lacks the 48 lam term, hence its missing real roots.
+    return 16 * lam**2 + 8 * (j14 + 6) * lam - 3 * j14**2 + 16 * j14 + 27
+
+
 def reference_quadratic_discriminant(j14: float) -> float:
     return 256 * j14**2 - 1024 * j14 - 1728
 
@@ -357,7 +306,7 @@ def reference_cubic(lam: float, j14: float) -> float:
             + 3 * j14**3 - 23 * j14**2 + 37 * j14 - 81)
 
 
-def verify_lambda_polynomials(j14_grid, h: float = 0.75, step: float = TRACK_STEP) -> list[dict]:
+def verify_lambda_polynomials(j14_grid, h: float = 0.75) -> list[dict]:
     """Residuals of the reference polynomial relations against tracked eigenvalues.
 
     Report-only: each record carries the numeric branches and the residuals of
@@ -366,10 +315,11 @@ def verify_lambda_polynomials(j14_grid, h: float = 0.75, step: float = TRACK_STE
     The cubic is satisfied by the branch with small-J14 slope 1/36 (the
     non-degenerate |11> branch), the linear relation for lambda_00
     misses by a constant 6 (its corrected constant-9 form is exact), and the
-    quadratic has no real roots at small J14.
+    quadratic has no real roots at small J14 (with its missing 48 lambda term
+    it is the exact characteristic polynomial of the |01> branch).
     """
     grid = [float(x) for x in j14_grid]
-    rows = lambda_curve(grid, h, step=step)
+    rows = lambda_curve(grid, h)
     report = []
     for j14, (l00, l01a, l01b, l11) in zip(grid, rows):
         l01 = (l01a + l01b) / 2
@@ -381,6 +331,7 @@ def verify_lambda_polynomials(j14_grid, h: float = 0.75, step: float = TRACK_STE
             "line_residual": abs(reference_line(l00, j14)),
             "line_corrected_residual": abs(reference_line_corrected(l00, j14)),
             "quadratic_residual_on_01": abs(reference_quadratic(l01, j14)),
+            "quadratic_corrected_residual_on_01": abs(reference_quadratic_corrected(l01, j14)),
             "quadratic_residual_on_11": abs(reference_quadratic(l11, j14)),
             "quadratic_has_real_roots": reference_quadratic_discriminant(j14) >= 0,
             "cubic_residual_on_01": abs(reference_cubic(l01, j14)),

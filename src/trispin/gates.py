@@ -16,10 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import _CHUNK, _SectorTracker, logical_basis, two_lq_basis
+from .encoding import _SectorTracker, logical_basis, two_lq_basis
 from .hamiltonian import (
     CouplingGraph,
+    SectorGroup,
     SectorOperators,
+    invariant_blocks,
     single_lq_graph,
     sz_sectors,
     two_lq_graph,
@@ -29,6 +31,9 @@ from .linalg import check_unitary, max_abs
 COUPLING_WINDOW = (0.25, 1.75)
 CALIBRATION_TOL = 1e-10
 CALIBRATION_MAX_PROBES = 200
+# Ramp steps diagonalized per batched eigh call.  Larger chunks are no faster
+# and raise the peak memory of a gate.
+_CHUNK = 16
 AXIS120 = {
     "j12": np.array([np.sqrt(3) / 2, 0.0, 0.5]),
     "j13": np.array([-np.sqrt(3) / 2, 0.0, 0.5]),
@@ -166,28 +171,23 @@ def _evolve(blocks: list[np.ndarray], dt: float, u: list[np.ndarray]) -> list[np
 
 
 def _evolve_sectors(schedule: PulseSchedule, n_steps_per_segment: int, ops: SectorOperators,
-                    picks: list[tuple[int, slice]]) -> list[np.ndarray]:
-    """Time-ordered propagator blocks of the picked sectors of a non-empty schedule.
+                    groups: list[SectorGroup]) -> list[np.ndarray]:
+    """Time-ordered propagator blocks of a non-empty schedule, one stack per group.
 
-    ``picks`` lists ``(g, sl)`` pairs: the sectors ``sl`` of ``ops.groups[g]``.
-    Every group's blocks are built and the picked ones sliced out, so each
-    block is bit-equal to its all-sector build; only the picked blocks are
-    diagonalized and multiplied.  Returns one stack per pick.
+    ``groups`` are the sector groups of ``ops``, or invariant blocks projected
+    from one of its sectors; ``ops`` gives the edge weights of each segment.
     """
     field_h = schedule.segments[0].start.field_h
 
-    def picked(weights: np.ndarray) -> list[np.ndarray]:
-        built = ops.blocks(weights, field_h)
-        return [built[g][:, sl] for g, sl in picks]
+    def built(weights: np.ndarray) -> list[np.ndarray]:
+        return [grp.hamiltonians(weights, field_h) for grp in groups]
 
-    u = []
-    for g, sl in picks:
-        n_sec, size = ops.groups[g].indices[sl].shape
-        u.append(np.broadcast_to(np.eye(size, dtype=np.complex128), (n_sec, size, size)).copy())
+    u = [np.broadcast_to(np.eye(grp.terms.shape[-1], dtype=np.complex128),
+                         grp.terms.shape[1:]).copy() for grp in groups]
     for seg in schedule.segments:
         w0 = ops.weights(seg.start)
         if seg.ramp == "constant":
-            u = _evolve(picked(w0[None]), seg.duration, u)
+            u = _evolve(built(w0[None]), seg.duration, u)
             continue
         profile = RAMP_PROFILES[seg.ramp]
         w1 = ops.weights(seg.end)
@@ -195,7 +195,7 @@ def _evolve_sectors(schedule: PulseSchedule, n_steps_per_segment: int, ops: Sect
         for k0 in range(0, n_steps_per_segment, _CHUNK):
             k = np.arange(k0, min(k0 + _CHUNK, n_steps_per_segment))
             f = profile((k + 0.5) / n_steps_per_segment)
-            u = _evolve(picked(w0 + f[:, None] * (w1 - w0)), dt, u)
+            u = _evolve(built(w0 + f[:, None] * (w1 - w0)), dt, u)
     return u
 
 
@@ -220,8 +220,7 @@ def propagate(schedule: PulseSchedule, n_steps_per_segment: int = 200) -> np.nda
     if not schedule.segments:
         return np.eye(2**schedule.n_sites, dtype=np.complex128)
     ops = _schedule_operators(schedule)
-    u = _evolve_sectors(schedule, n_steps_per_segment, ops,
-                        [(g, slice(None)) for g in range(len(ops.groups))])
+    u = _evolve_sectors(schedule, n_steps_per_segment, ops, ops.groups)
     return check_unitary(ops.embed(u))
 
 
@@ -371,18 +370,16 @@ def decompose_su2(target: np.ndarray, delta_z: float = 0.5, delta_x: float = 0.2
 # ---------------------------------------------------------------------------
 
 def _trapezoid_phases(tracker: _SectorTracker, j14_peak: float, eps: float,
-                      ramp_time: float, n_nodes: int, track_step: float,
-                      ramp_shape: str):
+                      ramp_time: float, n_nodes: int, ramp_shape: str):
     """Midpoint-quadrature lambda integrals along one ramp of the pulse.
 
     Returns (per-ramp integrals of the four lambdas, lambdas at the peak).
     """
     profile = RAMP_PROFILES[ramp_shape]
     mids = [profile((k + 0.5) / n_nodes) for k in range(n_nodes)]
-    path = [(0.0, 0.0)] + [(j14_peak * f, eps * f) for f in mids] + [(j14_peak, eps)]
-    rows = tracker.walk(path, step=track_step)
+    rows = tracker.walk([(j14_peak * f, eps * f) for f in mids] + [(j14_peak, eps)])
     dt = ramp_time / n_nodes
-    return rows[1:-1].sum(axis=0) * dt, rows[-1]
+    return rows[:-1].sum(axis=0) * dt, rows[-1]
 
 
 def _conditional(lams: np.ndarray) -> float:
@@ -396,7 +393,6 @@ def _single_qubit(lams: np.ndarray) -> float:
 def synthesize_cphase(phi: float, j14_peak: float, ramp_time: float,
                       n_calibration_steps: int = 160, h: float = 0.75,
                       mode: str = "simultaneous", max_duration: float = 2000.0,
-                      track_step: float = 1e-3,
                       ramp_shape: str = "smooth") -> PulseSchedule:
     """Conditional phase gate from one ramp-hold-ramp J14 pulse.
 
@@ -448,7 +444,7 @@ def synthesize_cphase(phi: float, j14_peak: float, ramp_time: float,
 
     def solve(eps: float) -> tuple[float, float]:
         ramp, peak = _trapezoid_phases(tracker, j14_peak, eps, ramp_time,
-                                       n_calibration_steps, track_step, ramp_shape)
+                                       n_calibration_steps, ramp_shape)
         cc_ramp, cc_peak = _conditional(ramp), _conditional(peak)
         total = target_cc
         hold = (total - 2 * cc_ramp) / cc_peak
@@ -536,8 +532,9 @@ class GateReport:
 def gate_report(u_full: np.ndarray, target: np.ndarray, basis) -> GateReport:
     """Score a full-space propagator against a logical target.
 
-    ``u_full`` may also be the block of one S_z sector, with ``basis`` cut to
-    that sector's rows.
+    ``u_full`` may also be any operator that agrees with U on the span of
+    ``basis``, such as the block of one S_z sector with ``basis`` cut to that
+    sector's rows.
 
     fidelity = |tr(target^dag M)|^2 / (d tr(M^dag M)) with M the logical
     block of U (global-phase invariant); leakage_k = 1 - |P U psi_k|^2 over
@@ -564,8 +561,12 @@ def gate_report(u_full: np.ndarray, target: np.ndarray, basis) -> GateReport:
 
 def _sector_report(schedule: PulseSchedule, target: np.ndarray, cols: np.ndarray,
                    n_steps_per_segment: int) -> GateReport:
-    """Score a schedule on basis columns that lie in one S_z sector, evolving only it.
+    """Score a schedule on real basis columns that lie in one S_z sector.
 
+    Only the invariant blocks of the columns are evolved: the smallest
+    subspaces of the sector that hold them and are closed under the
+    Hamiltonians at the segment endpoints.  Every midpoint step is a
+    combination of its segment's endpoints, so it leaves the blocks invariant.
     Raises ``ValueError`` when the columns have nonzero rows in several sectors.
     """
     if n_steps_per_segment < 1:
@@ -575,21 +576,26 @@ def _sector_report(schedule: PulseSchedule, target: np.ndarray, cols: np.ndarray
                   None)
     if sector is None:
         raise ValueError("basis columns span more than one S_z sector")
-    idx = np.asarray(sector.indices)
+    cols = cols[np.asarray(sector.indices)]
     if not schedule.segments:
-        return gate_report(np.eye(len(idx), dtype=np.complex128), target, cols[idx])
+        return gate_report(np.eye(len(cols), dtype=np.complex128), target, cols)
     ops = _schedule_operators(schedule)
-    g, s = next((g, s) for g, grp in enumerate(ops.groups)
-                for s, m in enumerate(grp.m) if m == sector.m)
-    (u,) = _evolve_sectors(schedule, n_steps_per_segment, ops, [(g, slice(s, s + 1))])
-    return gate_report(check_unitary(u[0]), target, cols[idx])
+    grp, s = next((grp, s) for grp in ops.groups for s, m in enumerate(grp.m) if m == sector.m)
+    ends = [ops.weights(g) for seg in schedule.segments for g in (seg.start, seg.end)]
+    generators = grp.hamiltonians(ends, schedule.segments[0].start.field_h)[:, s]
+    blocks = [basis for _, basis in invariant_blocks(generators, cols.real)]
+    groups = [SectorGroup(grp.m[s:s + 1], None, (basis.T @ grp.terms[:, s] @ basis)[:, None])
+              for basis in blocks]
+    u = _evolve_sectors(schedule, n_steps_per_segment, ops, groups)
+    u_blocks = sum(basis @ check_unitary(step[0]) @ basis.T for basis, step in zip(blocks, u))
+    return gate_report(u_blocks, target, cols)
 
 
 def single_lq_report(schedule: PulseSchedule, target: np.ndarray,
                      n_steps_per_segment: int = 200) -> GateReport:
     """Propagate a 3-site schedule and score it on the logical doublet.
 
-    Only the m = +1/2 sector, which holds the doublet, is evolved.
+    Only the invariant blocks of the doublet in the m = +1/2 sector are evolved.
     """
     return _sector_report(schedule, target, logical_basis((0, 1, 2), 3).columns,
                           n_steps_per_segment)
@@ -599,6 +605,6 @@ def two_lq_report(schedule: PulseSchedule, target: np.ndarray,
                   n_steps_per_segment: int = 200) -> GateReport:
     """Propagate a 6-site schedule and score it on the logical quartet.
 
-    Only the m = +1 sector, which holds the quartet, is evolved.
+    Only the invariant blocks of the quartet in the m = +1 sector are evolved.
     """
     return _sector_report(schedule, target, two_lq_basis(), n_steps_per_segment)

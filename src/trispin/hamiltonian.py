@@ -171,16 +171,28 @@ def sector_restriction(h: np.ndarray, sector: SectorBasis) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SectorGroup:
-    """Sectors of equal size, stacked for batched eigensolves.
+    """Blocks of equal size, stacked for batched eigensolves.
 
-    ``indices[k]`` are the product-basis indices of the sector with
-    magnetization ``m[k]``; ``terms[e, k]`` is the exchange operator of edge
-    ``e`` restricted to that sector (real symmetric).
+    ``terms[e, k]`` is the exchange operator of edge ``e`` on block ``k`` (real
+    symmetric), and ``m[k]`` the magnetization of the sector holding the block.
+    For whole sectors ``indices[k]`` are the sector's product-basis indices;
+    groups of projected invariant blocks carry ``None``.
     """
 
     m: np.ndarray
-    indices: np.ndarray
+    indices: np.ndarray | None
     terms: np.ndarray
+
+    def hamiltonians(self, weights: np.ndarray, field_h) -> np.ndarray:
+        """Hamiltonian blocks at edge ``weights``, with matching leading batch axes on ``field_h``.
+
+        Each row is its own matrix-vector product, so it equals its unbatched block.
+        """
+        weights = np.asarray(weights, dtype=float)
+        field_h = np.asarray(field_h, dtype=float)[..., None, None, None]
+        exchange = weights[..., None, :] @ self.terms.reshape(len(self.terms), -1)
+        return (exchange.reshape(weights.shape[:-1] + self.terms.shape[1:])
+                - field_h * self.m[:, None, None] * np.eye(self.terms.shape[-1]))
 
 
 class SectorOperators:
@@ -227,20 +239,8 @@ class SectorOperators:
         return np.array([g.coupling(i, j) for (i, j) in self.pairs])
 
     def blocks(self, weights: np.ndarray, field_h) -> list[np.ndarray]:
-        """Hamiltonian blocks, one stack per group.
-
-        ``weights`` and ``field_h`` may carry matching leading batch axes.  Each
-        row is its own matrix-vector product, so it equals its unbatched block.
-        """
-        weights = np.asarray(weights, dtype=float)
-        field_h = np.asarray(field_h, dtype=float)[..., None, None, None]
-        out = []
-        for grp in self.groups:
-            size = grp.indices.shape[1]
-            exchange = weights[..., None, :] @ grp.terms.reshape(len(self.pairs), -1)
-            out.append(exchange.reshape(weights.shape[:-1] + grp.terms.shape[1:])
-                       - field_h * grp.m[:, None, None] * np.eye(size))
-        return out
+        """Hamiltonian blocks, one stack per group (see ``SectorGroup.hamiltonians``)."""
+        return [grp.hamiltonians(weights, field_h) for grp in self.groups]
 
     def embed(self, blocks: list[np.ndarray]) -> np.ndarray:
         """Full 2^n matrix with the given sector blocks on its diagonal."""
@@ -250,6 +250,47 @@ class SectorOperators:
             for idx, blk in zip(grp.indices, stack):
                 full[np.ix_(idx, idx)] = blk
         return full
+
+
+# Relative singular value below which a closure direction counts as absent.
+# Too small a cut only adds a spurious direction (a larger, still invariant
+# block); too large a cut would drop a real one.
+CLOSURE_TOL = 1e-12
+
+
+def _closure(generators: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the smallest generator-invariant subspace holding ``vectors``."""
+    basis, rank = vectors, 0
+    while True:
+        u, s, _ = np.linalg.svd(np.concatenate([basis, *(generators @ basis)], axis=1),
+                                full_matrices=False)
+        grown = int(np.count_nonzero(s > CLOSURE_TOL * s[0]))
+        if grown == rank:
+            return basis
+        basis, rank = u[:, :grown], grown
+
+
+def invariant_blocks(generators, columns) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """Smallest subspaces that hold the ``columns`` and are closed under the ``generators``.
+
+    Each column is closed by applying the (real symmetric) generators and
+    orthonormalizing until the SVD rank stops growing; columns whose closures
+    overlap share one block.  Returns (column indices, orthonormal basis) per
+    block.  Every real combination of the generators leaves each block
+    invariant, so a ramp between two generators does too; a generator that
+    breaks a symmetry only makes the blocks larger.
+    """
+    generators = np.asarray(generators, dtype=float)
+    columns = np.asarray(columns, dtype=float)
+    members = [[c] for c in range(columns.shape[1])]
+    while True:
+        bases = [_closure(generators, columns[:, m]) for m in members]
+        pair = next(((a, b) for a in range(len(bases)) for b in range(a)
+                     if np.max(np.abs(bases[a].T @ bases[b])) > CLOSURE_TOL), None)
+        if pair is None:
+            return [(tuple(m), basis) for m, basis in zip(members, bases)]
+        a, b = pair
+        members[b] = sorted(members[b] + members.pop(a))
 
 
 def sector_spectra(graphs: list[CouplingGraph]) -> tuple[np.ndarray, np.ndarray]:

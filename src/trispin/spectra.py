@@ -1,10 +1,10 @@
 """Parameter sweeps, gap extraction, level-crossing location, and unit conversion.
 
 The logical energies entering every gap are exact: intra-triple sweeps use
-the invariant 2x2 logical block, and inter-LQ sweeps use adiabatic tracking
-of the quartet.  "Gap" always means (lowest non-logical level) minus
-(highest logical level): the quantity that reaches zero exactly where the
-logical levels stop being the ground levels.
+the invariant 2x2 logical block, and inter-LQ sweeps the lowest level of each
+quartet column's invariant block.  "Gap" always means (lowest non-logical
+level) minus (highest logical level): the quantity that reaches zero exactly
+where the logical levels stop being the ground levels.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import _SectorTracker, effective_h1, lambda_curve
+from .encoding import effective_h1, lambda_curve
 from .gates import (
     PulseSchedule,
     Segment,
@@ -201,27 +201,13 @@ def sweep_inter(j_min: float, j_max: float, n_points: int,
                 h: float = 0.75) -> tuple[SweepResult, CrossingReport]:
     """Two-LQ spectrum against the inter-triple coupling, with the gap closing.
 
-    The logical quartet energies come from adiabatic tracking from j14 = 0.
+    The logical quartet energies are the lowest levels of the quartet's
+    invariant blocks, on the grid and at every bisection probe.
     """
     if j_min < 0:
         raise ValueError("j_min must be nonnegative")
-    result, _ = _sweep("j14", j_min, j_max, n_points, lambda x: two_lq_graph(j14=x, h=h),
-                       lambda xs: lambda_curve(xs, h=h), _gap_above)
-    tracker = _SectorTracker(h)
-    seeds = {}
-
-    def gap_at(x: float) -> float:
-        # Resume tracking from the state at the grid point below x: the walk
-        # from j14 = 0 to that point runs once per bracket, not once per probe.
-        i = int(np.searchsorted(result.grid, x, side="right")) - 1
-        if i not in seeds:
-            seeds[i] = np.array(tracker.refs, copy=True)
-            tracker.walk([(0.0, 0.0)] + [(float(g), 0.0) for g in result.grid[:i + 1]],
-                         refs=seeds[i])
-        levels = tracker.walk([(float(result.grid[i]), 0.0), (x, 0.0)],
-                              refs=seeds[i].copy())[-1]
-        return _gap_above(sector_spectrum(two_lq_graph(j14=x, h=h))[0], levels)
-
+    result, gap_at = _sweep("j14", j_min, j_max, n_points, lambda x: two_lq_graph(j14=x, h=h),
+                            lambda xs: lambda_curve(xs, h=h), _gap_above)
     return result, _find_crossings(gap_at, result.grid, result.gap)
 
 

@@ -89,6 +89,7 @@ class TestVerifyCommand:
         assert data["max_cubic_residual_on_11"] <= 1e-9
         assert data["min_line_residual"] > 5.9
         assert data["max_corrected_line_residual"] <= 1e-10
+        assert data["max_corrected_quadratic_residual_on_01"] <= 1e-12
         assert data["quadratic_real_anywhere"] is False
         assert len(data["points"]) == 6
 

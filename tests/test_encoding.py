@@ -3,8 +3,6 @@ import pytest
 
 from trispin import encoding
 from trispin.encoding import (
-    _CHUNK,
-    TRACK_MIN_OVERLAP,
     TrackingError,
     _SectorTracker,
     effective_h1,
@@ -18,7 +16,13 @@ from trispin.encoding import (
     verify_lambda_polynomials,
 )
 from trispin.gates import RAMP_PROFILES
-from trispin.hamiltonian import build_hamiltonian, single_lq_graph, total_spin, two_lq_graph
+from trispin.hamiltonian import (
+    SectorOperators,
+    build_hamiltonian,
+    single_lq_graph,
+    total_spin,
+    two_lq_graph,
+)
 from trispin.linalg import max_abs
 
 from test_hamiltonian import swap_matrix
@@ -211,6 +215,12 @@ class TestVerifyPolynomials:
         beyond = [r for r in report if r["j14"] > 0.05]
         assert all(r["cubic_residual_on_01"] > 1e-3 for r in beyond)
 
+    def test_corrected_quadratic_holds_on_the_pair_branch(self):
+        # the reference quadratic plus its missing 48 lambda term
+        report = verify_lambda_polynomials(np.linspace(0.0, 0.7, 71))
+        assert max(r["quadratic_corrected_residual_on_01"] for r in report) <= 1e-12
+        assert min(r["quadratic_residual_on_01"] for r in report) > 1.0
+
 
 class TestReadout:
     def test_singlet_probabilities(self, basis3):
@@ -242,9 +252,9 @@ class TestInitialization:
             initialization_ground(-0.75)
 
 
-def _loop_advance(tracker, pt, refs):
-    """Per-state form of the tracker step: the reference for the batched one."""
-    vals, vecs = np.linalg.eigh(tracker.hamiltonian(*pt))
+def _loop_advance(hmat, pt, refs):
+    """One step of the overlap walk: follow each state into the eigenspace it overlaps most."""
+    vals, vecs = np.linalg.eigh(hmat)
     picked = np.empty(4)
     new_refs = np.empty_like(refs)
     for q in range(4):
@@ -252,10 +262,10 @@ def _loop_advance(tracker, pt, refs):
         best = int(np.argmax(np.abs(amps)))
         cls = np.abs(vals - vals[best]) <= 1e-8
         weight = float(np.sum(np.abs(amps[cls]) ** 2))
-        if weight < TRACK_MIN_OVERLAP:
+        if weight < 0.5:
             raise TrackingError(
                 f"tracking ambiguity at (j14={pt[0]:.6f}, shift={pt[1]:.6f}): "
-                f"overlap {weight:.3f} < {TRACK_MIN_OVERLAP}")
+                f"overlap {weight:.3f} < 0.5")
         proj = vecs[:, cls] @ amps[cls]
         new_refs[:, q] = proj / np.linalg.norm(proj)
         picked[q] = vals[best]
@@ -263,46 +273,39 @@ def _loop_advance(tracker, pt, refs):
     return picked
 
 
-class TestTrackerStep:
-    @pytest.fixture(scope="class")
-    def tracker(self):
-        return _SectorTracker(0.75)
+def _overlap_walk(path, h=0.75, step=1e-3):
+    """Quartet levels by adiabatic continuation in the whole 15-dim m=+1 sector.
 
-    def test_matches_per_state_reference(self, tracker):
-        # from the degenerate quartet at j14 = 0 along a shifted ramp
-        refs_a = np.array(tracker.refs, copy=True)
-        refs_b = np.array(tracker.refs, copy=True)
-        for x in np.linspace(0.0, 0.7, 141):
-            pt = (x, 0.3 * x)
-            assert max_abs(tracker._advance(pt, refs_a) - _loop_advance(tracker, pt, refs_b)) <= 1e-12
-            assert max_abs(refs_a - refs_b) <= 1e-10
+    The oracle for the block levels: from j14 = 0, where the logical product
+    states are exact eigenstates, each state follows the eigenspace it
+    overlaps most, in substeps of at most ``step``.
+    """
+    if path[0][0] != 0.0:
+        raise ValueError("the overlap walk starts at j14 = 0")
+    ops = SectorOperators(6, [(i, j) for (i, j, _) in two_lq_graph().edges], ms=(1.0,))
 
-    def test_same_error_as_reference(self, tracker):
-        # references spread evenly over three distinct levels: overlap 1/3
-        vals, vecs = np.linalg.eigh(tracker.hamiltonian(0.3, 0.0))
-        levels = [0, 7, 14]
-        assert np.min(np.diff(vals[levels])) > 1e-3
-        spread = np.sum(vecs[:, levels], axis=1) / np.sqrt(3)
-        refs = np.tile(spread[:, None], (1, 4)).astype(np.complex128)
-        with pytest.raises(TrackingError) as batched:
-            tracker._advance((0.3, 0.0), refs.copy())
-        with pytest.raises(TrackingError) as looped:
-            _loop_advance(tracker, (0.3, 0.0), refs.copy())
-        assert str(batched.value) == str(looped.value)
+    def advance(pt):
+        w = np.ones(7)
+        w[2] = w[5] = 1.0 + pt[1]
+        w[6] = pt[0]
+        return _loop_advance(ops.blocks(w, h)[0][0], pt, refs)
 
-
-def _loop_walk(tracker, path, step, refs):
-    """Per-substep form of the walk, one ``_advance`` each: the reference for the batched one."""
+    refs = two_lq_basis()[ops.groups[0].indices[0], :]
     out = np.empty((len(path), 4))
-    out[0] = tracker._advance(path[0], refs)
+    out[0] = advance(path[0])
     for p, (prev, cur) in enumerate(zip(path[:-1], path[1:]), start=1):
-        dist = max(abs(cur[0] - prev[0]), abs(cur[1] - prev[1]))
-        nsub = max(1, int(np.ceil(dist / step)))
+        nsub = max(1, int(np.ceil(max(abs(cur[0] - prev[0]), abs(cur[1] - prev[1])) / step)))
         for k in range(1, nsub + 1):
             s = k / nsub
-            pt = (prev[0] + s * (cur[0] - prev[0]), prev[1] + s * (cur[1] - prev[1]))
-            out[p] = tracker._advance(pt, refs)
+            out[p] = advance((prev[0] + s * (cur[0] - prev[0]), prev[1] + s * (cur[1] - prev[1])))
     return out
+
+
+class TestTrackerStep:
+    def test_matches_per_state_reference(self):
+        # from the degenerate quartet at j14 = 0 along a shifted ramp
+        path = [(x, 0.3 * x) for x in np.linspace(0.0, 0.7, 141)]
+        assert max_abs(_SectorTracker(0.75).walk(path) - _overlap_walk(path)) <= 1e-12
 
 
 def _calibration_path(j14_peak=0.5, eps=0.12, n_nodes=40):
@@ -316,47 +319,36 @@ class TestBatchedWalk:
     def tracker(self):
         return _SectorTracker(0.75)
 
-    def test_equals_per_substep_loop(self, tracker):
-        path = _calibration_path()
-        refs_walk = np.array(tracker.refs, copy=True)
-        refs_loop = np.array(tracker.refs, copy=True)
-        assert np.array_equal(tracker.walk(path, refs=refs_walk),
-                              _loop_walk(tracker, path, 1e-3, refs_loop))
-        assert np.array_equal(refs_walk, refs_loop)
+    def test_one_block_per_column_with_dimensions_1_2_2_3(self, tracker):
+        assert [(col, len(idle)) for col, (idle, _, _) in tracker.blocks] == [
+            (0, 1), (1, 2), (2, 2), (3, 3)]
+
+    @pytest.mark.parametrize("j14_peak,eps", [(0.1, 0.0), (0.3, 0.12), (0.5, 0.35), (0.7, 0.2)])
+    def test_matches_overlap_walk_on_calibration_paths(self, tracker, j14_peak, eps):
+        path = _calibration_path(j14_peak, eps, 160)
+        assert max_abs(tracker.walk(path) - _overlap_walk(path)) <= 1e-12
+
+    @pytest.mark.parametrize("j14_max", [0.85, 1.5])
+    def test_matches_overlap_walk_on_sweep_grids(self, j14_max):
+        grid = np.linspace(0.0, j14_max, 301)
+        walked = _overlap_walk([(x, 0.0) for x in grid])
+        assert max_abs(lambda_curve(grid) - walked) <= 1e-12
 
     def test_resumed_walk_continues_the_levels(self, tracker):
         path = _calibration_path()
-        refs = np.array(tracker.refs, copy=True)
-        head = tracker.walk(path[:21], refs=refs)
-        tail = tracker.walk(path[20:], refs=refs)
+        head = tracker.walk(path[:21])
+        tail = tracker.walk(path[20:])
         assert np.array_equal(np.concatenate((head, tail[1:])), tracker.walk(path))
 
-    def test_needs_a_seed_away_from_zero(self, tracker):
-        with pytest.raises(ValueError, match="j14 = 0"):
-            tracker.walk([(0.1, 0.0), (0.2, 0.0)])
-
-    def test_same_error_and_point_as_per_substep_loop(self, tracker, monkeypatch):
-        # twenty short moves, then a long one whose first substep (point 21,
-        # inside the second chunk) loses overlap against a strict threshold
-        monkeypatch.setattr(encoding, "TRACK_MIN_OVERLAP", 0.999)
-        path = [(0.0, 0.0)] + [(0.002 * k, 0.0) for k in range(1, 21)] + [(0.6, 0.25)]
-        with pytest.raises(TrackingError) as batched:
-            tracker.walk(path, step=0.2)
-        with pytest.raises(TrackingError) as looped:
-            _loop_walk(tracker, path, 0.2, np.array(tracker.refs, copy=True))
-        assert str(batched.value) == str(looped.value)
-        assert "j14=0.226667, shift=0.083333" in str(batched.value)
-
-    def test_one_eigh_call_per_chunk_of_substeps(self, tracker, monkeypatch):
+    def test_one_eigvalsh_call_per_block(self, tracker, monkeypatch):
         sizes = []
-        original = np.linalg.eigh
+        original = np.linalg.eigvalsh
 
         def counted(a, *args, **kwargs):
-            sizes.append(int(np.prod(np.shape(a)[:-2])))
+            sizes.append(np.shape(a))
             return original(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
-        tracker.walk(_calibration_path())
-        substeps = sum(sizes)
-        assert substeps > 10 * _CHUNK
-        assert len(sizes) <= -(-substeps // _CHUNK)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        path = _calibration_path()
+        tracker.walk(path)
+        assert sizes == [(len(path), d, d) for d in (1, 2, 2, 3)]

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from trispin import cli, gates
-from trispin.encoding import _CHUNK, _SectorTracker, effective_h1, logical_basis, two_lq_basis
+from trispin.encoding import _SectorTracker, effective_h1, logical_basis, two_lq_basis
 from trispin.gates import (
+    _CHUNK,
     CALIBRATION_TOL,
     PulseSchedule,
     Segment,
@@ -125,9 +126,10 @@ class TestSectorScoring:
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
         two_lq_report(self._ramp_hold_ramp(), cphase_gate(np.pi), n_steps)
-        assert all(shape[-2:] == (15, 15) for shape in shapes)
-        # one m = +1 matrix per ramp step and one for the hold
-        assert sum(int(np.prod(shape[:-2])) for shape in shapes) == 2 * n_steps + 1
+        # the quartet's invariant blocks of the m = +1 sector, dimensions 1, 2, 2, 3
+        assert {shape[-2:] for shape in shapes} == {(1, 1), (2, 2), (3, 3)}
+        # one matrix per block for each ramp step and for the hold
+        assert sum(int(np.prod(shape[:-2])) for shape in shapes) == 4 * (2 * n_steps + 1)
 
     def test_basis_spanning_two_sectors_is_rejected(self, monkeypatch):
         mixed = two_lq_basis()
@@ -422,7 +424,7 @@ class TestCphaseCalibration:
         eps = peak.coupling(1, 2) - 1.0
         assert eps == peak.coupling(4, 5) - 1.0
         ramp, top = gates._trapezoid_phases(_SectorTracker(0.75), 0.5, eps, 20.0,
-                                            160, 1e-3, "smooth")
+                                            160, "smooth")
         sq = 2 * gates._single_qubit(ramp) + gates._single_qubit(top) * hold_seg.duration
         residual = sq - 2 * np.pi * np.round(sq / (2 * np.pi))
         assert abs(residual) <= CALIBRATION_TOL
@@ -443,7 +445,7 @@ class TestCphaseCalibration:
     def _step_phases(monkeypatch):
         # Single-qubit phase +2 below shift 0.1 and -2 above it: the sign
         # changes inside the bracket but no shift brings it near zero.
-        def phases(tracker, j14_peak, eps, ramp_time, n_nodes, track_step, ramp_shape):
+        def phases(tracker, j14_peak, eps, ramp_time, n_nodes, ramp_shape):
             s = 1.0 if eps < 0.1 else -1.0
             return np.array([s, 0.0, 0.0, 1.0 - s]), np.array([0.0, 0.0, 0.0, 1.0])
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from trispin import spectra
-from trispin.encoding import TRACK_STEP, lambda_curve, lambda_spectrum
+from trispin.encoding import lambda_spectrum
 from trispin.hamiltonian import build_hamiltonian, sector_spectrum, single_lq_graph, two_lq_graph
 from trispin.spectra import (
     _find_crossings,
@@ -15,6 +15,8 @@ from trispin.spectra import (
     sweep_intra,
     to_physical,
 )
+
+from test_encoding import _overlap_walk
 
 
 @pytest.fixture(scope="module")
@@ -130,25 +132,15 @@ class TestSweepInter:
         assert len(crossings.crossings) == 1
         assert abs(crossings.crossings[0] - 0.75) <= 1e-3
 
-    def test_bisection_resumes_from_the_grid(self, monkeypatch):
-        tracked = []
-        original = np.linalg.eigh
-
-        def counted(a, *args, **kwargs):
-            tracked.append(int(np.prod(np.shape(a)[:-2])))
-            return original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
-        result, crossings = sweep_inter(0.0, 0.85, 31)
-        # the grid walk, one walk to the bracket and short probe walks: far
-        # less than one walk from j14 = 0 per bisection probe
-        assert sum(tracked) <= 3 * np.ceil(0.85 / TRACK_STEP)
-        monkeypatch.undo()
+    def test_crossing_matches_overlap_walk(self, result):
+        sweep, crossings = result
 
         def gap_walked_from_zero(x):
-            return _gap_above(sector_spectrum(two_lq_graph(j14=x))[0], lambda_curve([x])[0])
+            return _gap_above(sector_spectrum(two_lq_graph(j14=x))[0],
+                              _overlap_walk([(0.0, 0.0), (x, 0.0)])[-1])
 
-        assert crossings == _find_crossings(gap_walked_from_zero, result.grid, result.gap)
+        expected = _find_crossings(gap_walked_from_zero, sweep.grid, sweep.gap)
+        assert crossings.crossings == pytest.approx(expected.crossings, abs=1e-12)
 
     def test_quartet_degenerate_at_origin(self, result):
         sweep, _ = result
