@@ -141,7 +141,7 @@ COMMANDS: dict[str, dict] = {
         "params": (
             Param("j12", "float", 1.0), Param("j13", "float", 1.0),
             Param("j23", "float", 1.0), Param("h", "float", 0.75),
-            Param("n-sites", "int", 3, "register size when --edges is given"),
+            Param("n-sites", "int", 3, "register size; other than 3 only with --edges"),
             Param("edges", "str", None, "general graph as i-j:J,i-j:J"),
         ),
     },
@@ -393,6 +393,9 @@ def _run_spectrum(cfg: RunConfig) -> str:
     if p["edges"] is not None:
         parsed = parse_edges(p["edges"], p["n_sites"])
         graph = CouplingGraph(parsed.n_sites, parsed.edges, p["h"])
+    elif p["n_sites"] != 3:
+        raise ConfigError(f"--n-sites {p['n_sites']}: a register other than the "
+                          "3-site triangle needs --edges")
     else:
         graph = single_lq_graph(p["j12"], p["j13"], p["j23"], p["h"])
     vals, sz = sector_spectrum(graph)

@@ -31,9 +31,11 @@ from .linalg import check_unitary, max_abs
 COUPLING_WINDOW = (0.25, 1.75)
 CALIBRATION_TOL = 1e-10
 CALIBRATION_MAX_PROBES = 200
-# Ramp steps diagonalized per batched eigh call.  Larger chunks are no faster
-# and raise the peak memory of a gate.
-_CHUNK = 16
+# Ramp steps built, diagonalized and multiplied per batch.  The pairwise
+# product takes about log2(_CHUNK) batched matmuls per chunk, so larger chunks
+# cut Python overhead per step; the chunk also bounds the memory of a ramp,
+# which would otherwise grow with the step count.
+_CHUNK = 256
 AXIS120 = {
     "j12": np.array([np.sqrt(3) / 2, 0.0, 0.5]),
     "j13": np.array([-np.sqrt(3) / 2, 0.0, 0.5]),
@@ -155,19 +157,27 @@ def empty_schedule(n_sites: int = 3) -> PulseSchedule:
     return PulseSchedule((), n_sites)
 
 
+def _time_ordered_product(steps: np.ndarray) -> np.ndarray:
+    """``steps[-1] @ ... @ steps[0]`` of a stack, reduced pairwise in about log2(len) matmuls."""
+    while len(steps) > 1:
+        even = len(steps) - len(steps) % 2
+        steps = np.concatenate((steps[1:even:2] @ steps[0:even:2], steps[even:]))
+    return steps[0]
+
+
 def _evolve(blocks: list[np.ndarray], dt: float, u: list[np.ndarray]) -> list[np.ndarray]:
     """Apply the step propagators exp(-i H_k dt) of a chunk of steps to ``u`` in time order.
 
     ``blocks`` holds one stack per sector group with the steps on its leading
-    axis; every block size takes one batched ``eigh`` call for the chunk.
+    axis; every block size takes one batched ``eigh`` call for the chunk, and
+    the chunk's step propagators are multiplied pairwise, not one at a time.
     """
-    steps = []
-    for h in blocks:
+    out = []
+    for h, prev in zip(blocks, u):
         vals, vecs = np.linalg.eigh(h)
-        steps.append((vecs * np.exp(-1j * vals * dt)[..., None, :]) @ vecs.swapaxes(-1, -2))
-    for k in range(len(blocks[0])):
-        u = [step[k] @ prev for step, prev in zip(steps, u)]
-    return u
+        steps = (vecs * np.exp(-1j * vals * dt)[..., None, :]) @ vecs.swapaxes(-1, -2)
+        out.append(_time_ordered_product(steps) @ prev)
+    return out
 
 
 def _evolve_sectors(schedule: PulseSchedule, n_steps_per_segment: int, ops: SectorOperators,
@@ -213,7 +223,8 @@ def propagate(schedule: PulseSchedule, n_steps_per_segment: int = 200) -> np.nda
     each sector block evolves on its own; this evolves every sector and
     assembles the full unitary at the end.  The steps of a ramp are built and
     diagonalized in chunks of ``_CHUNK``, one ``eigh`` call per block size and
-    chunk; only the product of the step propagators runs step by step.
+    chunk, and each chunk's step propagators are multiplied pairwise in about
+    log2(``_CHUNK``) batched matmuls.
     """
     if n_steps_per_segment < 1:
         raise ValueError("n_steps_per_segment must be at least 1")

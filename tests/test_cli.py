@@ -80,6 +80,13 @@ class TestSpectrumCommand:
         data = json.loads((tmp_path / "g.json").read_text())
         assert abs(data["energies"][0] + 9 / 8) < 1e-12
 
+    @pytest.mark.parametrize("n_sites", ["0", "1", "4"])
+    def test_n_sites_without_edges_is_rejected(self, tmp_path, n_sites):
+        res = run_cli(["spectrum", "--n-sites", n_sites, "--out", "s.json"], tmp_path)
+        assert res.returncode == 2
+        assert "--edges" in res.stderr
+        assert not (tmp_path / "s.json").exists()
+
 
 class TestVerifyCommand:
     def test_report(self, tmp_path):

@@ -83,8 +83,13 @@ class TestPropagate:
         assert 2.0 < e1 / e2 < 8.0  # ratio ~4 within a factor of 2
 
 
+# step counts below one chunk, just before, at and just after a chunk edge,
+# and over two chunks with a partial one at the end
+CHUNK_EDGE_STEPS = [1, 15, 16, 17, 40, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 88]
+
+
 class TestBatchedPropagation:
-    @pytest.mark.parametrize("n_steps", [1, 15, 16, 17, 40])
+    @pytest.mark.parametrize("n_steps", CHUNK_EDGE_STEPS)
     def test_eigh_calls_per_ramp_chunk(self, monkeypatch, n_steps):
         idle = two_lq_graph()
         peak = idle.with_couplings({(0, 3): 0.5, (1, 2): 1.1, (4, 5): 1.1})
@@ -105,6 +110,22 @@ class TestBatchedPropagation:
         for size in (1, 6, 15, 20):
             assert calls.count(size) <= 2 * chunks + 1
 
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 5, 16, 255, 256, 257])
+    def test_pairwise_product_keeps_time_order_exactly(self, n_steps):
+        # integer entries multiply exactly, so any change of order or a dropped
+        # step shows as a different matrix, not as rounding
+        rng = np.random.default_rng(n_steps)
+        order = rng.permuted(np.tile(np.arange(5), (n_steps, 2, 1)), axis=-1)
+        perms = np.eye(5, dtype=np.complex128)[order]
+        heisenberg = np.tile(np.eye(3, dtype=np.int64), (n_steps, 1, 1, 1))
+        heisenberg[:, 0, [0, 0, 1], [1, 2, 2]] = rng.integers(-2, 3, (n_steps, 3))
+        for stack in (perms, heisenberg):
+            expected = np.broadcast_to(np.eye(stack.shape[-1], dtype=stack.dtype),
+                                       stack.shape[1:])
+            for step in stack:
+                expected = step @ expected
+            assert np.array_equal(gates._time_ordered_product(stack), expected)
+
 
 class TestSectorScoring:
     @staticmethod
@@ -115,7 +136,7 @@ class TestSectorScoring:
                               constant_segment(1.5, peak),
                               Segment(2.0, peak, idle, "smooth")), 6, idle=idle)
 
-    @pytest.mark.parametrize("n_steps", [1, 15, 16, 17, 40])
+    @pytest.mark.parametrize("n_steps", CHUNK_EDGE_STEPS)
     def test_two_lq_report_diagonalizes_only_the_quartet_sector(self, monkeypatch, n_steps):
         shapes = []
         original = np.linalg.eigh

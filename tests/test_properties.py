@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from trispin.encoding import effective_h1, logical_basis, project_effective, two_lq_basis
 from trispin.gates import (
+    _CHUNK,
     RAMP_PROFILES,
     PulseSchedule,
     Segment,
@@ -38,6 +39,8 @@ PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, d
 
 couplings = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
 fields = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+# one step, just before, at and just after a chunk edge, and over two chunks
+chunk_edge_steps = st.sampled_from((1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 88))
 
 
 @st.composite
@@ -131,7 +134,7 @@ def assert_close_report(a, b, tol=1e-12):
 
 
 @PROPERTY_SETTINGS
-@given(two_lq_schedules(), st.sampled_from((1, 15, 16, 17, 40)))
+@given(two_lq_schedules(), chunk_edge_steps)
 def test_two_lq_report_equals_full_propagator_report(case, n_steps):
     schedule, target = case
     assert_close_report(two_lq_report(schedule, target, n_steps),
@@ -240,11 +243,12 @@ def stepwise_propagator(schedule: PulseSchedule, n_steps: int) -> np.ndarray:
 
 
 @PROPERTY_SETTINGS
-@given(ramp_hold_schedules(), st.sampled_from((1, 15, 16, 17, 40)))
-def test_chunked_propagation_equals_stepwise_product_exactly(case, n_steps):
-    # 15, 16 and 17 steps end just before, at and just after a chunk edge
+@given(ramp_hold_schedules(), chunk_edge_steps)
+def test_chunked_propagation_matches_stepwise_product(case, n_steps):
+    # the pairwise product associates the steps differently, so the two agree
+    # to rounding, not bit for bit: at most 5.5e-15 over these examples, 3.7e-14 over 200
     schedule, _ = case
-    assert np.array_equal(propagate(schedule, n_steps), stepwise_propagator(schedule, n_steps))
+    assert max_abs(propagate(schedule, n_steps) - stepwise_propagator(schedule, n_steps)) <= 1e-13
 
 
 @PROPERTY_SETTINGS
