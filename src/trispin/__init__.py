@@ -13,7 +13,6 @@ from .encoding import (
     GroundStateReport,
     LambdaTriple,
     LogicalBasis,
-    LogicalLayout,
     TrackingError,
     effective_h1,
     initialization_ground,
@@ -51,7 +50,6 @@ from .hamiltonian import (
     sz_sectors,
     two_lq_graph,
 )
-from .linalg import SpectralDecomposition, expm_minus_i_h_t, hermitian_eig, kron
 from .spectra import (
     CrossingReport,
     PhysicalUnits,

@@ -43,26 +43,6 @@ class TrackingError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class LogicalLayout:
-    """Disjoint (a, b, c) triples hosting one logical qubit each."""
-
-    n_sites: int
-    triples: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self):
-        used: set[int] = set()
-        for t in self.triples:
-            if len(t) != 3:
-                raise ValueError(f"triple {t} must have three sites")
-            for s in t:
-                if not 0 <= s < self.n_sites:
-                    raise ValueError(f"site {s} out of range")
-                if s in used:
-                    raise ValueError(f"site {s} belongs to two triples")
-                used.add(s)
-
-
-@dataclass(frozen=True)
 class LogicalBasis:
     """|0_L>, |1_L> of one triple embedded in the full 2^n space."""
 
@@ -250,17 +230,12 @@ class _SectorTracker:
         return out
 
 
-def track_lambda_path(path: list[tuple[float, float]], h: float = 0.75) -> np.ndarray:
-    """Quartet eigenvalues [l00, l01, l10, l11] along a (j14, shift) path."""
-    return _SectorTracker(h).walk(path)
-
-
 def lambda_curve(j14_values, h: float = 0.75, j23_shift: float = 0.0) -> np.ndarray:
     """Tracked quartet eigenvalues on an ascending, nonnegative J14 grid."""
     grid = [float(x) for x in j14_values]
     if any(b < a for a, b in zip(grid, grid[1:])) or (grid and grid[0] < 0):
         raise ValueError("j14 grid must be ascending and nonnegative")
-    return track_lambda_path([(x, j23_shift) for x in grid], h)
+    return _SectorTracker(h).walk([(x, j23_shift) for x in grid])
 
 
 def lambda_spectrum(j14: float, h: float = 0.75, j23_shift: float = 0.0) -> LambdaTriple:

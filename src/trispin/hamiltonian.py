@@ -9,11 +9,10 @@ ground sector for h > 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .linalg import kron
 
 SX = np.array([[0, 1], [1, 0]], dtype=np.complex128) / 2
 SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128) / 2
@@ -115,40 +114,26 @@ def spin_operator(n_sites: int, site: int, axis: str) -> np.ndarray:
         op = _AXES[axis]
     except KeyError:
         raise ValueError(f"axis must be one of x, y, z, got {axis!r}") from None
-    out = np.eye(1, dtype=np.complex128)
-    eye = np.eye(2, dtype=np.complex128)
-    for k in range(n_sites):
-        out = kron(out, op if k == site else eye)
-    return out
+    return np.kron(np.kron(np.eye(2**site), op), np.eye(2**(n_sites - 1 - site)))
 
 
 def exchange_term(n_sites: int, i: int, j: int) -> np.ndarray:
-    """Heisenberg exchange S_i . S_j as a 2^n-dimensional operator."""
-    if i == j:
-        raise ValueError("exchange requires two distinct sites")
-    total = np.zeros((2**n_sites, 2**n_sites), dtype=np.complex128)
-    for axis in "xyz":
-        total += spin_operator(n_sites, i, axis) @ spin_operator(n_sites, j, axis)
-    return total
+    """Heisenberg exchange S_i . S_j as a 2^n-dimensional operator.
+
+    It is the Hamiltonian of the single edge (i, j) at unit coupling and zero field.
+    """
+    return build_hamiltonian(CouplingGraph(n_sites, ((min(i, j), max(i, j), 1.0),)))
 
 
 def total_spin(n_sites: int, axis: str) -> np.ndarray:
     """Sum of single-site spin operators along one axis."""
-    total = np.zeros((2**n_sites, 2**n_sites), dtype=np.complex128)
-    for site in range(n_sites):
-        total += spin_operator(n_sites, site, axis)
-    return total
+    return sum(spin_operator(n_sites, site, axis) for site in range(n_sites))
 
 
 def build_hamiltonian(g: CouplingGraph) -> np.ndarray:
-    """H = sum_ij J_ij S_i . S_j  -  h sum_i S_z^i."""
-    h = np.zeros((g.dim, g.dim), dtype=np.complex128)
-    for (i, j, jij) in g.edges:
-        if jij != 0.0:
-            h += jij * exchange_term(g.n_sites, i, j)
-    if g.field_h != 0.0:
-        h -= g.field_h * total_spin(g.n_sites, "z")
-    return h
+    """H = sum_ij J_ij S_i . S_j  -  h sum_i S_z^i, assembled from its S_z sector blocks."""
+    ops = SectorOperators(g.n_sites, [(i, j) for (i, j, _) in g.edges])
+    return ops.embed(ops.blocks(ops.weights(g), g.field_h)).astype(np.complex128)
 
 
 def sz_sectors(n_sites: int) -> list[SectorBasis]:
@@ -161,12 +146,6 @@ def sz_sectors(n_sites: int) -> list[SectorBasis]:
         SectorBasis(m=ups - n_sites / 2, indices=tuple(buckets[ups]))
         for ups in sorted(buckets, reverse=True)
     ]
-
-
-def sector_restriction(h: np.ndarray, sector: SectorBasis) -> np.ndarray:
-    """Block of an S_z-conserving operator on one magnetization sector."""
-    idx = np.asarray(sector.indices)
-    return h[np.ix_(idx, idx)]
 
 
 @dataclass(frozen=True)
@@ -190,7 +169,9 @@ class SectorGroup:
         """
         weights = np.asarray(weights, dtype=float)
         field_h = np.asarray(field_h, dtype=float)[..., None, None, None]
-        exchange = weights[..., None, :] @ self.terms.reshape(len(self.terms), -1)
+        # an explicit row length, not -1, so that an empty edge set reshapes too
+        terms = self.terms.reshape(len(self.terms), math.prod(self.terms.shape[1:]))
+        exchange = weights[..., None, :] @ terms
         return (exchange.reshape(weights.shape[:-1] + self.terms.shape[1:])
                 - field_h * self.m[:, None, None] * np.eye(self.terms.shape[-1]))
 
@@ -201,8 +182,11 @@ class SectorOperators:
     Every Hamiltonian built from exchange and a uniform field conserves total
     S_z, so it is the direct sum of its sector blocks, and the Zeeman term is
     the constant -h m on the sector of magnetization m.  The blocks come from
-    bit operations on the product index; they equal the restrictions of
-    ``exchange_term`` exactly.  ``ms`` keeps only the listed sectors.
+    bit operations on the product index.  They are the one builder of
+    exchange operators here (``build_hamiltonian`` and ``exchange_term`` embed
+    them); the tests check them against Kronecker products of Pauli matrices
+    (``kron_hamiltonian`` in ``tests/test_hamiltonian.py``).  ``ms`` keeps
+    only the listed sectors.
     """
 
     def __init__(self, n_sites: int, pairs, ms=None):

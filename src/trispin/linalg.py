@@ -1,28 +1,15 @@
-"""Dense complex linear algebra for small spin systems (dim <= 64).
+"""Checks on dense complex matrices for small spin systems (dim <= 64).
 
-Everything is plain numpy: operators are square ``complex128`` arrays,
-states are 1-D arrays.  Eigendecompositions are made reproducible by a
-deterministic canonicalization of degenerate subspaces, so identical
-inputs always give bit-identical outputs.
+Everything is plain numpy: operators are square ``complex128`` arrays.
+The helpers validate such matrices and measure how far a propagator is
+from unitary; eigensolves are plain ``numpy.linalg`` calls at their sites.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
-HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-9
-ORTHONORMALITY_TOL = 1e-10
-DEGENERACY_TOL = 1e-9
-
-
-class SpectralDecomposition(NamedTuple):
-    """Eigenvalues (ascending) and matching orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def max_abs(m: np.ndarray) -> float:
@@ -40,26 +27,6 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def as_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Return the symmetrized matrix, rejecting anything not Hermitian to ``tol``."""
-    a = as_matrix(m)
-    dev = max_abs(a - a.conj().T)
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}")
-    return (a + a.conj().T) / 2
-
-
-def as_state(v, tol: float = 1e-12) -> np.ndarray:
-    """Validate a normalized complex state vector."""
-    a = np.asarray(v, dtype=np.complex128).ravel()
-    if not np.all(np.isfinite(a.view(np.float64))):
-        raise ValueError("state has non-finite entries")
-    nrm = float(np.linalg.norm(a))
-    if abs(nrm - 1.0) > tol:
-        raise ValueError(f"state is not normalized: |v| = {nrm!r}")
-    return a
-
-
 def check_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
     """Assert ``U^dag U = I`` within ``tol`` and return ``U``."""
     u = as_matrix(u)
@@ -67,88 +34,3 @@ def check_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
     if dev > tol:
         raise ValueError(f"matrix is not unitary: max |U^dag U - I| = {dev:.3e}")
     return u
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product of two matrices."""
-    return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
-
-
-def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    # Rotate the first significant component to the positive real axis.
-    scale = np.max(np.abs(v))
-    if scale == 0.0:
-        return v
-    k = int(np.argmax(np.abs(v) > 1e-8 * scale))
-    ph = v[k] / abs(v[k])
-    return v / ph
-
-
-def _canonicalize_degenerate(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Make the eigenvector choice deterministic.
-
-    Eigenvalues closer than ``DEGENERACY_TOL`` form a degeneracy class.  Within
-    each class the returned vectors are rebuilt by projecting the standard
-    basis vectors e_0, e_1, ... onto the eigenspace in fixed order and
-    Gram-Schmidt orthonormalizing, which removes any dependence on the
-    backend's arbitrary basis choice.  Every vector is then phase-fixed.
-    """
-    dim = vecs.shape[0]
-    out = np.array(vecs, copy=True)
-    start = 0
-    while start < dim:
-        stop = start + 1
-        while stop < dim and vals[stop] - vals[stop - 1] <= DEGENERACY_TOL:
-            stop += 1
-        block = out[:, start:stop]
-        size = stop - start
-        if size > 1:
-            proj = block @ block.conj().T
-            chosen: list[np.ndarray] = []
-            for k in range(dim):
-                if len(chosen) == size:
-                    break
-                cand = proj[:, k].copy()
-                for c in chosen:
-                    cand -= c * (c.conj() @ cand)
-                nrm = float(np.linalg.norm(cand))
-                if nrm > 1e-6:
-                    chosen.append(cand / nrm)
-            if len(chosen) == size:
-                block = np.stack(chosen, axis=1)
-        for j in range(size):
-            block[:, j] = _canonical_phase(block[:, j])
-        out[:, start:stop] = block
-        start = stop
-    return out
-
-
-def hermitian_eig(h: np.ndarray) -> SpectralDecomposition:
-    """Full spectral decomposition of a Hermitian matrix.
-
-    Output is deterministic for identical input: degenerate subspaces are
-    canonicalized and every eigenvector is phase-fixed.  Raises
-    ``np.linalg.LinAlgError`` if the backend fails to converge.
-    """
-    h = as_hermitian(h)
-    vals, vecs = np.linalg.eigh(h)
-    vecs = _canonicalize_degenerate(vals, vecs)
-
-    dim = h.shape[0]
-    scale = max(1.0, max_abs(h))
-    if max_abs(vecs.conj().T @ vecs - np.eye(dim)) > ORTHONORMALITY_TOL:
-        raise np.linalg.LinAlgError("eigenvector orthonormality lost in canonicalization")
-    if max_abs(h @ vecs - vecs * vals) > ORTHONORMALITY_TOL * scale:
-        raise np.linalg.LinAlgError("eigenpair residual too large")
-    if abs(float(np.sum(vals)) - float(np.trace(h).real)) > 1e-10 * dim * scale:
-        raise np.linalg.LinAlgError("eigenvalue sum does not match trace")
-    return SpectralDecomposition(vals, vecs)
-
-
-def expm_minus_i_h_t(h: np.ndarray, t: float) -> np.ndarray:
-    """Unitary propagator exp(-i H t) via spectral decomposition."""
-    if not np.isfinite(t):
-        raise ValueError("time must be finite")
-    vals, vecs = hermitian_eig(h)
-    u = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
-    return check_unitary(u)

@@ -80,6 +80,15 @@ class TestSpectrumCommand:
         data = json.loads((tmp_path / "g.json").read_text())
         assert abs(data["energies"][0] + 9 / 8) < 1e-12
 
+    def test_edgeless_graph(self, tmp_path):
+        res = run_cli(["spectrum", "--n-sites", "2", "--edges", "", "--h", "0.5",
+                       "--out", "e.json"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        data = json.loads((tmp_path / "e.json").read_text())
+        assert data["edges"] == []
+        assert data["energies"] == [-0.5, 0.0, 0.0, 0.5]
+        assert data["sz"] == [1.0, 0.0, 0.0, -1.0]
+
     @pytest.mark.parametrize("n_sites", ["0", "1", "4"])
     def test_n_sites_without_edges_is_rejected(self, tmp_path, n_sites):
         res = run_cli(["spectrum", "--n-sites", n_sites, "--out", "s.json"], tmp_path)

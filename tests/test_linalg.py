@@ -1,146 +1,15 @@
 import numpy as np
 import pytest
 
-from trispin.hamiltonian import build_hamiltonian, single_lq_graph
-from trispin.linalg import (
-    as_hermitian,
-    as_state,
-    check_unitary,
-    expm_minus_i_h_t,
-    hermitian_eig,
-    kron,
-    max_abs,
-)
-
-SZ = np.diag([1.0, -1.0]).astype(complex)
-
-
-def casimir_idle_spectrum(j: float, h: float) -> np.ndarray:
-    """Oracle for the equal-coupling triangle: exchange energy depends only on
-    total spin, (j/2)(S(S+1) - 9/4), and the Zeeman term adds -h*m.  Three
-    spins decompose into two S=1/2 doublets and one S=3/2 quartet."""
-    levels = []
-    for s, count in ((0.5, 2), (1.5, 1)):
-        e_ex = (j / 2) * (s * (s + 1) - 9 / 4)
-        for _ in range(count):
-            for k in range(int(2 * s) + 1):
-                m = -s + k
-                levels.append(e_ex - h * m)
-    return np.sort(levels)
-
-
-def random_hermitian(rng, dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (a + a.conj().T) / 2
-
-
-class TestHermitianEig:
-    def test_identity(self):
-        vals, _ = hermitian_eig(np.eye(2))
-        assert np.allclose(vals, [1.0, 1.0], atol=1e-14)
-
-    def test_sigma_z(self):
-        vals, vecs = hermitian_eig(SZ)
-        assert np.allclose(vals, [-1.0, 1.0], atol=1e-14)
-        assert max_abs(SZ @ vecs - vecs * vals) < 1e-14
-
-    def test_idle_lq_spectrum_matches_casimir_oracle(self):
-        h = build_hamiltonian(single_lq_graph(h=0.75))
-        vals, _ = hermitian_eig(h)
-        assert np.allclose(vals, casimir_idle_spectrum(1.0, 0.75), atol=1e-12)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(7)
-        for dim in (2, 8, 33, 64):
-            h = random_hermitian(rng, dim)
-            vals, vecs = hermitian_eig(h)
-            recon = (vecs * vals) @ vecs.conj().T
-            assert max_abs(recon - h) <= 1e-9 * max(1.0, max_abs(h))
-
-    def test_shift_by_identity(self):
-        rng = np.random.default_rng(11)
-        h = random_hermitian(rng, 16)
-        c = rng.normal()
-        v0, _ = hermitian_eig(h)
-        v1, _ = hermitian_eig(h + c * np.eye(16))
-        assert np.max(np.abs(v1 - (v0 + c))) < 1e-10
-
-    def test_eigenvalue_sum_equals_trace(self):
-        rng = np.random.default_rng(3)
-        h = random_hermitian(rng, 24)
-        vals, _ = hermitian_eig(h)
-        assert abs(np.sum(vals) - np.trace(h).real) < 1e-10 * 24
-
-    def test_deterministic_on_degenerate_input(self):
-        # Idle LQ has 2- and 3-fold degeneracies; output must be bit-identical.
-        h = build_hamiltonian(single_lq_graph(h=0.75))
-        a = hermitian_eig(h)
-        b = hermitian_eig(h)
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
-        assert np.array_equal(a.eigenvectors, b.eigenvectors)
-        assert max_abs(a.eigenvectors.conj().T @ a.eigenvectors - np.eye(8)) < 1e-10
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="not Hermitian"):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            as_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-class TestExpm:
-    def test_zero_time_is_identity(self):
-        rng = np.random.default_rng(5)
-        h = random_hermitian(rng, 8)
-        assert max_abs(expm_minus_i_h_t(h, 0.0) - np.eye(8)) < 1e-14
-
-    def test_diagonal_exponential(self):
-        u = expm_minus_i_h_t(SZ / 2, np.pi)
-        assert max_abs(u - np.diag([-1j, 1j])) < 1e-14
-
-    def test_commutes_with_hamiltonian(self):
-        h = build_hamiltonian(single_lq_graph(h=0.75))
-        u = expm_minus_i_h_t(h, 1.7)
-        assert max_abs(u @ h - h @ u) <= 1e-10
-
-    def test_group_property(self):
-        rng = np.random.default_rng(13)
-        h = random_hermitian(rng, 12)
-        u = expm_minus_i_h_t(h, 0.4) @ expm_minus_i_h_t(h, 1.1)
-        assert max_abs(u - expm_minus_i_h_t(h, 1.5)) <= 1e-9
-
-    def test_unitarity(self):
-        rng = np.random.default_rng(17)
-        u = expm_minus_i_h_t(random_hermitian(rng, 20), 2.3)
-        assert max_abs(u.conj().T @ u - np.eye(20)) <= 1e-9
-
-    def test_rejects_infinite_time(self):
-        with pytest.raises(ValueError):
-            expm_minus_i_h_t(SZ, np.inf)
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_sigma_z_placement(self):
-        assert np.allclose(kron(SZ, np.eye(2)), np.diag([1, 1, -1, -1]))
-
-    def test_mixed_product_property(self):
-        rng = np.random.default_rng(19)
-        a, b, c, d = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-                      for _ in range(4))
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
-        assert max_abs(lhs - rhs) < 1e-12
+from trispin.linalg import as_matrix, check_unitary
 
 
 class TestValidation:
-    def test_state_norm(self):
-        as_state(np.array([1.0, 0.0]))
-        with pytest.raises(ValueError, match="not normalized"):
-            as_state(np.array([1.0, 1.0]))
+    def test_as_matrix_rejects(self):
+        with pytest.raises(ValueError, match="square"):
+            as_matrix(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="finite"):
+            as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_check_unitary_rejects(self):
         with pytest.raises(ValueError, match="not unitary"):
