@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
 import numpy as np
@@ -340,25 +342,74 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
-def jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_key(key) -> str:
+    # json writes a scalar key as the quoted text of its value
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (bool, int, float)):
+        return f'"{_json_text(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_text(obj, pad: str = "") -> str:
+    """``json.dumps(obj, indent=2)`` for a value whose line is indented by ``pad``.
+
+    Numpy scalars are their ``item()`` and arrays their nested lists.  Rows of
+    a finite float64 array are joined from ``float.__repr__`` directly, which
+    is what the json encoder writes for each element.
+    """
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+        obj = obj.item()
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, bool):
+        return json.dumps(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _json_float(obj)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, np.ndarray):
+        if obj.dtype != np.float64 or not np.isfinite(obj).all():
+            # list() keeps a 0-d array an error, as it is for the json module
+            return _json_text(list(obj.tolist()), pad)
+        if not len(obj):
+            return "[]"
+        if obj.ndim == 1:
+            items = map(float.__repr__, obj.tolist())
+        else:
+            items = (_json_text(row, inner) for row in obj)
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = (_json_text(v, inner) for v in obj)
+    elif isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (f"{_json_key(k)}: {_json_text(v, inner)}" for k, v in obj.items())
+        return "{\n" + inner + sep.join(items) + "\n" + pad + "}"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return "[\n" + inner + sep.join(items) + "\n" + pad + "]"
 
 
 def write_json(path: str, payload: dict) -> None:
-    body = {"schema": 1}
-    body.update(jsonable(payload))
+    """Write ``{"schema": 1, **payload}`` as indented JSON, encoded before the file opens."""
+    text = _json_text({"schema": 1, **payload}) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(body, fh, indent=2)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from None
 

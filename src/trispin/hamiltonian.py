@@ -36,7 +36,7 @@ class CouplingGraph:
     def __post_init__(self):
         if self.n_sites < 1:
             raise ValueError("n_sites must be positive")
-        if not np.isfinite(self.field_h):
+        if not math.isfinite(self.field_h):
             raise ValueError("field_h must be finite")
         norm = []
         seen = set()
@@ -45,7 +45,7 @@ class CouplingGraph:
                 raise ValueError(f"edge ({i},{j}) violates 0 <= i < j < n_sites")
             if (i, j) in seen:
                 raise ValueError(f"duplicate edge ({i},{j})")
-            if not np.isfinite(jij):
+            if not math.isfinite(jij):
                 raise ValueError(f"coupling J({i},{j}) must be finite")
             seen.add((i, j))
             norm.append((int(i), int(j), float(jij)))
@@ -226,6 +226,28 @@ class SectorOperators:
         """Hamiltonian blocks, one stack per group (see ``SectorGroup.hamiltonians``)."""
         return [grp.hamiltonians(weights, field_h) for grp in self.groups]
 
+    def spectra(self, graphs: list[CouplingGraph]) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues of H and exact total-S_z labels, one row per graph.
+
+        The graphs have this site count and edge set (in order); each sector
+        size takes one ``eigvalsh`` call for the whole batch.  Every level
+        carries its sector's magnetization, also inside degeneracies across
+        sectors.
+        """
+        if any(g.n_sites != self.n_sites or tuple((i, j) for (i, j, _) in g.edges) != self.pairs
+               for g in graphs):
+            raise ValueError("need graphs sharing one site count and one edge set")
+        weights = np.array([[jij for (_, _, jij) in g.edges] for g in graphs])
+        fields = np.array([g.field_h for g in graphs])
+        vals, labels = [], []
+        for grp, stack in zip(self.groups, self.blocks(weights, fields)):
+            ev = np.linalg.eigvalsh(stack)
+            vals.append(ev.reshape(len(graphs), -1))
+            labels.append(np.repeat(grp.m, ev.shape[-1]))
+        vals, labels = np.concatenate(vals, axis=1), np.concatenate(labels)
+        order = np.argsort(vals, axis=1, kind="stable")
+        return np.take_along_axis(vals, order, axis=1), labels[order]
+
     def embed(self, blocks: list[np.ndarray]) -> np.ndarray:
         """Full 2^n matrix with the given sector blocks on its diagonal."""
         dim = 2**self.n_sites
@@ -278,27 +300,11 @@ def invariant_blocks(generators, columns) -> list[tuple[tuple[int, ...], np.ndar
 
 
 def sector_spectra(graphs: list[CouplingGraph]) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of H and exact total-S_z labels, one row per graph.
-
-    The graphs share the site count and the edge set (in order); each sector
-    size takes one ``eigvalsh`` call for the whole batch.  Every level carries
-    its sector's magnetization, also inside degeneracies across sectors.
-    """
-    shapes = {(g.n_sites, tuple((i, j) for (i, j, _) in g.edges)) for g in graphs}
-    if len(shapes) != 1:
+    """``SectorOperators.spectra`` of graphs sharing one site count and edge set (in order)."""
+    if not graphs:
         raise ValueError("need graphs sharing one site count and one edge set")
-    ((n_sites, pairs),) = shapes
-    ops = SectorOperators(n_sites, pairs)
-    weights = np.array([ops.weights(g) for g in graphs])
-    fields = np.array([g.field_h for g in graphs])
-    vals, labels = [], []
-    for grp, stack in zip(ops.groups, ops.blocks(weights, fields)):
-        ev = np.linalg.eigvalsh(stack)
-        vals.append(ev.reshape(len(graphs), -1))
-        labels.append(np.repeat(grp.m, ev.shape[-1]))
-    vals, labels = np.concatenate(vals, axis=1), np.concatenate(labels)
-    order = np.argsort(vals, axis=1, kind="stable")
-    return np.take_along_axis(vals, order, axis=1), labels[order]
+    first = graphs[0]
+    return SectorOperators(first.n_sites, [(i, j) for (i, j, _) in first.edges]).spectra(graphs)
 
 
 def sector_spectrum(g: CouplingGraph) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import effective_h1, lambda_curve
+from .encoding import _SectorTracker, effective_h1
 from .gates import (
     PulseSchedule,
     Segment,
@@ -22,7 +22,7 @@ from .gates import (
     synthesize_cphase,
     two_lq_report,
 )
-from .hamiltonian import sector_spectra, sector_spectrum, single_lq_graph, two_lq_graph
+from .hamiltonian import SectorOperators, sector_spectra, single_lq_graph, two_lq_graph
 
 MU_B_MICROEV_PER_TESLA = 57.88
 INTRA_COUPLINGS = ("j12", "j13", "j23")
@@ -68,45 +68,58 @@ class PhysicalUnits:
     gap_microev: float
 
 
-def _remove_matched(values: np.ndarray, targets) -> np.ndarray:
-    """Eigenvalues left after removing the one nearest to each target in turn."""
-    pool = list(values)
-    for t in targets:
-        pool.pop(int(np.argmin(np.abs(np.asarray(pool) - t))))
-    return np.asarray(pool)
+def _unmatched(spectra: np.ndarray, targets) -> np.ndarray:
+    """Mask of the levels left after removing, row by row, the one nearest each target in turn.
+
+    ``targets[p, t]`` is matched within row ``p`` of ``spectra``; ties go to the
+    lowest index still left.
+    """
+    left = np.ones(spectra.shape, dtype=bool)
+    rows = np.arange(len(spectra))
+    for column in np.asarray(targets, dtype=float).T:
+        dist = np.where(left, np.abs(spectra - column[:, None]), np.inf)
+        left[rows, np.argmin(dist, axis=1)] = False
+    return left
 
 
-def _gap_above(values: np.ndarray, logical_values) -> float:
-    rest = _remove_matched(values, logical_values)
-    return float(np.min(rest) - np.max(logical_values))
+def _gap_above(spectra: np.ndarray, logical) -> np.ndarray:
+    """Lowest unmatched level minus the top logical level, per row."""
+    rest = np.where(_unmatched(spectra, logical), spectra, np.inf)
+    return np.min(rest, axis=1) - np.max(logical, axis=1)
 
 
-def _gap_around(values: np.ndarray, logical_values) -> float:
-    """Distance from the doubly degenerate idle logical level to the nearest other."""
-    rest = _remove_matched(values, [logical_values[0]] * 2)
-    return float(np.min(np.abs(rest - logical_values[0])))
+def _gap_around(spectra: np.ndarray, logical) -> np.ndarray:
+    """Distance from the doubly degenerate idle logical level to the nearest other, per row."""
+    level = np.asarray(logical, dtype=float)[:, :1]
+    left = _unmatched(spectra, np.hstack([level, level]))
+    return np.min(np.where(left, np.abs(spectra - level), np.inf), axis=1)
 
 
 def _sweep(name: str, lo: float, hi: float, n_points: int, graph_at, logical_at, gap_fn):
     """Spectra, logical levels and gaps on a uniform grid, plus ``gap_at(x)`` off it.
 
     ``graph_at(x)`` gives the graph at one value and ``logical_at(xs)`` the
-    logical levels at an array of values, one row each; ``gap_fn(values,
-    logical)`` is the gap of one spectrum.  The graphs share an edge set, so
-    the grid is one ``sector_spectra`` call.
+    logical levels at an array of values, one row each; ``gap_fn(spectra,
+    logical)`` is the gap of each row.  The graphs share an edge set, so one
+    ``SectorOperators`` serves the grid (one batched solve) and every probe.
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("sweep bounds must be finite")
+    if not lo < hi:
+        raise ValueError("sweep needs its lower bound below its upper bound")
     grid = np.linspace(lo, hi, n_points)
-    spectra, sz = sector_spectra([graph_at(x) for x in grid])
+    graphs = [graph_at(x) for x in grid]
+    ops = SectorOperators(graphs[0].n_sites, [(i, j) for (i, j, _) in graphs[0].edges])
+    spectra, sz = ops.spectra(graphs)
     logical = logical_at(grid)
-    gap = np.array([gap_fn(vals, lv) for vals, lv in zip(spectra, logical)])
 
     def gap_at(x: float) -> float:
-        vals, _ = sector_spectrum(graph_at(x))
-        return gap_fn(vals, logical_at(np.array([x]))[0])
+        vals, _ = ops.spectra([graph_at(x)])
+        return float(gap_fn(vals, logical_at(np.array([x])))[0])
 
-    return SweepResult(name, grid, spectra, gap, sz, logical), gap_at
+    return SweepResult(name, grid, spectra, gap_fn(spectra, logical), sz, logical), gap_at
 
 
 def idle_logical_energy(h: float) -> float:
@@ -116,14 +129,18 @@ def idle_logical_energy(h: float) -> float:
 
 def field_gap(h: float) -> float:
     """Distance from the idle logical level to the nearest other level."""
-    return _gap_around(sector_spectrum(single_lq_graph(h=h))[0], [idle_logical_energy(h)])
+    vals, _ = sector_spectra([single_lq_graph(h=h)])
+    return float(_gap_around(vals, [[idle_logical_energy(h)]])[0])
+
+
+def _field_sweep(h_min: float, h_max: float, n_points: int):
+    return _sweep("h", h_min, h_max, n_points, lambda h: single_lq_graph(h=h),
+                  lambda hs: idle_logical_energy(hs)[:, None], _gap_around)
 
 
 def sweep_field(h_min: float, h_max: float, n_points: int) -> SweepResult:
     """Idle single-LQ spectrum and protection gap across the Zeeman field."""
-    result, _ = _sweep("h", h_min, h_max, n_points, lambda h: single_lq_graph(h=h),
-                       lambda hs: idle_logical_energy(hs)[:, None], _gap_around)
-    return result
+    return _field_sweep(h_min, h_max, n_points)[0]
 
 
 def optimal_field(h_lo: float, h_hi: float, tol: float = 1e-6,
@@ -131,28 +148,30 @@ def optimal_field(h_lo: float, h_hi: float, tol: float = 1e-6,
     """Field maximizing the idle gap, by ternary search around the grid argmax.
 
     The coarse grid guards against non-unimodal data: the search is confined
-    to the bracket around the best grid point.
+    to the bracket around the best grid point.  Its probes reuse the grid's
+    operators.
     """
     if not h_lo < h_hi:
         raise ValueError("need h_lo < h_hi")
-    coarse = sweep_field(h_lo, h_hi, coarse_points)
+    coarse, gap_at = _field_sweep(h_lo, h_hi, coarse_points)
     k = int(np.argmax(coarse.gap))
     lo = coarse.grid[max(k - 1, 0)]
     hi = coarse.grid[min(k + 1, coarse_points - 1)]
     while hi - lo > tol:
         m1 = lo + (hi - lo) / 3
         m2 = hi - (hi - lo) / 3
-        if field_gap(m1) < field_gap(m2):
+        if gap_at(m1) < gap_at(m2):
             lo = m1
         else:
             hi = m2
     return float((lo + hi) / 2)
 
 
-def _logical_pair(which: str, x: float, h: float) -> np.ndarray:
-    kwargs = {"j12": 1.0, "j13": 1.0, "j23": 1.0, which: x}
-    eff = effective_h1(**kwargs, h=h)
-    return np.linalg.eigvalsh(eff.matrix) + eff.trace_offset
+def _logical_pairs(which: str, xs, h: float) -> np.ndarray:
+    """Exact logical levels at each coupling value, from one batched ``eigvalsh``."""
+    effs = [effective_h1(**{"j12": 1.0, "j13": 1.0, "j23": 1.0, which: x}, h=h) for x in xs]
+    offsets = np.array([eff.trace_offset for eff in effs])
+    return np.linalg.eigvalsh(np.stack([eff.matrix for eff in effs])) + offsets[:, None]
 
 
 def _bisect_zero(fn, lo: float, hi: float, tol: float) -> float:
@@ -193,7 +212,7 @@ def sweep_intra(which: str, j_min: float, j_max: float, n_points: int,
         raise ValueError(f"which must be one of {INTRA_COUPLINGS}")
     result, gap_at = _sweep(
         which, j_min, j_max, n_points, lambda x: single_lq_graph(**{which: x}, h=h),
-        lambda xs: np.stack([_logical_pair(which, x, h) for x in xs]), _gap_above)
+        lambda xs: _logical_pairs(which, xs, h), _gap_above)
     return result, _find_crossings(gap_at, result.grid, result.gap)
 
 
@@ -202,12 +221,13 @@ def sweep_inter(j_min: float, j_max: float, n_points: int,
     """Two-LQ spectrum against the inter-triple coupling, with the gap closing.
 
     The logical quartet energies are the lowest levels of the quartet's
-    invariant blocks, on the grid and at every bisection probe.
+    invariant blocks, from one tracker on the grid and at every bisection probe.
     """
     if j_min < 0:
         raise ValueError("j_min must be nonnegative")
+    tracker = _SectorTracker(h)
     result, gap_at = _sweep("j14", j_min, j_max, n_points, lambda x: two_lq_graph(j14=x, h=h),
-                            lambda xs: lambda_curve(xs, h=h), _gap_above)
+                            lambda xs: tracker.walk([(x, 0.0) for x in xs]), _gap_above)
     return result, _find_crossings(gap_at, result.grid, result.gap)
 
 

@@ -1,13 +1,20 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import trispin
 from trispin import cli
+
+from test_properties import PROPERTY_SETTINGS
 
 # Directory holding the trispin package this test process imported. The child
 # runs in a temporary directory, where a relative PYTHONPATH would not resolve.
@@ -253,6 +260,120 @@ class TestRejectedValues:
     def test_parse_angle_rejects_non_finite_values(self, token):
         with pytest.raises(cli.ConfigError, match="must be finite"):
             cli.parse_angle(token)
+
+
+class TestSweepBounds:
+    @pytest.mark.parametrize("command", [
+        ["sweep-field", "--max", "inf"],
+        ["sweep-field", "--min", "nan"],
+        ["sweep-intra", "--min=-inf"],
+        ["sweep-inter", "--max", "inf"],
+    ])
+    def test_bounds_must_be_finite(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*command, "--out", "s.csv"]) == 3
+        assert "sweep bounds must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_infinite_field_bound_prints_one_line(self, tmp_path):
+        res = run_cli(["sweep-field", "--max", "inf", "--out", "sf.csv"], tmp_path)
+        assert res.returncode == 3
+        assert res.stderr == "precondition violated: sweep bounds must be finite\n"
+        assert not (tmp_path / "sf.csv").exists()
+
+    def test_reversed_inter_bounds_fail_before_any_eigensolve(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("eigensolve before the bounds were checked")
+
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, no_solve)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["sweep-inter", "--min", "0.5", "--max", "0.1", "--out", "s.csv"]) == 3
+        assert "lower bound below its upper bound" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+
+def jsonable(obj):
+    """Oracle: the payload as plain Python values for ``json.dumps``."""
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    return obj
+
+
+def oracle_json(payload) -> str:
+    return json.dumps(jsonable({"schema": 1, **payload}), indent=2) + "\n"
+
+
+EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, -1e308, 0.1)
+floats = st.floats() | st.sampled_from(EDGE_FLOATS)
+text = st.text() | st.sampled_from(("", "é", "\u2028", '"quoted"', "back\\slash", "tab\t\n",
+                                    "\x00", "\U0001f600", "snowman \u2603"))
+shapes = st.sampled_from(((0,), (3,), (0, 3), (3, 0), (2, 3), (4, 1), (2, 2, 2)))
+
+
+@st.composite
+def arrays(draw):
+    shape = draw(shapes)
+    size = math.prod(shape)
+    kind = draw(st.sampled_from(("finite", "float", "int", "bool", "float32")))
+    if kind == "int":
+        values = draw(st.lists(st.integers(-2**62, 2**62), min_size=size, max_size=size))
+        return np.array(values, dtype=np.int64).reshape(shape)
+    if kind == "bool":
+        return np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)),
+                        dtype=bool).reshape(shape)
+    elements = st.floats(allow_nan=False, allow_infinity=False) if kind == "finite" else floats
+    values = draw(st.lists(elements, min_size=size, max_size=size))
+    dtype = np.float32 if kind == "float32" else np.float64
+    with np.errstate(over="ignore"):
+        return np.array(values, dtype=np.float64).astype(dtype).reshape(shape)
+
+
+numpy_scalars = (floats.map(np.float64) | st.integers(-2**31, 2**31 - 1).map(np.int64)
+                 | st.integers(-100, 100).map(np.int32)
+                 | st.floats(width=32).map(np.float32))
+leaves = (st.none() | st.booleans() | st.integers() | floats | text | numpy_scalars | arrays())
+keys = text | st.integers() | floats | st.booleans() | st.none()
+payloads = st.dictionaries(text, st.recursive(
+    leaves, lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                           | st.dictionaries(keys, inner, max_size=4)), max_leaves=12))
+
+
+class TestJsonArtifacts:
+    @settings(PROPERTY_SETTINGS, max_examples=100)
+    @given(payloads)
+    @example({"empty": [], "nothing": {}, "arr": np.zeros((0,)), "ints": np.arange(3),
+              "flags": [True, False, None], "nan": np.array([math.nan, 1.0])})
+    def test_text_equals_the_json_module(self, payload):
+        assert cli._json_text({"schema": 1, **payload}) + "\n" == oracle_json(payload)
+
+    @pytest.mark.parametrize("bad", [np.bool_(True), 1j, object(), np.array(0.5),
+                                     {np.int64(1): 2.0}, [1.0, {"x": np.array([1j])}]])
+    def test_what_json_rejects_is_rejected_before_writing(self, tmp_path, bad):
+        with pytest.raises(TypeError):
+            oracle_json({"value": bad})
+        with pytest.raises(TypeError):
+            cli.write_json(str(tmp_path / "a.json"), {"grid": np.arange(3.0), "value": bad})
+        assert not (tmp_path / "a.json").exists()
+
+    def test_sweep_artifact_bytes(self, tmp_path):
+        from trispin import spectra
+        result, crossings = spectra.sweep_inter(0.0, 0.85, 41)
+        payload = {"parameter": result.parameter_name, "grid": result.grid,
+                   "spectra": result.spectra, "gap": result.gap,
+                   "sz_labels": result.sz_labels, "logical": result.logical,
+                   "crossings": list(crossings.crossings)}
+        cli.write_json(str(tmp_path / "s.json"), payload)
+        assert (tmp_path / "s.json").read_text(encoding="utf-8") == oracle_json(payload)
 
 
 class TestNumericalFailureExit:

@@ -1,7 +1,7 @@
 """Property tests on random coupling graphs (derandomized, so reproducible)."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trispin.encoding import effective_h1, logical_basis, project_effective, two_lq_basis
@@ -47,11 +47,15 @@ chunk_edge_steps = st.sampled_from((1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUN
 
 @st.composite
 def edge_sets(draw, min_sites=2, max_sites=5):
+    """At least one edge, with the edge count drawn first; tests that need the
+    edgeless case name it in an ``@example`` (``EDGELESS``)."""
     n = draw(st.integers(min_sites, max_sites))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), min_size=0, max_size=len(pairs),
-                           unique=True))
-    return n, sorted(chosen)
+    count = draw(st.integers(1, len(pairs)))
+    return n, sorted(draw(st.permutations(pairs))[:count])
+
+
+EDGELESS = CouplingGraph(3, (), 0.4)
 
 
 @st.composite
@@ -211,6 +215,8 @@ def dense_propagator(schedule: PulseSchedule, n_steps: int) -> np.ndarray:
 
 @PROPERTY_SETTINGS
 @given(ramp_hold_schedules())
+@example((PulseSchedule((Segment(1.0, EDGELESS, EDGELESS, "smooth"),
+                         constant_segment(0.5, EDGELESS)), 3, idle=EDGELESS), 3))
 def test_blocked_propagation_equals_dense_midpoint_product(case):
     schedule, n_steps = case
     u = propagate(schedule, n_steps)
@@ -264,6 +270,7 @@ def test_propagator_commutes_with_total_sz(case):
 
 @PROPERTY_SETTINGS
 @given(graphs())
+@example(EDGELESS)
 def test_sector_spectrum_matches_dense_with_exact_labels(g):
     vals, labels = sector_spectrum(g)
     hmat = build_hamiltonian(g)
@@ -279,6 +286,7 @@ def test_sector_spectrum_matches_dense_with_exact_labels(g):
 
 @PROPERTY_SETTINGS
 @given(graph_batches())
+@example([EDGELESS, CouplingGraph(3, (), -0.7)])
 def test_batched_sector_spectra_equal_single_graph_rows(batch):
     vals, labels = sector_spectra(batch)
     assert vals.shape == labels.shape == (len(batch), 2**batch[0].n_sites)

@@ -1,12 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trispin import spectra
-from trispin.encoding import lambda_spectrum
-from trispin.hamiltonian import build_hamiltonian, sector_spectrum, single_lq_graph, two_lq_graph
+from trispin.encoding import _SectorTracker, lambda_spectrum
+from trispin.hamiltonian import (
+    SectorOperators,
+    build_hamiltonian,
+    sector_spectrum,
+    single_lq_graph,
+    sz_sectors,
+    two_lq_graph,
+)
 from trispin.spectra import (
     _find_crossings,
     _gap_above,
+    _gap_around,
+    _unmatched,
     adiabatic_leakage_curve,
     field_gap,
     optimal_field,
@@ -17,6 +28,25 @@ from trispin.spectra import (
 )
 
 from test_encoding import _overlap_walk
+from test_properties import PROPERTY_SETTINGS
+
+
+def remove_matched(values, targets):
+    """Oracle: the values left after removing the one nearest to each target in turn."""
+    pool = list(values)
+    for t in targets:
+        pool.pop(int(np.argmin(np.abs(np.asarray(pool) - t))))
+    return np.asarray(pool)
+
+
+def gap_above_rows(spectra, logical):
+    return np.array([float(np.min(remove_matched(vals, lv)) - np.max(lv))
+                     for vals, lv in zip(spectra, logical)])
+
+
+def gap_around_rows(spectra, logical):
+    return np.array([float(np.min(np.abs(remove_matched(vals, [lv[0]] * 2) - lv[0])))
+                     for vals, lv in zip(spectra, logical)])
 
 
 @pytest.fixture(scope="module")
@@ -136,8 +166,8 @@ class TestSweepInter:
         sweep, crossings = result
 
         def gap_walked_from_zero(x):
-            return _gap_above(sector_spectrum(two_lq_graph(j14=x))[0],
-                              _overlap_walk([(0.0, 0.0), (x, 0.0)])[-1])
+            return _gap_above(sector_spectrum(two_lq_graph(j14=x))[0][None],
+                              _overlap_walk([(0.0, 0.0), (x, 0.0)])[-1:])[0]
 
         expected = _find_crossings(gap_walked_from_zero, sweep.grid, sweep.gap)
         assert crossings.crossings == pytest.approx(expected.crossings, abs=1e-12)
@@ -225,29 +255,111 @@ class TestExactSzLabels:
 class TestBatchedSweeps:
     @pytest.mark.parametrize("run", [
         lambda: spectra.sweep_field(0.0, 1.5, 31),
-        lambda: spectra.sweep_intra("j12", 0.1, 1.9, 31),
-        lambda: spectra.sweep_inter(0.0, 0.85, 31),
+        lambda: spectra.sweep_intra("j12", 0.1, 1.9, 31)[0],
+        lambda: spectra.sweep_inter(0.0, 0.85, 31)[0],
     ])
     def test_one_sector_spectra_call_per_grid(self, monkeypatch, run):
-        calls = []
-        original = spectra.sector_spectra
+        # the whole 31-point grid is one batched eigvalsh per sector size
+        shapes = []
+        original = np.linalg.eigvalsh
 
-        def counted(graphs):
-            calls.append(len(graphs))
-            return original(graphs)
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
 
-        monkeypatch.setattr(spectra, "sector_spectra", counted)
-        run()
-        assert calls == [31]
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        n_sites = int(np.log2(run().spectra.shape[1]))
+        grid_solves = [s[-1] for s in shapes if len(s) == 4 and s[0] == 31]
+        assert sorted(grid_solves) == sorted({len(s.indices) for s in sz_sectors(n_sites)})
 
     def test_coarse_grid_of_optimal_field_is_the_field_sweep(self, monkeypatch):
         grids = []
-        original = spectra.sweep_field
+        original = spectra._field_sweep
 
         def recorded(*args):
             grids.append(args)
             return original(*args)
 
-        monkeypatch.setattr(spectra, "sweep_field", recorded)
+        monkeypatch.setattr(spectra, "_field_sweep", recorded)
         assert abs(spectra.optimal_field(0.0, 1.5) - 0.75) <= 1e-6
         assert grids == [(0.0, 1.5, 33)]
+        assert np.array_equal(original(0.0, 1.5, 33)[0].gap, spectra.sweep_field(0.0, 1.5, 33).gap)
+
+
+def _count_builds(monkeypatch):
+    """Record the ``ms`` of every SectorOperators, and count trackers, walks and solves."""
+    seen = {"ops": [], "trackers": 0, "walks": 0, "solves": 0}
+    init, tracker_init, walk, solve = (SectorOperators.__init__, _SectorTracker.__init__,
+                                       _SectorTracker.walk, SectorOperators.spectra)
+
+    def ops(self, n_sites, pairs, ms=None):
+        seen["ops"].append(ms)
+        init(self, n_sites, pairs, ms)
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            seen[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(SectorOperators, "__init__", ops)
+    monkeypatch.setattr(SectorOperators, "spectra", counted("solves", solve))
+    monkeypatch.setattr(_SectorTracker, "__init__", counted("trackers", tracker_init))
+    monkeypatch.setattr(_SectorTracker, "walk", counted("walks", walk))
+    return seen
+
+
+class TestOperatorsBuiltOncePerSweep:
+    @pytest.mark.parametrize("n_points", [31, 69])
+    def test_sweep_inter(self, monkeypatch, n_points):
+        seen = _count_builds(monkeypatch)
+        _, crossings = sweep_inter(0.0, 0.85, n_points)
+        assert len(crossings.crossings) == 1
+        # the register's operators once, plus the m = +1 sector inside the one tracker
+        assert sorted(seen["ops"], key=repr) == [(1.0,), None]
+        assert seen["trackers"] == 1
+        # the grid, then every bisection probe, on the same tracker and operators
+        assert seen["walks"] == seen["solves"] > 10
+
+    def test_optimal_field(self, monkeypatch):
+        probes = []
+        for tol in (1e-3, 1e-9):
+            seen = _count_builds(monkeypatch)
+            assert abs(optimal_field(0.0, 1.5, tol=tol) - 0.75) <= max(tol, 1e-6)
+            assert seen["ops"] == [None]
+            probes.append(seen["solves"])
+        assert probes[0] < probes[1]
+
+
+class TestBatchedGapsMatchTheRowOracle:
+    @pytest.mark.parametrize("run, batched, oracle", [
+        (lambda: sweep_field(0.0, 1.5, 151), _gap_around, gap_around_rows),
+        (lambda: sweep_intra("j23", 0.1, 1.9, 121)[0], _gap_above, gap_above_rows),
+        (lambda: sweep_inter(0.0, 0.85, 69)[0], _gap_above, gap_above_rows),
+    ])
+    def test_on_sweep_grids(self, run, batched, oracle):
+        # degenerate 8- and 64-level spectra, with the exact logical levels
+        result = run()
+        expected = oracle(result.spectra, result.logical)
+        assert np.array_equal(batched(result.spectra, result.logical), expected)
+        assert np.array_equal(result.gap, expected)
+
+    @PROPERTY_SETTINGS
+    @given(st.data(), st.integers(1, 5), st.integers(3, 9))
+    def test_on_rows_with_ties(self, data, n_rows, n_levels):
+        # levels on a coarse lattice and targets on a finer one, so that equal
+        # levels and targets halfway between two levels both occur
+        levels = st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0))
+        spectra = np.array(data.draw(st.lists(st.lists(levels, min_size=n_levels,
+                                                       max_size=n_levels),
+                                              min_size=n_rows, max_size=n_rows)))
+        n_targets = data.draw(st.integers(1, n_levels - 1))
+        targets = np.array(data.draw(st.lists(
+            st.lists(st.sampled_from((-0.75, -0.5, -0.25, 0.0, 0.25, 0.5)),
+                     min_size=n_targets, max_size=n_targets),
+            min_size=n_rows, max_size=n_rows)))
+        left = _unmatched(spectra, targets)
+        for row, keep, t in zip(spectra, left, targets):
+            assert np.array_equal(row[keep], remove_matched(row, t))
+        assert np.array_equal(_gap_above(spectra, targets), gap_above_rows(spectra, targets))
+        assert np.array_equal(_gap_around(spectra, targets), gap_around_rows(spectra, targets))
