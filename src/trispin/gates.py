@@ -152,6 +152,26 @@ class PulseSchedule:
             ],
         }
 
+    @classmethod
+    def from_dict(cls, data: dict, idle: CouplingGraph | None = None) -> "PulseSchedule":
+        """Inverse of ``to_dict``; ``total_duration`` is derived, so it is not read.
+
+        ``to_dict`` does not record the idle configuration.  It is the leading
+        ramp's start or the trailing ramp's end; a schedule that no ramp
+        anchors needs it as ``idle``.
+        """
+        def graph(d: dict) -> CouplingGraph:
+            return CouplingGraph(d["n_sites"], tuple(tuple(e) for e in d["edges"]), d["field_h"])
+
+        segments = tuple(Segment(s["duration"], graph(s["start"]), graph(s["end"]), s["ramp"])
+                         for s in data["segments"])
+        if idle is None and segments:
+            if segments[0].ramp != "constant":
+                idle = segments[0].start
+            elif segments[-1].ramp != "constant":
+                idle = segments[-1].end
+        return cls(segments, data["n_sites"], idle)
+
 
 def empty_schedule(n_sites: int = 3) -> PulseSchedule:
     return PulseSchedule((), n_sites)
@@ -165,19 +185,41 @@ def _time_ordered_product(steps: np.ndarray) -> np.ndarray:
     return steps[0]
 
 
+def _step_propagators(h: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i h dt) of every matrix of a stack of real symmetric ``h``.
+
+    1x1 and 2x2 stacks take closed forms, so no LAPACK call; larger blocks
+    take one batched ``eigh``.  A 2x2 block [[a, b], [b, c]] is m I + K with
+    m = (a + c) / 2 and K traceless, K^2 = w^2 I, w = hypot((a - c) / 2, b), so
+    its exponential is e^{-i m dt} (cos(w dt) I - i sin(w dt) / w K).
+    """
+    if h.shape[-1] == 1:
+        return np.exp(-1j * h * dt)
+    if h.shape[-1] == 2:
+        a, b, c = h[..., 0, 0], h[..., 0, 1], h[..., 1, 1]
+        half = (a - c) / 2
+        omega = np.hypot(half, b)
+        theta = omega * dt
+        # below 1e-8, sin(theta) / theta rounds to 1
+        turning = theta > 1e-8
+        sinc_dt = np.where(turning, np.sin(theta) / np.where(turning, omega, 1.0), dt)
+        cos, k = np.cos(theta), -1j * sinc_dt
+        rot = np.stack((np.stack((cos + k * half, k * b), -1),
+                        np.stack((k * b, cos - k * half), -1)), -2)
+        return np.exp(-1j * (a + c) / 2 * dt)[..., None, None] * rot
+    vals, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(-1j * vals * dt)[..., None, :]) @ vecs.swapaxes(-1, -2)
+
+
 def _evolve(blocks: list[np.ndarray], dt: float, u: list[np.ndarray]) -> list[np.ndarray]:
     """Apply the step propagators exp(-i H_k dt) of a chunk of steps to ``u`` in time order.
 
     ``blocks`` holds one stack per sector group with the steps on its leading
-    axis; every block size takes one batched ``eigh`` call for the chunk, and
-    the chunk's step propagators are multiplied pairwise, not one at a time.
+    axis; each stack's step propagators come from one ``_step_propagators``
+    call and are multiplied pairwise, not one at a time.
     """
-    out = []
-    for h, prev in zip(blocks, u):
-        vals, vecs = np.linalg.eigh(h)
-        steps = (vecs * np.exp(-1j * vals * dt)[..., None, :]) @ vecs.swapaxes(-1, -2)
-        out.append(_time_ordered_product(steps) @ prev)
-    return out
+    return [_time_ordered_product(_step_propagators(h, dt)) @ prev
+            for h, prev in zip(blocks, u)]
 
 
 def _evolve_sectors(schedule: PulseSchedule, n_steps_per_segment: int, ops: SectorOperators,
@@ -186,26 +228,45 @@ def _evolve_sectors(schedule: PulseSchedule, n_steps_per_segment: int, ops: Sect
 
     ``groups`` are the sector groups of ``ops``, or invariant blocks projected
     from one of its sectors; ``ops`` gives the edge weights of each segment.
+
+    A ramp that runs an earlier ramp of the schedule backwards (same kind and
+    duration, endpoints swapped; the step count is the same for every ramp)
+    gets that ramp's propagator transposed.  This is exact: every step
+    propagator exp(-i H dt) of a real symmetric H is symmetric, and every
+    profile has f(1 - s) = 1 - f(s), so the reversed ramp takes the same steps
+    in the opposite order, and the product of the reversed steps is the
+    transpose of the product.
     """
     field_h = schedule.segments[0].start.field_h
 
     def built(weights: np.ndarray) -> list[np.ndarray]:
         return [grp.hamiltonians(weights, field_h) for grp in groups]
 
-    u = [np.broadcast_to(np.eye(grp.terms.shape[-1], dtype=np.complex128),
-                         grp.terms.shape[1:]).copy() for grp in groups]
+    def identity() -> list[np.ndarray]:
+        return [np.broadcast_to(np.eye(grp.terms.shape[-1], dtype=np.complex128),
+                                grp.terms.shape[1:]).copy() for grp in groups]
+
+    u = identity()
+    ramps = {}
     for seg in schedule.segments:
         w0 = ops.weights(seg.start)
         if seg.ramp == "constant":
             u = _evolve(built(w0[None]), seg.duration, u)
             continue
-        profile = RAMP_PROFILES[seg.ramp]
-        w1 = ops.weights(seg.end)
-        dt = seg.duration / n_steps_per_segment
-        for k0 in range(0, n_steps_per_segment, _CHUNK):
-            k = np.arange(k0, min(k0 + _CHUNK, n_steps_per_segment))
-            f = profile((k + 0.5) / n_steps_per_segment)
-            u = _evolve(built(w0 + f[:, None] * (w1 - w0)), dt, u)
+        mirrored = ramps.get((seg.ramp, seg.duration, seg.end, seg.start))
+        if mirrored is not None:
+            ramp = [r.swapaxes(-1, -2) for r in mirrored]
+        else:
+            profile = RAMP_PROFILES[seg.ramp]
+            w1 = ops.weights(seg.end)
+            dt = seg.duration / n_steps_per_segment
+            ramp = identity()
+            for k0 in range(0, n_steps_per_segment, _CHUNK):
+                k = np.arange(k0, min(k0 + _CHUNK, n_steps_per_segment))
+                f = profile((k + 0.5) / n_steps_per_segment)
+                ramp = _evolve(built(w0 + f[:, None] * (w1 - w0)), dt, ramp)
+            ramps[seg.ramp, seg.duration, seg.start, seg.end] = ramp
+        u = [r @ prev for r, prev in zip(ramp, u)]
     return u
 
 
@@ -221,10 +282,12 @@ def propagate(schedule: PulseSchedule, n_steps_per_segment: int = 200) -> np.nda
     couplings, second-order accurate); constant segments evolve in one exact
     exponential independent of the step count.  Total S_z is conserved, so
     each sector block evolves on its own; this evolves every sector and
-    assembles the full unitary at the end.  The steps of a ramp are built and
-    diagonalized in chunks of ``_CHUNK``, one ``eigh`` call per block size and
-    chunk, and each chunk's step propagators are multiplied pairwise in about
-    log2(``_CHUNK``) batched matmuls.
+    assembles the full unitary at the end.  The steps of a ramp are built in
+    chunks of ``_CHUNK`` and exponentiated in closed form for 1x1 and 2x2
+    blocks, with one ``eigh`` call per larger block size and chunk; each
+    chunk's step propagators are multiplied pairwise in about log2(``_CHUNK``)
+    batched matmuls.  A ramp that runs an earlier one backwards reuses its
+    transposed propagator (see ``_evolve_sectors``).
     """
     if n_steps_per_segment < 1:
         raise ValueError("n_steps_per_segment must be at least 1")

@@ -28,6 +28,12 @@ MU_B_MICROEV_PER_TESLA = 57.88
 INTRA_COUPLINGS = ("j12", "j13", "j23")
 
 
+def _check_grid(grid) -> None:
+    g = np.asarray(grid, dtype=float)
+    if g.ndim != 1 or len(g) < 2 or np.any(np.diff(g) <= 0):
+        raise ValueError("grid must be strictly increasing with >= 2 points")
+
+
 @dataclass(frozen=True)
 class SweepResult:
     """Spectra tabulated over one swept parameter.
@@ -46,9 +52,7 @@ class SweepResult:
     logical: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        if g.ndim != 1 or len(g) < 2 or np.any(np.diff(g) <= 0):
-            raise ValueError("grid must be strictly increasing with >= 2 points")
+        _check_grid(self.grid)
 
 
 @dataclass(frozen=True)
@@ -110,6 +114,8 @@ def _sweep(name: str, lo: float, hi: float, n_points: int, graph_at, logical_at,
     if not lo < hi:
         raise ValueError("sweep needs its lower bound below its upper bound")
     grid = np.linspace(lo, hi, n_points)
+    # bounds closer than n_points steps of a double repeat grid values
+    _check_grid(grid)
     graphs = [graph_at(x) for x in grid]
     ops = SectorOperators(graphs[0].n_sites, [(i, j) for (i, j, _) in graphs[0].edges])
     spectra, sz = ops.spectra(graphs)

@@ -6,6 +6,7 @@ from trispin.encoding import _SectorTracker, effective_h1, logical_basis, two_lq
 from trispin.gates import (
     _CHUNK,
     CALIBRATION_TOL,
+    RAMP_PROFILES,
     PulseSchedule,
     Segment,
     axis120_gate,
@@ -27,7 +28,13 @@ from trispin.gates import (
     two_lq_report,
     zxz_angles,
 )
-from trispin.hamiltonian import CouplingGraph, build_hamiltonian, single_lq_graph, two_lq_graph
+from trispin.hamiltonian import (
+    CouplingGraph,
+    build_hamiltonian,
+    single_lq_graph,
+    total_spin,
+    two_lq_graph,
+)
 from trispin.linalg import max_abs
 
 from test_hamiltonian import expm, kron_hamiltonian
@@ -75,6 +82,25 @@ class TestPropagate:
     def test_empty_schedule_is_identity(self):
         assert np.array_equal(propagate(empty_schedule(3)), np.eye(8))
 
+    @pytest.mark.parametrize("shape", ["linear", "smooth"])
+    @pytest.mark.parametrize("n_steps", [600, 2000])
+    def test_commuting_ramps_equal_the_exact_exponential(self, shape, n_steps):
+        # On two sites J S1.S2 - h S_z commute for all J, so the midpoint product
+        # is exp(-i sum_k H_k dt); both profiles have midpoint mean 1/2, so the
+        # exchange integral is ramp (J0 + J1) + hold J1.  The triplet levels are
+        # J/4 - h m and the singlet is -3J/4.
+        j0, j1, h, ramp, hold = 1.0, 0.3, 0.75, 20.0, 10.0
+        idle, peak = CouplingGraph(2, ((0, 1, j0),), h), CouplingGraph(2, ((0, 1, j1),), h)
+        sched = PulseSchedule((Segment(ramp, idle, peak, shape), constant_segment(hold, peak),
+                               Segment(ramp, peak, idle, shape)), 2, idle=idle)
+        exchange, total = ramp * (j0 + j1) + hold * j1, 2 * ramp + hold
+        m = np.diag(total_spin(2, "z")).real
+        assert list(m) == [1, 0, 0, -1]
+        singlet = np.outer([0, 1, -1, 0], [0, 1, -1, 0]) / 2
+        exact = np.diag(np.exp(-1j * (exchange / 4 - h * m * total)))
+        exact += (np.exp(3j * exchange / 4) - np.exp(-1j * exchange / 4)) * singlet
+        assert max_abs(propagate(sched, n_steps) - exact) <= 1e-13
+
     def test_midpoint_second_order_convergence(self):
         idle = two_lq_graph(h=0.75)
         peak = idle.with_couplings({(0, 3): 0.5})
@@ -83,6 +109,16 @@ class TestPropagate:
         e1 = propagation_error_estimate(sched, 20)
         e2 = propagation_error_estimate(sched, 40)
         assert 2.0 < e1 / e2 < 8.0  # ratio ~4 within a factor of 2
+
+
+@pytest.mark.parametrize("name", sorted(RAMP_PROFILES))
+@pytest.mark.parametrize("n_steps", [1, 2, 7, _CHUNK, 2000])
+def test_ramp_profiles_are_point_symmetric(name, n_steps):
+    # f(1 - s) = 1 - f(s) at the midpoints makes a reversed ramp the up-ramp's
+    # steps in reverse order, which the propagation reuses as a transpose
+    profile = RAMP_PROFILES[name]
+    s = (np.arange(n_steps) + 0.5) / n_steps
+    assert max_abs(profile(s[::-1]) - (1 - profile(s))) <= 1e-15
 
 
 # step counts below one chunk, just before, at and just after a chunk edge,
@@ -108,9 +144,12 @@ class TestBatchedPropagation:
         monkeypatch.setattr(np.linalg, "eigh", counted)
         propagate(schedule, n_steps)
         chunks = -(-n_steps // _CHUNK)
-        # block sizes 1, 6, 15 and 20; two ramps and one hold
-        for size in (1, 6, 15, 20):
-            assert calls.count(size) <= 2 * chunks + 1
+        # block sizes 1, 6, 15 and 20: the 1x1 blocks take a closed form, the
+        # others one call per chunk of the up-ramp and one for the hold; the
+        # down-ramp is the up-ramp's transpose
+        assert calls.count(1) == 0
+        for size in (6, 15, 20):
+            assert calls.count(size) == chunks + 1
 
     @pytest.mark.parametrize("n_steps", [1, 2, 3, 5, 16, 255, 256, 257])
     def test_pairwise_product_keeps_time_order_exactly(self, n_steps):
@@ -140,19 +179,55 @@ class TestSectorScoring:
 
     @pytest.mark.parametrize("n_steps", CHUNK_EDGE_STEPS)
     def test_two_lq_report_diagonalizes_only_the_quartet_sector(self, monkeypatch, n_steps):
-        shapes = []
-        original = np.linalg.eigh
+        stacks, eigh_shapes = [], []
+        step_propagators, eigh = gates._step_propagators, np.linalg.eigh
 
-        def counted(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return original(a, *args, **kwargs)
+        def counted_steps(h, dt):
+            stacks.append(h.shape)
+            return step_propagators(h, dt)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        def counted_eigh(a, *args, **kwargs):
+            eigh_shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(gates, "_step_propagators", counted_steps)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         two_lq_report(self._ramp_hold_ramp(), cphase_gate(np.pi), n_steps)
-        # the quartet's invariant blocks of the m = +1 sector, dimensions 1, 2, 2, 3
-        assert {shape[-2:] for shape in shapes} == {(1, 1), (2, 2), (3, 3)}
-        # one matrix per block for each ramp step and for the hold
-        assert sum(int(np.prod(shape[:-2])) for shape in shapes) == 4 * (2 * n_steps + 1)
+        # the quartet's invariant blocks of the m = +1 sector, dimensions 1, 2, 2, 3,
+        # one stack each per chunk and per hold
+        sizes = [shape[-1] for shape in stacks]
+        assert sorted(sizes[:4]) == [1, 2, 2, 3]
+        assert sizes == sizes[:4] * (len(sizes) // 4)
+        # one matrix per block for each step of the up-ramp and for the hold;
+        # the down-ramp is the up-ramp's transpose
+        assert sum(int(np.prod(shape[:-2])) for shape in stacks) == 4 * (n_steps + 1)
+        # only the 3x3 block needs LAPACK
+        assert {shape[-2:] for shape in eigh_shapes} == {(3, 3)}
+
+    @pytest.mark.parametrize("n_steps", [1, 40, _CHUNK + 1])
+    def test_mirrored_ramp_equals_the_ramp_evaluated_anew(self, monkeypatch, n_steps):
+        schedule = self._ramp_hold_ramp()
+        up, hold, down = schedule.segments
+        # one ulp longer, so it runs no earlier ramp backwards and is stepped anew
+        anew = PulseSchedule((up, hold, Segment(np.nextafter(down.duration, np.inf),
+                                                down.start, down.end, down.ramp)), 6,
+                             idle=schedule.idle)
+        matrices = []
+        step_propagators = gates._step_propagators
+
+        def counted(h, dt):
+            matrices.append(int(np.prod(h.shape[:-2])))
+            return step_propagators(h, dt)
+
+        monkeypatch.setattr(gates, "_step_propagators", counted)
+        reports = []
+        for sched, stepped in ((schedule, n_steps + 1), (anew, 2 * n_steps + 1)):
+            matrices.clear()
+            reports.append(two_lq_report(sched, cphase_gate(np.pi), n_steps))
+            assert sum(matrices) == 4 * stepped
+        mirrored, stepped = reports
+        assert max_abs(mirrored.logical_unitary - stepped.logical_unitary) <= 1e-13
+        assert abs(mirrored.max_leakage - stepped.max_leakage) <= 1e-13
 
     def test_basis_spanning_two_sectors_is_rejected(self, monkeypatch):
         mixed = two_lq_basis()
@@ -223,6 +298,13 @@ class TestScheduleValidation:
         with pytest.raises(ValueError, match="edge set"):
             PulseSchedule((constant_segment(1.0, idle), constant_segment(1.0, path)),
                           3, idle=idle)
+
+    def test_from_dict_takes_the_idle_of_holds_from_the_caller(self):
+        # no ramp anchors the idle configuration, and to_dict does not record it
+        sched = synthesize_rz(1.3, 0.2)
+        with pytest.raises(ValueError, match="needs its idle configuration"):
+            PulseSchedule.from_dict(sched.to_dict())
+        assert PulseSchedule.from_dict(sched.to_dict(), idle=sched.idle) == sched
 
 
 class TestRampSteps:

@@ -1,5 +1,7 @@
 """Property tests on random coupling graphs (derandomized, so reproducible)."""
 
+import json
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from trispin.encoding import effective_h1, logical_basis, project_effective, two_lq_basis
 from trispin.gates import (
     _CHUNK,
+    _step_propagators,
     RAMP_PROFILES,
     PulseSchedule,
     Segment,
@@ -224,19 +227,15 @@ def test_blocked_propagation_equals_dense_midpoint_product(case):
 
 
 def stepwise_propagator(schedule: PulseSchedule, n_steps: int) -> np.ndarray:
-    """Sector blocks evolved one midpoint step at a time, one ``eigh`` per block size and step."""
+    """Sector blocks evolved one midpoint step at a time with ``gates``' own step propagators."""
     first = schedule.segments[0].start
     ops = SectorOperators(first.n_sites, [(i, j) for (i, j, _) in first.edges])
     u = [np.broadcast_to(np.eye(grp.indices.shape[1], dtype=np.complex128),
                          grp.terms.shape[1:]).copy() for grp in ops.groups]
 
     def step(weights, dt, u):
-        out = []
-        for h, prev in zip(ops.blocks(weights, first.field_h), u):
-            vals, vecs = np.linalg.eigh(h)
-            out.append((vecs * np.exp(-1j * vals * dt)[..., None, :])
-                       @ vecs.swapaxes(-1, -2) @ prev)
-        return out
+        return [_step_propagators(h, dt) @ prev
+                for h, prev in zip(ops.blocks(weights, first.field_h), u)]
 
     for seg in schedule.segments:
         w0 = ops.weights(seg.start)
@@ -257,6 +256,43 @@ def test_chunked_propagation_matches_stepwise_product(case, n_steps):
     # to rounding, not bit for bit: at most 5.5e-15 over these examples, 3.7e-14 over 200
     schedule, _ = case
     assert max_abs(propagate(schedule, n_steps) - stepwise_propagator(schedule, n_steps)) <= 1e-13
+
+
+entries = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
+
+
+@st.composite
+def small_symmetric_stacks(draw):
+    """Stacks of real symmetric 1x1 or 2x2 matrices, zero entries and a = c included."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        a, b = draw(entries), draw(entries)
+        c = draw(st.one_of(st.just(a), entries))
+        rows.append([[a, b], [b, c]])
+    stack = np.array(rows)
+    return stack[:, :1, :1] if draw(st.booleans()) else stack
+
+
+@PROPERTY_SETTINGS
+@given(small_symmetric_stacks(), st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 2000.0)))
+@example(np.zeros((1, 2, 2)), 2000.0)
+@example(np.array([[[0.5, 0.0], [0.0, 0.5]], [[1.0, 0.0], [0.0, -3.0]]]), 2000.0)
+@example(np.array([[[2.0, 1e-9], [1e-9, 2.0]], [[-1.0, 7.0], [7.0, -1.0]]]), 1.3)
+def test_closed_form_steps_match_eigh(stack, dt):
+    vals, vecs = np.linalg.eigh(stack)
+    oracle = (vecs * np.exp(-1j * vals * dt)[..., None, :]) @ vecs.swapaxes(-1, -2)
+    err = np.abs(_step_propagators(stack, dt) - oracle).max(axis=(-2, -1))
+    assert np.all(err <= 4e-15 * (1 + np.abs(vals).max(axis=-1) * dt))
+
+
+@PROPERTY_SETTINGS
+@given(ramp_hold_schedules())
+@example((PulseSchedule((), 4), 1))
+def test_schedule_dict_round_trip(case):
+    schedule, _ = case
+    data = schedule.to_dict()
+    assert PulseSchedule.from_dict(data) == schedule
+    assert PulseSchedule.from_dict(json.loads(json.dumps(data))) == schedule
 
 
 @PROPERTY_SETTINGS
