@@ -283,21 +283,30 @@ class TestSweepBounds:
         assert res.stderr == "precondition violated: sweep bounds must be finite\n"
         assert not (tmp_path / "sf.csv").exists()
 
-    @pytest.mark.parametrize("hi, message", [
-        ("0.1", "lower bound below its upper bound"),
-        # the next double above 0.5: the grid repeats values
-        ("0.5000000000000001", "grid must be strictly increasing"),
-    ])
-    def test_bad_inter_bounds_fail_before_any_eigensolve(self, tmp_path, capsys, monkeypatch,
-                                                         hi, message):
+    @staticmethod
+    def forbid_eigensolves(monkeypatch):
         def no_solve(*args, **kwargs):
             raise AssertionError("eigensolve before the bounds were checked")
 
         for name in ("eigh", "eigvalsh", "eig", "eigvals"):
             monkeypatch.setattr(np.linalg, name, no_solve)
+
+    def test_reversed_inter_bounds_fail_before_any_eigensolve(self, tmp_path, capsys,
+                                                              monkeypatch):
+        self.forbid_eigensolves(monkeypatch)
         monkeypatch.chdir(tmp_path)
-        assert cli.main(["sweep-inter", "--min", "0.5", "--max", hi, "--out", "s.csv"]) == 3
-        assert message in capsys.readouterr().err
+        assert cli.main(["sweep-inter", "--min", "0.5", "--max", "0.1", "--out", "s.csv"]) == 3
+        assert "lower bound below its upper bound" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_repeating_inter_grid_fails_before_any_eigensolve(self, tmp_path, capsys,
+                                                              monkeypatch):
+        self.forbid_eigensolves(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        # the next double above 0.5: the grid repeats values
+        assert cli.main(["sweep-inter", "--min", "0.5", "--max", "0.5000000000000001",
+                         "--out", "s.csv"]) == 3
+        assert "grid must be strictly increasing" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
 
