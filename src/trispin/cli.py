@@ -31,6 +31,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 EXIT_NUMERICAL = 4
+# Largest register ``spectrum`` accepts: the exchange blocks of one edge hold
+# C(2n, n) doubles (1.5 MB at n = 10, 4.8 GB at n = 16), and the S_z sectors
+# are sorted state by state in Python.
+MAX_SPECTRUM_SITES = 10
 
 _ANGLE_RE = re.compile(r"^([+-]?)(\d+(?:\.\d*)?)?\s*pi\s*(?:/\s*(\d+(?:\.\d*)?))?$")
 
@@ -104,7 +108,8 @@ class Param:
     kind: str                  # float | int | str | angle | choice
     default: Any = None
     help: str = ""
-    choices: tuple[str, ...] = ()
+    # the table that owns the names; a dict offers its keys
+    choices: tuple[str, ...] | dict[str, Any] = ()
     aliases: tuple[str, ...] = ()
 
     def parse(self, raw: Any):
@@ -160,7 +165,7 @@ COMMANDS: dict[str, dict] = {
         "help": "spectrum vs one intra-triple coupling, with level crossings",
         "format": "csv",
         "params": (
-            Param("which", "choice", "j23", "coupling to vary", ("j12", "j13", "j23")),
+            Param("which", "choice", "j23", "coupling to vary", spectra.INTRA_COUPLINGS),
             Param("min", "float", 0.1), Param("max", "float", 1.9),
             Param("points", "int", 301), Param("h", "float", 0.75),
             Param("workers", "int", 1, "accepted for compatibility and ignored"),
@@ -198,16 +203,14 @@ COMMANDS: dict[str, dict] = {
                   ("rz", "rx", "axis120", "su2", "cphase")),
             Param("theta", "angle", "pi/2", "rotation angle"),
             Param("delta", "float", 0.25, "coupling excursion magnitude"),
-            Param("which", "choice", "j12", "axis120 coupling", ("j12", "j13")),
+            Param("which", "choice", "j12", "axis120 coupling", gates.AXIS120),
             Param("euler", "str", None, "su2 target as z,x,z angle tokens"),
             Param("phi", "angle", "pi", "conditional phase"),
             Param("j14", "float", 0.5, "peak inter-triple coupling"),
             Param("ramp-time", "float", 20.0),
             Param("cal-steps", "int", 160, "calibration quadrature nodes per ramp"),
-            Param("mode", "choice", "simultaneous", "z cancellation mode",
-                  ("simultaneous", "sequential")),
-            Param("ramp-shape", "choice", "smooth", "pulse ramp profile",
-                  ("smooth", "linear")),
+            Param("mode", "choice", "simultaneous", "z cancellation mode", gates.CPHASE_MODES),
+            Param("ramp-shape", "choice", "smooth", "pulse ramp profile", gates.RAMP_PROFILES),
             Param("steps-per-unit", "float", 100.0, "propagation steps per 1/J of ramp"),
             Param("h", "float", 0.75),
         ),
@@ -219,8 +222,7 @@ COMMANDS: dict[str, dict] = {
             Param("phi", "angle", "pi"), Param("j14", "float", 0.5),
             Param("ramp-times", "str", "5,10,20,40"),
             Param("cal-steps", "int", 160),
-            Param("ramp-shape", "choice", "smooth", "pulse ramp profile",
-                  ("smooth", "linear")),
+            Param("ramp-shape", "choice", "smooth", "pulse ramp profile", gates.RAMP_PROFILES),
             Param("steps-per-unit", "float", 100.0, "propagation steps per 1/J of ramp"),
             Param("h", "float", 0.75),
         ),
@@ -441,6 +443,8 @@ def _sweep_artifact(cfg: RunConfig, result: spectra.SweepResult,
 
 def _run_spectrum(cfg: RunConfig) -> str:
     p = cfg.params
+    if p["n_sites"] > MAX_SPECTRUM_SITES:
+        raise ConfigError(f"--n-sites {p['n_sites']}: at most {MAX_SPECTRUM_SITES} sites")
     if p["edges"] is not None:
         parsed = parse_edges(p["edges"], p["n_sites"])
         graph = CouplingGraph(parsed.n_sites, parsed.edges, p["h"])

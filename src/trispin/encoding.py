@@ -207,7 +207,7 @@ class _SectorTracker:
 
     def __init__(self, h: float = 0.75):
         graph = two_lq_graph(h=h)
-        ops = SectorOperators(6, [(i, j) for (i, j, _) in graph.edges], ms=(1.0,))
+        ops = SectorOperators(6, graph.pairs, ms=(1.0,))
         (grp,) = ops.groups
         terms = grp.terms[:, 0]
         idle = grp.hamiltonians(ops.weights(graph), h)[0]

@@ -26,7 +26,7 @@ from .hamiltonian import (
     sz_sectors,
     two_lq_graph,
 )
-from .linalg import check_unitary, max_abs
+from .linalg import check_unitary
 
 COUPLING_WINDOW = (0.25, 1.75)
 CALIBRATION_TOL = 1e-10
@@ -46,19 +46,21 @@ _SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 
+# Progress profiles f(s) of a ramp, the one list of ramp kinds; every profile
+# must satisfy f(1 - s) = 1 - f(s) (see ``_evolve_sectors``).
 RAMP_PROFILES = {
-    "linear": lambda s: s,
     "smooth": lambda s: (1 - np.cos(np.pi * s)) / 2,  # C1 shoulders, no corner kicks
+    "linear": lambda s: s,
 }
+CPHASE_MODES = ("simultaneous", "sequential")
 
 
 @dataclass(frozen=True)
 class Segment:
     """One piece of a pulse: hold a configuration or ramp to another.
 
-    Ramp kinds: ``constant`` (hold), ``linear``, or ``smooth`` (raised-cosine
-    progress, which removes the slope discontinuities that make the residual
-    leakage of linear ramps oscillate with duration).
+    Ramp kinds: ``constant`` (hold) or a key of ``RAMP_PROFILES``, the
+    progress profile of a ramp.
     """
 
     duration: float
@@ -69,15 +71,13 @@ class Segment:
     def __post_init__(self):
         if not (np.isfinite(self.duration) and self.duration > 0):
             raise ValueError("segment duration must be positive and finite")
-        if self.ramp not in ("constant", "linear", "smooth"):
+        if self.ramp != "constant" and self.ramp not in RAMP_PROFILES:
             raise ValueError(f"unknown ramp kind {self.ramp!r}")
         if self.ramp == "constant" and self.start != self.end:
             raise ValueError("constant segment must have equal endpoint graphs")
         if self.start.n_sites != self.end.n_sites or self.start.field_h != self.end.field_h:
             raise ValueError("segment endpoints must share sites and field")
-        pa = [(i, j) for (i, j, _) in self.start.edges]
-        pb = [(i, j) for (i, j, _) in self.end.edges]
-        if pa != pb:
+        if self.start.pairs != self.end.pairs:
             raise ValueError("segment endpoints must share the edge set")
 
 
@@ -110,20 +110,17 @@ class PulseSchedule:
         if any(j not in (0.0, 1.0) for (_, _, j) in idle.edges):
             raise ValueError("idle couplings must be 1 (intra) or 0 (inter)")
         first = segs[0].start
-        pairs = [(i, j) for (i, j, _) in first.edges]
         for seg in segs:
             if seg.start.n_sites != self.n_sites:
                 raise ValueError("segment dimension does not match schedule")
-            if (seg.start.field_h != first.field_h
-                    or [(i, j) for (i, j, _) in seg.start.edges] != pairs):
+            if seg.start.field_h != first.field_h or seg.start.pairs != first.pairs:
                 raise ValueError("segments must share the field and the edge set")
-        ramped = ("linear", "smooth")
         for a, b in zip(segs[:-1], segs[1:]):
-            if a.ramp in ramped and b.ramp in ramped and a.end != b.start:
+            if a.ramp != "constant" and b.ramp != "constant" and a.end != b.start:
                 raise ValueError("ramped segments must join continuously")
-        if segs[0].ramp in ramped and segs[0].start != idle:
+        if segs[0].ramp != "constant" and segs[0].start != idle:
             raise ValueError("leading ramp must start from idle")
-        if segs[-1].ramp in ramped and segs[-1].end != idle:
+        if segs[-1].ramp != "constant" and segs[-1].end != idle:
             raise ValueError("trailing ramp must end at idle")
 
     @property
@@ -150,27 +147,22 @@ class PulseSchedule:
                  "start": graph(s.start), "end": graph(s.end)}
                 for s in self.segments
             ],
+            "idle": None if self.idle is None else graph(self.idle),
         }
 
     @classmethod
-    def from_dict(cls, data: dict, idle: CouplingGraph | None = None) -> "PulseSchedule":
+    def from_dict(cls, data: dict) -> "PulseSchedule":
         """Inverse of ``to_dict``; ``total_duration`` is derived, so it is not read.
 
-        ``to_dict`` does not record the idle configuration.  It is the leading
-        ramp's start or the trailing ramp's end; a schedule that no ramp
-        anchors needs it as ``idle``.
+        A non-empty schedule without its ``idle`` entry is rejected.
         """
         def graph(d: dict) -> CouplingGraph:
             return CouplingGraph(d["n_sites"], tuple(tuple(e) for e in d["edges"]), d["field_h"])
 
         segments = tuple(Segment(s["duration"], graph(s["start"]), graph(s["end"]), s["ramp"])
                          for s in data["segments"])
-        if idle is None and segments:
-            if segments[0].ramp != "constant":
-                idle = segments[0].start
-            elif segments[-1].ramp != "constant":
-                idle = segments[-1].end
-        return cls(segments, data["n_sites"], idle)
+        idle = data.get("idle")
+        return cls(segments, data["n_sites"], None if idle is None else graph(idle))
 
 
 def empty_schedule(n_sites: int = 3) -> PulseSchedule:
@@ -270,11 +262,6 @@ def _evolve_sectors(schedule: PulseSchedule, n_steps_per_segment: int, ops: Sect
     return u
 
 
-def _schedule_operators(schedule: PulseSchedule) -> SectorOperators:
-    first = schedule.segments[0].start
-    return SectorOperators(first.n_sites, [(i, j) for (i, j, _) in first.edges])
-
-
 def propagate(schedule: PulseSchedule, n_steps_per_segment: int = 200) -> np.ndarray:
     """Time-ordered propagator of a schedule on the full Hilbert space.
 
@@ -293,7 +280,8 @@ def propagate(schedule: PulseSchedule, n_steps_per_segment: int = 200) -> np.nda
         raise ValueError("n_steps_per_segment must be at least 1")
     if not schedule.segments:
         return np.eye(2**schedule.n_sites, dtype=np.complex128)
-    ops = _schedule_operators(schedule)
+    first = schedule.segments[0].start
+    ops = SectorOperators(first.n_sites, first.pairs)
     u = _evolve_sectors(schedule, n_steps_per_segment, ops, ops.groups)
     return check_unitary(ops.embed(u))
 
@@ -311,12 +299,6 @@ def ramp_steps(schedule: PulseSchedule, steps_per_unit_time: float) -> int:
     longest = max((s.duration for s in schedule.segments if s.ramp != "constant"),
                   default=1.0)
     return max(1, int(np.ceil(longest * steps_per_unit_time)))
-
-
-def propagation_error_estimate(schedule: PulseSchedule, n_steps_per_segment: int) -> float:
-    """Richardson-style step error |U_2n - U_n|_max."""
-    return max_abs(propagate(schedule, 2 * n_steps_per_segment)
-                   - propagate(schedule, n_steps_per_segment))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +374,7 @@ def synthesize_axis120(theta: float, delta: float, which: str = "j12",
     the -z direction.  Hold time |theta/delta|.
     """
     if which not in AXIS120:
-        raise ValueError("which must be 'j12' or 'j13'")
+        raise ValueError(f"which must be one of {tuple(AXIS120)}")
     return _hold_rotation(theta, delta, {which: 1}, 1.0, h)
 
 
@@ -493,9 +475,9 @@ def synthesize_cphase(phi: float, j14_peak: float, ramp_time: float,
     j14_peak : peak inter-triple coupling, inside the gapped window (0, 0.75).
     ramp_time : duration of each ramp, in 1/J.
     n_calibration_steps : quadrature nodes per ramp for the phase integrals.
-    mode : 'simultaneous' or 'sequential' z-phase cancellation.
+    mode : z-phase cancellation, one of ``CPHASE_MODES``.
     max_duration : reject gates longer than this (phase unreachable).
-    ramp_shape : 'smooth' or 'linear'.
+    ramp_shape : ramp profile, a key of ``RAMP_PROFILES``.
     """
     if not np.isfinite(phi):
         raise ValueError("phi must be finite")
@@ -505,10 +487,10 @@ def synthesize_cphase(phi: float, j14_peak: float, ramp_time: float,
         raise ValueError("ramp_time must be positive and finite")
     if n_calibration_steps < 1:
         raise ValueError("n_calibration_steps must be at least 1")
-    if mode not in ("simultaneous", "sequential"):
-        raise ValueError("mode must be 'simultaneous' or 'sequential'")
+    if mode not in CPHASE_MODES:
+        raise ValueError(f"mode must be one of {CPHASE_MODES}")
     if ramp_shape not in RAMP_PROFILES:
-        raise ValueError("ramp_shape must be 'linear' or 'smooth'")
+        raise ValueError(f"ramp_shape must be one of {tuple(RAMP_PROFILES)}")
     idle = two_lq_graph(h=h)
     target_cc = float(np.mod(-phi, 2 * np.pi))
     if target_cc == 0.0:
@@ -653,10 +635,11 @@ def _sector_report(schedule: PulseSchedule, target: np.ndarray, cols: np.ndarray
     cols = cols[np.asarray(sector.indices)]
     if not schedule.segments:
         return gate_report(np.eye(len(cols), dtype=np.complex128), target, cols)
-    ops = _schedule_operators(schedule)
+    first = schedule.segments[0].start
+    ops = SectorOperators(first.n_sites, first.pairs)
     grp, s = next((grp, s) for grp in ops.groups for s, m in enumerate(grp.m) if m == sector.m)
     ends = [ops.weights(g) for seg in schedule.segments for g in (seg.start, seg.end)]
-    generators = grp.hamiltonians(ends, schedule.segments[0].start.field_h)[:, s]
+    generators = grp.hamiltonians(ends, first.field_h)[:, s]
     blocks = [basis for _, basis in invariant_blocks(generators, cols.real)]
     groups = [SectorGroup(grp.m[s:s + 1], None, (basis.T @ grp.terms[:, s] @ basis)[:, None])
               for basis in blocks]

@@ -57,6 +57,11 @@ class CouplingGraph:
     def dim(self) -> int:
         return 2**self.n_sites
 
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """(i, j) of each edge, in edge order."""
+        return tuple((i, j) for (i, j, _) in self.edges)
+
     def coupling(self, i: int, j: int) -> float:
         i, j = min(i, j), max(i, j)
         for (a, b, jij) in self.edges:
@@ -67,8 +72,7 @@ class CouplingGraph:
     def with_couplings(self, updates: dict[tuple[int, int], float]) -> "CouplingGraph":
         """Copy with selected edge strengths replaced (edges must exist)."""
         updates = {(min(i, j), max(i, j)): float(v) for (i, j), v in updates.items()}
-        existing = {(i, j) for (i, j, _) in self.edges}
-        missing = set(updates) - existing
+        missing = set(updates) - set(self.pairs)
         if missing:
             raise ValueError(f"unknown edges {sorted(missing)}")
         new_edges = tuple(
@@ -132,7 +136,7 @@ def total_spin(n_sites: int, axis: str) -> np.ndarray:
 
 def build_hamiltonian(g: CouplingGraph) -> np.ndarray:
     """H = sum_ij J_ij S_i . S_j  -  h sum_i S_z^i, assembled from its S_z sector blocks."""
-    ops = SectorOperators(g.n_sites, [(i, j) for (i, j, _) in g.edges])
+    ops = SectorOperators(g.n_sites, g.pairs)
     return ops.embed(ops.blocks(ops.weights(g), g.field_h)).astype(np.complex128)
 
 
@@ -219,8 +223,10 @@ class SectorOperators:
         return out
 
     def weights(self, g: CouplingGraph) -> np.ndarray:
-        """Couplings of ``g`` in the order of ``pairs``."""
-        return np.array([g.coupling(i, j) for (i, j) in self.pairs])
+        """Couplings of ``g``, a graph on this site count and edge set (in order)."""
+        if g.n_sites != self.n_sites or g.pairs != self.pairs:
+            raise ValueError("need graphs sharing one site count and one edge set")
+        return np.array([jij for (_, _, jij) in g.edges])
 
     def blocks(self, weights: np.ndarray, field_h) -> list[np.ndarray]:
         """Hamiltonian blocks, one stack per group (see ``SectorGroup.hamiltonians``)."""
@@ -234,10 +240,7 @@ class SectorOperators:
         carries its sector's magnetization, also inside degeneracies across
         sectors.
         """
-        if any(g.n_sites != self.n_sites or tuple((i, j) for (i, j, _) in g.edges) != self.pairs
-               for g in graphs):
-            raise ValueError("need graphs sharing one site count and one edge set")
-        weights = np.array([[jij for (_, _, jij) in g.edges] for g in graphs])
+        weights = np.array([self.weights(g) for g in graphs])
         fields = np.array([g.field_h for g in graphs])
         vals, labels = [], []
         for grp, stack in zip(self.groups, self.blocks(weights, fields)):
@@ -304,7 +307,7 @@ def sector_spectra(graphs: list[CouplingGraph]) -> tuple[np.ndarray, np.ndarray]
     if not graphs:
         raise ValueError("need graphs sharing one site count and one edge set")
     first = graphs[0]
-    return SectorOperators(first.n_sites, [(i, j) for (i, j, _) in first.edges]).spectra(graphs)
+    return SectorOperators(first.n_sites, first.pairs).spectra(graphs)
 
 
 def sector_spectrum(g: CouplingGraph) -> tuple[np.ndarray, np.ndarray]:

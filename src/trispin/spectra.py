@@ -117,7 +117,7 @@ def _sweep(name: str, lo: float, hi: float, n_points: int, graph_at, logical_at,
     # bounds closer than n_points steps of a double repeat grid values
     _check_grid(grid)
     graphs = [graph_at(x) for x in grid]
-    ops = SectorOperators(graphs[0].n_sites, [(i, j) for (i, j, _) in graphs[0].edges])
+    ops = SectorOperators(graphs[0].n_sites, graphs[0].pairs)
     spectra, sz = ops.spectra(graphs)
     logical = logical_at(grid)
 

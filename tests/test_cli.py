@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trispin
-from trispin import cli
+from trispin import cli, gates, hamiltonian
 
 from test_properties import PROPERTY_SETTINGS
 
@@ -103,6 +103,26 @@ class TestSpectrumCommand:
         assert "--edges" in res.stderr
         assert not (tmp_path / "s.json").exists()
 
+    def test_oversized_register_is_rejected_before_any_operator(self, tmp_path, capsys,
+                                                                monkeypatch):
+        def no_operators(*args, **kwargs):
+            raise AssertionError("operators built for an oversized register")
+
+        monkeypatch.setattr(hamiltonian.SectorOperators, "__init__", no_operators)
+        monkeypatch.setattr(hamiltonian, "sz_sectors", no_operators)
+        monkeypatch.setattr(cli, "sz_sectors", no_operators)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["spectrum", "--n-sites", "11", "--edges", "0-1:1",
+                         "--out", "s.json"]) == cli.EXIT_CONFIG
+        assert "--n-sites 11: at most 10 sites" in capsys.readouterr().err
+        assert not (tmp_path / "s.json").exists()
+
+    def test_largest_register_runs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["spectrum", "--n-sites", "10", "--edges", "0-1:1",
+                         "--out", "s.json"]) == cli.EXIT_OK
+        assert len(json.loads((tmp_path / "s.json").read_text())["energies"]) == 2**10
+
 
 class TestVerifyCommand:
     def test_report(self, tmp_path):
@@ -131,6 +151,17 @@ class TestGateCommand:
         assert data["fidelity"] >= 1 - 1e-9
         assert data["max_leakage"] <= 1e-10
         assert data["schedule"]["segments"][0]["ramp"] == "constant"
+
+    def test_artifact_schedule_rebuilds_the_synthesized_one(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cases = [(["--type", "rz", "--theta", "pi/2", "--delta", "0.5"],
+                  gates.synthesize_rz(np.pi / 2, 0.5)),
+                 (["--type", "cphase", "--phi", "pi", "--j14", "0.5", "--ramp-time", "20"],
+                  gates.synthesize_cphase(np.pi, 0.5, 20.0))]
+        for args, synthesized in cases:
+            assert cli.main(["gate", *args, "--out", "g.json"]) == cli.EXIT_OK
+            data = json.loads((tmp_path / "g.json").read_text())["schedule"]
+            assert gates.PulseSchedule.from_dict(data) == synthesized
 
     def test_cphase_precondition_exit_code(self, tmp_path):
         res = run_cli(["gate", "--type", "cphase", "--phi", "pi",

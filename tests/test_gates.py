@@ -16,7 +16,6 @@ from trispin.gates import (
     empty_schedule,
     gate_report,
     propagate,
-    propagation_error_estimate,
     ramp_steps,
     rx_gate,
     rz_gate,
@@ -106,8 +105,8 @@ class TestPropagate:
         peak = idle.with_couplings({(0, 3): 0.5})
         sched = PulseSchedule((Segment(3.0, idle, peak, "linear"),
                                Segment(3.0, peak, idle, "linear")), 6, idle=idle)
-        e1 = propagation_error_estimate(sched, 20)
-        e2 = propagation_error_estimate(sched, 40)
+        u20, u40, u80 = (propagate(sched, n) for n in (20, 40, 80))
+        e1, e2 = max_abs(u40 - u20), max_abs(u80 - u40)
         assert 2.0 < e1 / e2 < 8.0  # ratio ~4 within a factor of 2
 
 
@@ -299,12 +298,46 @@ class TestScheduleValidation:
             PulseSchedule((constant_segment(1.0, idle), constant_segment(1.0, path)),
                           3, idle=idle)
 
-    def test_from_dict_takes_the_idle_of_holds_from_the_caller(self):
-        # no ramp anchors the idle configuration, and to_dict does not record it
+    def test_from_dict_reads_the_idle_of_holds(self):
+        # no ramp anchors the idle configuration, so only the "idle" entry gives it
         sched = synthesize_rz(1.3, 0.2)
+        data = sched.to_dict()
+        assert data["idle"]["edges"] == [[0, 1, 1.0], [0, 2, 1.0], [1, 2, 1.0]]
+        assert PulseSchedule.from_dict(data) == sched
+        del data["idle"]
         with pytest.raises(ValueError, match="needs its idle configuration"):
-            PulseSchedule.from_dict(sched.to_dict())
-        assert PulseSchedule.from_dict(sched.to_dict(), idle=sched.idle) == sched
+            PulseSchedule.from_dict(data)
+        assert empty_schedule().to_dict()["idle"] is None
+
+
+class TestRampRegistry:
+    """A new entry of ``RAMP_PROFILES`` reaches every check and the CLI."""
+
+    @pytest.fixture(autouse=True)
+    def cubic(self, monkeypatch):
+        # smoothstep, point-symmetric like every profile
+        monkeypatch.setitem(RAMP_PROFILES, "cubic", lambda s: s * s * (3 - 2 * s))
+
+    def test_segment_accepts_the_new_kind(self):
+        idle = two_lq_graph()
+        assert Segment(1.0, idle, idle.with_couplings({(0, 3): 0.5}), "cubic").ramp == "cubic"
+
+    def test_schedule_applies_the_ramp_rules(self):
+        idle = two_lq_graph()
+        peak = idle.with_couplings({(0, 3): 0.5})
+        with pytest.raises(ValueError, match="start from idle"):
+            PulseSchedule((Segment(1.0, peak, idle, "cubic"),), 6, idle=idle)
+
+    def test_cphase_with_the_new_kind(self):
+        sched = synthesize_cphase(np.pi, 0.5, 20.0, ramp_shape="cubic")
+        assert {seg.ramp for seg in sched.segments} == {"cubic", "constant"}
+        rep = two_lq_report(sched, cphase_gate(np.pi), ramp_steps(sched, 100.0))
+        assert rep.fidelity >= 0.999
+
+    def test_cli_offers_the_new_kind(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["gate", "--type", "cphase", "--ramp-shape", "cubic",
+                         "--out", "g.json"]) == cli.EXIT_OK
 
 
 class TestRampSteps:

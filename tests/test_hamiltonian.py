@@ -241,6 +241,17 @@ class TestSectorOperators:
         assert ops.groups[0].m.tolist() == [1.0]
         assert ops.groups[0].indices.shape == (1, 15)
 
+    @pytest.mark.parametrize("g", [
+        CouplingGraph(3, ((0, 1, 1.0), (1, 2, 1.0))),
+        CouplingGraph(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0))),
+        CouplingGraph(4, ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0))),
+    ])
+    def test_weights_reject_another_edge_set(self, g):
+        # a missing pair would otherwise read as a zero coupling
+        ops = SectorOperators(3, single_lq_graph().pairs)
+        with pytest.raises(ValueError, match="edge set"):
+            ops.weights(g)
+
 
 class TestSectorSpectra:
     def test_batch_of_fields_and_couplings(self):
