@@ -1,8 +1,8 @@
 """Command-line front end: sweeps, gates, verification, and unit conversion.
 
-Every command writes a CSV or JSON artifact and prints a one-line summary to
-stdout.  Outputs are byte-reproducible: no wall clock, no randomness, fixed
-17-significant-digit float formatting.  Exit codes: 0 ok, 2 configuration
+Every command writes one artifact, in a format its ``COMMANDS`` entry lists,
+and prints a one-line summary to stdout.  Outputs are byte-reproducible: no
+wall clock, no randomness, fixed 17-significant-digit float formatting.  Exit codes: 0 ok, 2 configuration
 error, 3 precondition violation, 4 numerical failure.
 
 Flags override config-file values.  The config file is line-oriented
@@ -19,7 +19,7 @@ import re
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -141,103 +141,6 @@ COMMON = (
     Param("config", "str", None, "optional config file"),
 )
 
-COMMANDS: dict[str, dict] = {
-    "spectrum": {
-        "help": "eigenvalues of one coupling graph (default: idle triangle)",
-        "format": "json",
-        "params": (
-            Param("j12", "float", 1.0), Param("j13", "float", 1.0),
-            Param("j23", "float", 1.0), Param("h", "float", 0.75),
-            Param("n-sites", "int", 3, "register size; other than 3 only with --edges"),
-            Param("edges", "str", None, "general graph as i-j:J,i-j:J"),
-        ),
-    },
-    "sweep-field": {
-        "help": "idle spectrum and gap vs Zeeman field",
-        "format": "csv",
-        "params": (
-            Param("min", "float", 0.0), Param("max", "float", 1.5),
-            Param("points", "int", 301),
-            Param("workers", "int", 1, "accepted for compatibility and ignored"),
-        ),
-    },
-    "sweep-intra": {
-        "help": "spectrum vs one intra-triple coupling, with level crossings",
-        "format": "csv",
-        "params": (
-            Param("which", "choice", "j23", "coupling to vary", spectra.INTRA_COUPLINGS),
-            Param("min", "float", 0.1), Param("max", "float", 1.9),
-            Param("points", "int", 301), Param("h", "float", 0.75),
-            Param("workers", "int", 1, "accepted for compatibility and ignored"),
-        ),
-    },
-    "sweep-inter": {
-        "help": "two-LQ spectrum vs the inter-triple coupling",
-        "format": "csv",
-        "params": (
-            Param("min", "float", 0.0), Param("max", "float", 0.85),
-            Param("points", "int", 301), Param("h", "float", 0.75),
-        ),
-    },
-    "lambdas": {
-        "help": "tracked logical quartet eigenvalues vs the inter-triple coupling",
-        "format": "csv",
-        "params": (
-            Param("min", "float", 0.0), Param("max", "float", 0.7),
-            Param("points", "int", 71), Param("h", "float", 0.75),
-        ),
-    },
-    "verify-eq7": {
-        "help": "residuals of the reference eigenvalue polynomials",
-        "format": "json",
-        "params": (
-            Param("grid", "str", "0:0.7:71", "j14 grid as start:stop:npts"),
-            Param("h", "float", 0.75),
-        ),
-    },
-    "gate": {
-        "help": "synthesize a gate schedule, propagate it, and score it",
-        "format": "json",
-        "params": (
-            Param("type", "choice", "rz", "gate kind",
-                  ("rz", "rx", "axis120", "su2", "cphase")),
-            Param("theta", "angle", "pi/2", "rotation angle"),
-            Param("delta", "float", 0.25, "coupling excursion magnitude"),
-            Param("which", "choice", "j12", "axis120 coupling", gates.AXIS120),
-            Param("euler", "str", None, "su2 target as z,x,z angle tokens"),
-            Param("phi", "angle", "pi", "conditional phase"),
-            Param("j14", "float", 0.5, "peak inter-triple coupling"),
-            Param("ramp-time", "float", 20.0),
-            Param("cal-steps", "int", 160, "calibration quadrature nodes per ramp"),
-            Param("mode", "choice", "simultaneous", "z cancellation mode", gates.CPHASE_MODES),
-            Param("ramp-shape", "choice", "smooth", "pulse ramp profile", gates.RAMP_PROFILES),
-            Param("steps-per-unit", "float", 100.0, "propagation steps per 1/J of ramp"),
-            Param("h", "float", 0.75),
-        ),
-    },
-    "adiabatic": {
-        "help": "conditional-phase leakage and fidelity vs ramp duration",
-        "format": "csv",
-        "params": (
-            Param("phi", "angle", "pi"), Param("j14", "float", 0.5),
-            Param("ramp-times", "str", "5,10,20,40"),
-            Param("cal-steps", "int", 160),
-            Param("ramp-shape", "choice", "smooth", "pulse ramp profile", gates.RAMP_PROFILES),
-            Param("steps-per-unit", "float", 100.0, "propagation steps per 1/J of ramp"),
-            Param("h", "float", 0.75),
-        ),
-    },
-    "units": {
-        "help": "magnetic field and gap in laboratory units",
-        "format": "json",
-        "params": (
-            Param("j", "float", 7.0, "exchange scale in microeV", aliases=("J",)),
-            Param("g", "float", 0.44, "g-factor magnitude"),
-            Param("h", "float", 0.75),
-        ),
-    },
-}
-
 
 @dataclass
 class RunConfig:
@@ -277,13 +180,6 @@ def read_config_file(path: str) -> dict[str, dict[str, str]]:
     return sections
 
 
-def _registry(command: str) -> dict[str, Param]:
-    table = {}
-    for p in COMMANDS[command]["params"] + COMMON:
-        table[p.name.replace("-", "_")] = p
-    return table
-
-
 def parse_config(argv: list[str]) -> RunConfig:
     """Flags plus optional config file, flags winning; unknown keys rejected."""
     parser = argparse.ArgumentParser(
@@ -299,7 +195,7 @@ def parse_config(argv: list[str]) -> RunConfig:
                            default=None, help=param.help, metavar=param.kind.upper())
     ns = parser.parse_args(argv)
     command = ns.command
-    registry = _registry(command)
+    registry = {p.name.replace("-", "_"): p for p in COMMANDS[command]["params"] + COMMON}
 
     merged: dict[str, Any] = {key: p.parse(p.default) for key, p in registry.items()}
     config_path = getattr(ns, "config", None)
@@ -315,7 +211,10 @@ def parse_config(argv: list[str]) -> RunConfig:
         if raw is not None:
             merged[key] = param.parse(raw)
 
-    fmt = merged.pop("format") or COMMANDS[command]["format"]
+    formats = COMMANDS[command]["formats"]
+    fmt = merged.pop("format") or formats[0]
+    if fmt not in formats:
+        raise ConfigError(f"--format: {command} writes {', '.join(formats)}, got {fmt!r}")
     out = merged.pop("out") or f"{command}.{fmt}"
     merged.pop("config", None)
     return RunConfig(command, merged, out, fmt)
@@ -329,19 +228,22 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
+def write_csv(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
     def cell(v) -> str:
         if isinstance(v, (float, np.floating)):
             return fmt_float(v)
         return str(v)
 
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(cell(v) for v in row) + "\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from None
+    lines = [",".join(header)] + [",".join(map(cell, row)) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _json_float(x: float) -> str:
@@ -408,41 +310,35 @@ def _json_text(obj, pad: str = "") -> str:
 
 def write_json(path: str, payload: dict) -> None:
     """Write ``{"schema": 1, **payload}`` as indented JSON, encoded before the file opens."""
-    text = _json_text({"schema": 1, **payload}) + "\n"
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from None
+    _write_text(path, _json_text({"schema": 1, **payload}) + "\n")
 
 
-def _sweep_artifact(cfg: RunConfig, result: spectra.SweepResult,
-                    extra: dict | None = None) -> None:
-    if cfg.fmt == "csv":
-        dim = result.spectra.shape[1]
-        header = [result.parameter_name] + [f"e{k + 1}" for k in range(dim)] + ["gap"]
-        rows = [[x, *vals, g] for x, vals, g in
-                zip(result.grid, result.spectra, result.gap)]
-        write_csv(cfg.output_path, header, rows)
-        return
-    payload = {
+def _sweep_artifacts(result: spectra.SweepResult, extra: dict) -> dict:
+    dim = result.spectra.shape[1]
+    header = [result.parameter_name] + [f"e{k + 1}" for k in range(dim)] + ["gap"]
+    rows = ([x, *vals, g] for x, vals, g in zip(result.grid, result.spectra, result.gap))
+    return {"csv": (header, rows), "json": {
         "parameter": result.parameter_name,
         "grid": result.grid,
         "spectra": result.spectra,
         "gap": result.gap,
         "sz_labels": result.sz_labels,
         "logical": result.logical,
-    }
-    payload.update(extra or {})
-    write_json(cfg.output_path, payload)
+        **extra,
+    }}
+
+
+def _linspace(lo: float, hi: float, n: int) -> np.ndarray:
+    with np.errstate(all="ignore"):  # lambda_curve rejects a non-finite grid
+        return np.linspace(lo, hi, n)
 
 
 # ---------------------------------------------------------------------------
-# Command implementations
+# Command implementations: parameters -> ({format: artifact}, summary), with a
+# CSV artifact as (header, rows) and a JSON one as its payload
 # ---------------------------------------------------------------------------
 
-def _run_spectrum(cfg: RunConfig) -> str:
-    p = cfg.params
+def _run_spectrum(p: dict) -> tuple[dict, str]:
     if p["n_sites"] > MAX_SPECTRUM_SITES:
         raise ConfigError(f"--n-sites {p['n_sites']}: at most {MAX_SPECTRUM_SITES} sites")
     if p["edges"] is not None:
@@ -456,77 +352,68 @@ def _run_spectrum(cfg: RunConfig) -> str:
     vals, sz = sector_spectrum(graph)
     degeneracy = int(np.sum(np.abs(vals - vals[0]) <= 1e-9))
     gap = float(vals[degeneracy] - vals[0]) if degeneracy < len(vals) else 0.0
-    if cfg.fmt == "csv":
-        write_csv(cfg.output_path, ["level", "energy", "sz"],
-                  [[k, v, s] for k, (v, s) in enumerate(zip(vals, sz))])
-    else:
-        write_json(cfg.output_path, {
+    artifacts = {
+        "csv": (["level", "energy", "sz"],
+                ([k, v, s] for k, (v, s) in enumerate(zip(vals, sz)))),
+        "json": {
             "edges": [[i, j, jij] for (i, j, jij) in graph.edges],
             "field_h": graph.field_h,
             "energies": vals, "sz": sz,
             "ground_degeneracy": degeneracy, "gap": gap,
             "sector_sizes": {str(s.m): len(s.indices)
                              for s in sz_sectors(graph.n_sites)},
-        })
-    return (f"ground energy {fmt_float(vals[0])} (degeneracy {degeneracy}), "
-            f"gap {fmt_float(gap)}")
+        },
+    }
+    return artifacts, (f"ground energy {fmt_float(vals[0])} (degeneracy {degeneracy}), "
+                       f"gap {fmt_float(gap)}")
 
 
-def _run_sweep_field(cfg: RunConfig) -> str:
-    p = cfg.params
+def _run_sweep_field(p: dict) -> tuple[dict, str]:
     result = spectra.sweep_field(p["min"], p["max"], p["points"])
     h_star = spectra.optimal_field(p["min"], p["max"])
-    _sweep_artifact(cfg, result, {"h_star": h_star})
-    return f"gap maximized at h* = {fmt_float(h_star)}"
+    return (_sweep_artifacts(result, {"h_star": h_star}),
+            f"gap maximized at h* = {fmt_float(h_star)}")
 
 
-def _run_sweep_intra(cfg: RunConfig) -> str:
-    p = cfg.params
+def _run_sweep_intra(p: dict) -> tuple[dict, str]:
     result, crossings = spectra.sweep_intra(p["which"], p["min"], p["max"],
                                             p["points"], h=p["h"])
-    _sweep_artifact(cfg, result, {"crossings": list(crossings.crossings)})
     pts = ", ".join(fmt_float(c) for c in crossings.crossings) or "none"
-    return f"level crossings of {p['which']} at: {pts}"
+    return (_sweep_artifacts(result, {"crossings": list(crossings.crossings)}),
+            f"level crossings of {p['which']} at: {pts}")
 
 
-def _run_sweep_inter(cfg: RunConfig) -> str:
-    p = cfg.params
+def _run_sweep_inter(p: dict) -> tuple[dict, str]:
     result, crossings = spectra.sweep_inter(p["min"], p["max"], p["points"], h=p["h"])
-    _sweep_artifact(cfg, result, {"crossings": list(crossings.crossings)})
     pts = ", ".join(fmt_float(c) for c in crossings.crossings) or "none in range"
-    return f"logical gap closes at j14 = {pts}"
+    return (_sweep_artifacts(result, {"crossings": list(crossings.crossings)}),
+            f"logical gap closes at j14 = {pts}")
 
 
-def _run_lambdas(cfg: RunConfig) -> str:
-    p = cfg.params
+def _run_lambdas(p: dict) -> tuple[dict, str]:
     if p["points"] < 1:
         raise ConfigError(f"--points: need at least one point, got {p['points']}")
-    grid = np.linspace(p["min"], p["max"], p["points"])
+    grid = _linspace(p["min"], p["max"], p["points"])
     rows = encoding.lambda_curve(grid, h=p["h"])
     table = [[x, r[0], (r[1] + r[2]) / 2, r[3], r[0] + r[3] - r[1] - r[2]]
              for x, r in zip(grid, rows)]
-    if cfg.fmt == "csv":
-        write_csv(cfg.output_path,
-                  ["j14", "lambda00", "lambda01", "lambda11", "entangling"], table)
-    else:
-        write_json(cfg.output_path, {
+    artifacts = {
+        "csv": (["j14", "lambda00", "lambda01", "lambda11", "entangling"], table),
+        "json": {
             "grid": grid,
             "lambda00": [r[1] for r in table],
             "lambda01": [r[2] for r in table],
             "lambda11": [r[3] for r in table],
             "entangling": [r[4] for r in table],
-        })
+        },
+    }
     last = table[-1]
-    return (f"at j14 = {fmt_float(last[0])}: lambda00 = {fmt_float(last[1])}, "
-            f"lambda01 = {fmt_float(last[2])}, lambda11 = {fmt_float(last[3])}")
+    return artifacts, (f"at j14 = {fmt_float(last[0])}: lambda00 = {fmt_float(last[1])}, "
+                       f"lambda01 = {fmt_float(last[2])}, lambda11 = {fmt_float(last[3])}")
 
 
-def _run_verify(cfg: RunConfig) -> str:
-    p = cfg.params
-    lo, hi, n = parse_grid(p["grid"])
-    if lo < 0 or hi < lo:
-        raise ValueError("grid must be nonnegative and ascending")
-    report = encoding.verify_lambda_polynomials(np.linspace(lo, hi, n), h=p["h"])
+def _run_verify(p: dict) -> tuple[dict, str]:
+    report = encoding.verify_lambda_polynomials(_linspace(*parse_grid(p["grid"])), h=p["h"])
     summary = {
         "max_cubic_residual_on_11": max(r["cubic_residual_on_11"] for r in report),
         "min_cubic_residual_on_01": min(r["cubic_residual_on_01"] for r in report),
@@ -536,8 +423,8 @@ def _run_verify(cfg: RunConfig) -> str:
         "min_line_residual": min(r["line_residual"] for r in report),
         "quadratic_real_anywhere": any(r["quadratic_has_real_roots"] for r in report),
     }
-    write_json(cfg.output_path, {"points": report, **summary})
-    return (f"cubic residual on the 1/36-slope branch <= "
+    return ({"json": {"points": report, **summary}},
+            f"cubic residual on the 1/36-slope branch <= "
             f"{fmt_float(summary['max_cubic_residual_on_11'])}; reference linear "
             f"relation off by >= {fmt_float(summary['min_line_residual'])}")
 
@@ -552,39 +439,44 @@ def _parse_ramp_times(token: str) -> list[float]:
     return times
 
 
-def _run_gate(cfg: RunConfig) -> str:
-    p = cfg.params
+def _su2(p: dict):
+    if not p["euler"]:
+        raise ConfigError("--euler is required for su2 gates")
+    toks = [t for t in p["euler"].split(",") if t.strip()]
+    if len(toks) != 3:
+        raise ConfigError("--euler: expected three angle tokens z,x,z")
+    a, b, c = (parse_angle(t) for t in toks)
+    target = gates.rz_gate(a) @ gates.rx_gate(b) @ gates.rz_gate(c)
+    return gates.decompose_su2(target, h=p["h"]), target
+
+
+# gate kind -> (parameters -> (schedule, target), scorer).  The entries look
+# the synthesis functions up on the gates module when they run, so a wrapper
+# bound there (as perfbench/traced_cli.py binds its spans) is what runs.
+GATES: dict[str, tuple[Callable[[dict], tuple], Callable]] = {
+    "rz": (lambda p: (gates.synthesize_rz(p["theta"], p["delta"], h=p["h"]),
+                      gates.rz_gate(p["theta"])), gates.single_lq_report),
+    "rx": (lambda p: (gates.synthesize_rx(p["theta"], p["delta"], h=p["h"]),
+                      gates.rx_gate(p["theta"])), gates.single_lq_report),
+    "axis120": (lambda p: (gates.synthesize_axis120(p["theta"], p["delta"],
+                                                    which=p["which"], h=p["h"]),
+                           gates.axis120_gate(p["theta"], p["which"])),
+                gates.single_lq_report),
+    "su2": (_su2, gates.single_lq_report),
+    "cphase": (lambda p: (gates.synthesize_cphase(
+                   p["phi"], p["j14"], p["ramp_time"],
+                   n_calibration_steps=p["cal_steps"], h=p["h"], mode=p["mode"],
+                   ramp_shape=p["ramp_shape"]),
+               gates.cphase_gate(p["phi"])), gates.two_lq_report),
+}
+
+
+def _run_gate(p: dict) -> tuple[dict, str]:
     kind = p["type"]
-    if kind == "cphase":
-        schedule = gates.synthesize_cphase(
-            p["phi"], p["j14"], p["ramp_time"],
-            n_calibration_steps=p["cal_steps"], h=p["h"], mode=p["mode"],
-            ramp_shape=p["ramp_shape"])
-        target = gates.cphase_gate(p["phi"])
-        score = gates.two_lq_report
-    else:
-        if kind == "rz":
-            schedule = gates.synthesize_rz(p["theta"], p["delta"], h=p["h"])
-            target = gates.rz_gate(p["theta"])
-        elif kind == "rx":
-            schedule = gates.synthesize_rx(p["theta"], p["delta"], h=p["h"])
-            target = gates.rx_gate(p["theta"])
-        elif kind == "axis120":
-            schedule = gates.synthesize_axis120(p["theta"], p["delta"],
-                                                which=p["which"], h=p["h"])
-            target = gates.axis120_gate(p["theta"], p["which"])
-        else:
-            if not p["euler"]:
-                raise ConfigError("--euler is required for su2 gates")
-            toks = [t for t in p["euler"].split(",") if t.strip()]
-            if len(toks) != 3:
-                raise ConfigError("--euler: expected three angle tokens z,x,z")
-            a, b, c = (parse_angle(t) for t in toks)
-            target = gates.rz_gate(a) @ gates.rx_gate(b) @ gates.rz_gate(c)
-            schedule = gates.decompose_su2(target, h=p["h"])
-        score = gates.single_lq_report
+    build, score = GATES[kind]
+    schedule, target = build(p)
     report = score(schedule, target, gates.ramp_steps(schedule, p["steps_per_unit"]))
-    write_json(cfg.output_path, {
+    payload = {
         "type": kind,
         "fidelity": report.fidelity,
         "max_leakage": report.max_leakage,
@@ -593,57 +485,154 @@ def _run_gate(cfg: RunConfig) -> str:
         "logical_unitary_re": np.real(report.logical_unitary),
         "logical_unitary_im": np.imag(report.logical_unitary),
         "schedule": schedule.to_dict(),
-    })
-    return (f"{kind}: fidelity {fmt_float(report.fidelity)}, "
-            f"max leakage {fmt_float(report.max_leakage)}")
+    }
+    return {"json": payload}, (f"{kind}: fidelity {fmt_float(report.fidelity)}, "
+                               f"max leakage {fmt_float(report.max_leakage)}")
 
 
-def _run_adiabatic(cfg: RunConfig) -> str:
-    p = cfg.params
+def _run_adiabatic(p: dict) -> tuple[dict, str]:
     times = _parse_ramp_times(p["ramp_times"])
     rows = spectra.adiabatic_leakage_curve(
         p["phi"], p["j14"], times, n_calibration_steps=p["cal_steps"],
         steps_per_unit_time=p["steps_per_unit"], h=p["h"],
         ramp_shape=p["ramp_shape"])
-    table = [[r.ramp_time, r.max_leakage, r.fidelity] for r in rows]
-    if cfg.fmt == "csv":
-        write_csv(cfg.output_path, ["ramp_time", "max_leakage", "fidelity"], table)
-    else:
-        write_json(cfg.output_path, {"rows": [
+    artifacts = {
+        "csv": (["ramp_time", "max_leakage", "fidelity"],
+                ([r.ramp_time, r.max_leakage, r.fidelity] for r in rows)),
+        "json": {"rows": [
             {"ramp_time": r.ramp_time, "max_leakage": r.max_leakage,
              "fidelity": r.fidelity, "conditional_phase": r.conditional_phase}
-            for r in rows]})
+            for r in rows]},
+    }
     last = rows[-1]
-    return (f"ramp {fmt_float(last.ramp_time)}: leakage "
-            f"{fmt_float(last.max_leakage)}, fidelity {fmt_float(last.fidelity)}")
+    return artifacts, (f"ramp {fmt_float(last.ramp_time)}: leakage "
+                       f"{fmt_float(last.max_leakage)}, fidelity {fmt_float(last.fidelity)}")
 
 
-def _run_units(cfg: RunConfig) -> str:
-    p = cfg.params
+def _run_units(p: dict) -> tuple[dict, str]:
     units = spectra.to_physical(p["j"], p["g"], p["h"])
-    write_json(cfg.output_path, {
+    payload = {
         "j_microev": units.j_microev, "g_factor": units.g_factor,
         "h": p["h"], "b_tesla": units.b_tesla, "gap_microev": units.gap_microev,
-    })
-    return (f"B = {fmt_float(units.b_tesla)} T, "
-            f"gap = {fmt_float(units.gap_microev)} microeV")
+    }
+    return {"json": payload}, (f"B = {fmt_float(units.b_tesla)} T, "
+                               f"gap = {fmt_float(units.gap_microev)} microeV")
 
 
-_RUNNERS: dict[str, Callable[[RunConfig], str]] = {
-    "spectrum": _run_spectrum,
-    "sweep-field": _run_sweep_field,
-    "sweep-intra": _run_sweep_intra,
-    "sweep-inter": _run_sweep_inter,
-    "lambdas": _run_lambdas,
-    "verify-eq7": _run_verify,
-    "gate": _run_gate,
-    "adiabatic": _run_adiabatic,
-    "units": _run_units,
+# command -> help, runner, the formats it writes (the first is the default)
+# and its parameters
+COMMANDS: dict[str, dict] = {
+    "spectrum": {
+        "help": "eigenvalues of one coupling graph (default: idle triangle)",
+        "run": _run_spectrum,
+        "formats": ("json", "csv"),
+        "params": (
+            Param("j12", "float", 1.0), Param("j13", "float", 1.0),
+            Param("j23", "float", 1.0), Param("h", "float", 0.75),
+            Param("n-sites", "int", 3, "register size; other than 3 only with --edges"),
+            Param("edges", "str", None, "general graph as i-j:J,i-j:J"),
+        ),
+    },
+    "sweep-field": {
+        "help": "idle spectrum and gap vs Zeeman field",
+        "run": _run_sweep_field,
+        "formats": ("csv", "json"),
+        "params": (
+            Param("min", "float", 0.0), Param("max", "float", 1.5),
+            Param("points", "int", 301),
+            Param("workers", "int", 1, "accepted for compatibility and ignored"),
+        ),
+    },
+    "sweep-intra": {
+        "help": "spectrum vs one intra-triple coupling, with level crossings",
+        "run": _run_sweep_intra,
+        "formats": ("csv", "json"),
+        "params": (
+            Param("which", "choice", "j23", "coupling to vary", spectra.INTRA_COUPLINGS),
+            Param("min", "float", 0.1), Param("max", "float", 1.9),
+            Param("points", "int", 301), Param("h", "float", 0.75),
+            Param("workers", "int", 1, "accepted for compatibility and ignored"),
+        ),
+    },
+    "sweep-inter": {
+        "help": "two-LQ spectrum vs the inter-triple coupling",
+        "run": _run_sweep_inter,
+        "formats": ("csv", "json"),
+        "params": (
+            Param("min", "float", 0.0), Param("max", "float", 0.85),
+            Param("points", "int", 301), Param("h", "float", 0.75),
+        ),
+    },
+    "lambdas": {
+        "help": "tracked logical quartet eigenvalues vs the inter-triple coupling",
+        "run": _run_lambdas,
+        "formats": ("csv", "json"),
+        "params": (
+            Param("min", "float", 0.0), Param("max", "float", 0.7),
+            Param("points", "int", 71), Param("h", "float", 0.75),
+        ),
+    },
+    "verify-eq7": {
+        "help": "residuals of the reference eigenvalue polynomials",
+        "run": _run_verify,
+        "formats": ("json",),
+        "params": (
+            Param("grid", "str", "0:0.7:71", "j14 grid as start:stop:npts"),
+            Param("h", "float", 0.75),
+        ),
+    },
+    "gate": {
+        "help": "synthesize a gate schedule, propagate it, and score it",
+        "run": _run_gate,
+        "formats": ("json",),
+        "params": (
+            Param("type", "choice", "rz", "gate kind", GATES),
+            Param("theta", "angle", "pi/2", "rotation angle"),
+            Param("delta", "float", 0.25, "coupling excursion magnitude"),
+            Param("which", "choice", "j12", "axis120 coupling", gates.AXIS120),
+            Param("euler", "str", None, "su2 target as z,x,z angle tokens"),
+            Param("phi", "angle", "pi", "conditional phase"),
+            Param("j14", "float", 0.5, "peak inter-triple coupling"),
+            Param("ramp-time", "float", 20.0),
+            Param("cal-steps", "int", 160, "calibration quadrature nodes per ramp"),
+            Param("mode", "choice", "simultaneous", "z cancellation mode", gates.CPHASE_MODES),
+            Param("ramp-shape", "choice", "smooth", "pulse ramp profile", gates.RAMP_PROFILES),
+            Param("steps-per-unit", "float", 100.0, "propagation steps per 1/J of ramp"),
+            Param("h", "float", 0.75),
+        ),
+    },
+    "adiabatic": {
+        "help": "conditional-phase leakage and fidelity vs ramp duration",
+        "run": _run_adiabatic,
+        "formats": ("csv", "json"),
+        "params": (
+            Param("phi", "angle", "pi"), Param("j14", "float", 0.5),
+            Param("ramp-times", "str", "5,10,20,40"),
+            Param("cal-steps", "int", 160),
+            Param("ramp-shape", "choice", "smooth", "pulse ramp profile", gates.RAMP_PROFILES),
+            Param("steps-per-unit", "float", 100.0, "propagation steps per 1/J of ramp"),
+            Param("h", "float", 0.75),
+        ),
+    },
+    "units": {
+        "help": "magnetic field and gap in laboratory units",
+        "run": _run_units,
+        "formats": ("json",),
+        "params": (
+            Param("j", "float", 7.0, "exchange scale in microeV", aliases=("J",)),
+            Param("g", "float", 0.44, "g-factor magnitude"),
+            Param("h", "float", 0.75),
+        ),
+    },
 }
 
 
 def run(cfg: RunConfig) -> int:
-    summary = _RUNNERS[cfg.command](cfg)
+    artifacts, summary = COMMANDS[cfg.command]["run"](cfg.params)
+    if cfg.fmt == "csv":
+        write_csv(cfg.output_path, *artifacts["csv"])
+    else:
+        write_json(cfg.output_path, artifacts["json"])
     print(summary)
     return EXIT_OK
 
@@ -656,12 +645,13 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    # before ValueError: numpy's LinAlgError is one
     except (TrackingError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:
+        print(f"precondition violated: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
 
 
 if __name__ == "__main__":

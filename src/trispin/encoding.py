@@ -233,6 +233,8 @@ class _SectorTracker:
 def lambda_curve(j14_values, h: float = 0.75, j23_shift: float = 0.0) -> np.ndarray:
     """Tracked quartet eigenvalues on an ascending, nonnegative J14 grid."""
     grid = [float(x) for x in j14_values]
+    if not np.isfinite(grid + [j23_shift]).all():
+        raise ValueError("j14 grid and j23 shift must be finite")
     if any(b < a for a, b in zip(grid, grid[1:])) or (grid and grid[0] < 0):
         raise ValueError("j14 grid must be ascending and nonnegative")
     return _SectorTracker(h).walk([(x, j23_shift) for x in grid])

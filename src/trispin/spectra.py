@@ -279,6 +279,8 @@ def to_physical(j_microev: float, g_factor: float, h: float) -> PhysicalUnits:
     h = g mu_B B / J with mu_B = 57.88 microeV/T, so
     B = h J / (g mu_B); the protection gap scales as gap(h) * J.
     """
+    if not np.isfinite([j_microev, g_factor, h]).all():
+        raise ValueError("exchange scale, g-factor and field must be finite")
     if j_microev <= 0 or g_factor <= 0:
         raise ValueError("exchange scale and g-factor must be positive")
     if h < 0:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -28,6 +29,22 @@ def run_cli(args, cwd):
                           cwd=cwd, env=env, capture_output=True, text=True)
 
 
+@pytest.fixture
+def run_main(tmp_path, monkeypatch, capsys):
+    """``run_cli`` in this process: ``cli.main`` in ``tmp_path``, the same result fields.
+
+    Warnings are errors here, as the test settings make them, where a child
+    would only print them.
+    """
+    monkeypatch.chdir(tmp_path)
+
+    def call(args):
+        code = cli.main(list(args))
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(args, code, out, err)
+    return call
+
+
 class TestSweepCommands:
     def test_sweep_field_csv(self, tmp_path):
         res = run_cli(["sweep-field", "--points", "41", "--out", "sf.csv"], tmp_path)
@@ -41,15 +58,15 @@ class TestSweepCommands:
         assert len(row) == 10
         float(row[0])  # parseable
 
-    def test_sweep_intra_summary(self, tmp_path):
-        res = run_cli(["sweep-intra", "--which", "j23", "--points", "61",
-                       "--out", "si.csv"], tmp_path)
+    def test_sweep_intra_summary(self, run_main):
+        res = run_main(["sweep-intra", "--which", "j23", "--points", "61",
+                        "--out", "si.csv"])
         assert res.returncode == 0
         assert "0.25" in res.stdout and "1.75" in res.stdout
 
-    def test_lambdas_csv(self, tmp_path):
-        res = run_cli(["lambdas", "--points", "8", "--max", "0.35",
-                       "--out", "lam.csv"], tmp_path)
+    def test_lambdas_csv(self, run_main, tmp_path):
+        res = run_main(["lambdas", "--points", "8", "--max", "0.35",
+                        "--out", "lam.csv"])
         assert res.returncode == 0
         lines = (tmp_path / "lam.csv").read_text().splitlines()
         assert lines[0] == "j14,lambda00,lambda01,lambda11,entangling"
@@ -62,17 +79,16 @@ class TestSweepCommands:
                            tmp_path).returncode == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    def test_workers_match_serial(self, tmp_path):
-        assert run_cli(["sweep-field", "--points", "21", "--out", "s1.csv"],
-                       tmp_path).returncode == 0
-        assert run_cli(["sweep-field", "--points", "21", "--workers", "2",
-                        "--out", "s2.csv"], tmp_path).returncode == 0
+    def test_workers_match_serial(self, run_main, tmp_path):
+        assert run_main(["sweep-field", "--points", "21", "--out", "s1.csv"]).returncode == 0
+        assert run_main(["sweep-field", "--points", "21", "--workers", "2",
+                         "--out", "s2.csv"]).returncode == 0
         assert (tmp_path / "s1.csv").read_bytes() == (tmp_path / "s2.csv").read_bytes()
 
 
 class TestSpectrumCommand:
-    def test_idle_json(self, tmp_path):
-        res = run_cli(["spectrum", "--out", "spec.json"], tmp_path)
+    def test_idle_json(self, run_main, tmp_path):
+        res = run_main(["spectrum", "--out", "spec.json"])
         assert res.returncode == 0
         data = json.loads((tmp_path / "spec.json").read_text())
         assert data["schema"] == 1
@@ -80,16 +96,16 @@ class TestSpectrumCommand:
         assert abs(data["gap"] - 0.75) < 1e-12
         assert abs(data["energies"][0] + 9 / 8) < 1e-12
 
-    def test_general_edges(self, tmp_path):
-        res = run_cli(["spectrum", "--edges", "0-1:1.0,0-2:1.0,1-2:1.0",
-                       "--n-sites", "3", "--h", "0.75", "--out", "g.json"], tmp_path)
+    def test_general_edges(self, run_main, tmp_path):
+        res = run_main(["spectrum", "--edges", "0-1:1.0,0-2:1.0,1-2:1.0",
+                        "--n-sites", "3", "--h", "0.75", "--out", "g.json"])
         assert res.returncode == 0
         data = json.loads((tmp_path / "g.json").read_text())
         assert abs(data["energies"][0] + 9 / 8) < 1e-12
 
-    def test_edgeless_graph(self, tmp_path):
-        res = run_cli(["spectrum", "--n-sites", "2", "--edges", "", "--h", "0.5",
-                       "--out", "e.json"], tmp_path)
+    def test_edgeless_graph(self, run_main, tmp_path):
+        res = run_main(["spectrum", "--n-sites", "2", "--edges", "", "--h", "0.5",
+                        "--out", "e.json"])
         assert res.returncode == 0, res.stderr
         data = json.loads((tmp_path / "e.json").read_text())
         assert data["edges"] == []
@@ -97,8 +113,8 @@ class TestSpectrumCommand:
         assert data["sz"] == [1.0, 0.0, 0.0, -1.0]
 
     @pytest.mark.parametrize("n_sites", ["0", "1", "4"])
-    def test_n_sites_without_edges_is_rejected(self, tmp_path, n_sites):
-        res = run_cli(["spectrum", "--n-sites", n_sites, "--out", "s.json"], tmp_path)
+    def test_n_sites_without_edges_is_rejected(self, run_main, tmp_path, n_sites):
+        res = run_main(["spectrum", "--n-sites", n_sites, "--out", "s.json"])
         assert res.returncode == 2
         assert "--edges" in res.stderr
         assert not (tmp_path / "s.json").exists()
@@ -125,8 +141,8 @@ class TestSpectrumCommand:
 
 
 class TestVerifyCommand:
-    def test_report(self, tmp_path):
-        res = run_cli(["verify-eq7", "--grid", "0:0.5:6", "--out", "v.json"], tmp_path)
+    def test_report(self, run_main, tmp_path):
+        res = run_main(["verify-eq7", "--grid", "0:0.5:6", "--out", "v.json"])
         assert res.returncode == 0
         data = json.loads((tmp_path / "v.json").read_text())
         assert data["max_cubic_residual_on_11"] <= 1e-9
@@ -136,16 +152,16 @@ class TestVerifyCommand:
         assert data["quadratic_real_anywhere"] is False
         assert len(data["points"]) == 6
 
-    def test_bad_grid(self, tmp_path):
-        res = run_cli(["verify-eq7", "--grid", "0-0.5-6"], tmp_path)
+    def test_bad_grid(self, run_main):
+        res = run_main(["verify-eq7", "--grid", "0-0.5-6"])
         assert res.returncode == 2
         assert "grid" in res.stderr
 
 
 class TestGateCommand:
-    def test_rz_with_pi_token(self, tmp_path):
-        res = run_cli(["gate", "--type", "rz", "--theta", "pi/2",
-                       "--delta", "0.5", "--out", "rz.json"], tmp_path)
+    def test_rz_with_pi_token(self, run_main, tmp_path):
+        res = run_main(["gate", "--type", "rz", "--theta", "pi/2",
+                        "--delta", "0.5", "--out", "rz.json"])
         assert res.returncode == 0
         data = json.loads((tmp_path / "rz.json").read_text())
         assert data["fidelity"] >= 1 - 1e-9
@@ -163,9 +179,8 @@ class TestGateCommand:
             data = json.loads((tmp_path / "g.json").read_text())["schedule"]
             assert gates.PulseSchedule.from_dict(data) == synthesized
 
-    def test_cphase_precondition_exit_code(self, tmp_path):
-        res = run_cli(["gate", "--type", "cphase", "--phi", "pi",
-                       "--j14", "0.9"], tmp_path)
+    def test_cphase_precondition_exit_code(self, run_main):
+        res = run_main(["gate", "--type", "cphase", "--phi", "pi", "--j14", "0.9"])
         assert res.returncode == 3
         assert "gapped window" in res.stderr
 
@@ -173,23 +188,39 @@ class TestGateCommand:
         res = run_cli(["gate", "--type", "rz", "--theta", "halfpi"], tmp_path)
         assert res.returncode == 2
 
-    def test_su2_requires_euler(self, tmp_path):
-        res = run_cli(["gate", "--type", "su2"], tmp_path)
+    def test_su2_requires_euler(self, run_main):
+        res = run_main(["gate", "--type", "su2"])
         assert res.returncode == 2
         assert "euler" in res.stderr
 
-    def test_angle_defaults_are_parsed(self, tmp_path):
+    def test_type_choices_are_the_gate_table(self):
+        (kind,) = [p for p in cli.COMMANDS["gate"]["params"] if p.name == "type"]
+        assert list(kind.choices) == list(cli.GATES)
+
+    @pytest.mark.parametrize("kind", list(cli.GATES))
+    def test_each_kind_runs(self, run_main, tmp_path, kind):
+        args = {"rz": [], "rx": [], "axis120": ["--which", "j13"],
+                "su2": ["--euler", "pi/2,-pi/3,0.2"],
+                "cphase": ["--j14", "0.3", "--ramp-time", "4", "--cal-steps", "40",
+                           "--steps-per-unit", "20"]}[kind]
+        res = run_main(["gate", "--type", kind, *args, "--out", "g.json"])
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith(f"{kind}: fidelity ")
+        data = json.loads((tmp_path / "g.json").read_text())
+        assert data["type"] == kind and data["fidelity"] >= 0.99
+
+    def test_angle_defaults_are_parsed(self, run_main, tmp_path):
         # defaults declared as pi tokens must go through the angle parser
-        res = run_cli(["gate", "--out", "d.json"], tmp_path)  # rz, theta pi/2
+        res = run_main(["gate", "--out", "d.json"])  # rz, theta pi/2
         assert res.returncode == 0
         data = json.loads((tmp_path / "d.json").read_text())
         assert data["fidelity"] >= 1 - 1e-9
 
 
 class TestAdiabaticCommand:
-    def test_short_curve(self, tmp_path):
-        res = run_cli(["adiabatic", "--ramp-times", "2,4", "--j14", "0.3",
-                       "--cal-steps", "40", "--out", "ad.csv"], tmp_path)
+    def test_short_curve(self, run_main, tmp_path):
+        res = run_main(["adiabatic", "--ramp-times", "2,4", "--j14", "0.3",
+                        "--cal-steps", "40", "--out", "ad.csv"])
         assert res.returncode == 0
         lines = (tmp_path / "ad.csv").read_text().splitlines()
         assert lines[0] == "ramp_time,max_leakage,fidelity"
@@ -199,57 +230,120 @@ class TestAdiabaticCommand:
 
 
 class TestUnitsCommand:
-    def test_reference_point(self, tmp_path):
-        res = run_cli(["units", "--J", "7", "--g", "0.44", "--out", "u.json"], tmp_path)
+    def test_reference_point(self, run_main, tmp_path):
+        res = run_main(["units", "--J", "7", "--g", "0.44", "--out", "u.json"])
         assert res.returncode == 0
         data = json.loads((tmp_path / "u.json").read_text())
         assert 0.19 <= data["b_tesla"] <= 0.22
         assert abs(data["gap_microev"] - 5.25) < 1e-9
 
-    def test_lowercase_alias(self, tmp_path):
-        res = run_cli(["units", "--j", "7", "--g", "0.44", "--out", "u2.json"], tmp_path)
+    def test_lowercase_alias(self, run_main):
+        res = run_main(["units", "--j", "7", "--g", "0.44", "--out", "u2.json"])
         assert res.returncode == 0
+
+    @pytest.mark.parametrize("flag", ["--j", "--g", "--h"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_input_is_rejected(self, run_main, tmp_path, flag, value):
+        res = run_main(["units", flag, value, "--out", "u.json"])
+        assert res.returncode == 3
+        assert res.stderr == ("precondition violated: exchange scale, g-factor and "
+                              "field must be finite\n")
+        assert not (tmp_path / "u.json").exists()
 
 
 class TestConfigFile:
-    def test_flag_overrides_config(self, tmp_path):
+    def test_flag_overrides_config(self, run_main, tmp_path):
         (tmp_path / "run.cfg").write_text("[units]\nh = 0.75\nj = 7\ng = 0.44\n")
-        res = run_cli(["units", "--config", "run.cfg", "--h", "0.6",
-                       "--out", "u.json"], tmp_path)
+        res = run_main(["units", "--config", "run.cfg", "--h", "0.6",
+                        "--out", "u.json"])
         assert res.returncode == 0
         data = json.loads((tmp_path / "u.json").read_text())
         assert abs(data["gap_microev"] - 0.6 * 7) < 1e-9
 
-    def test_config_value_used_without_flag(self, tmp_path):
+    def test_config_value_used_without_flag(self, run_main, tmp_path):
         (tmp_path / "run.cfg").write_text("[units]\nh = 0.5\n")
-        res = run_cli(["units", "--config", "run.cfg", "--out", "u.json"], tmp_path)
+        res = run_main(["units", "--config", "run.cfg", "--out", "u.json"])
         assert res.returncode == 0
         data = json.loads((tmp_path / "u.json").read_text())
         assert abs(data["gap_microev"] - 0.5 * 7) < 1e-9
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, run_main, tmp_path):
         (tmp_path / "run.cfg").write_text("[units]\nfrequency = 3\n")
-        res = run_cli(["units", "--config", "run.cfg"], tmp_path)
+        res = run_main(["units", "--config", "run.cfg"])
         assert res.returncode == 2
         assert "frequency" in res.stderr
 
-    def test_malformed_line_reports_number(self, tmp_path):
+    def test_malformed_line_reports_number(self, run_main, tmp_path):
         (tmp_path / "run.cfg").write_text("[units]\nh 0.5\n")
-        res = run_cli(["units", "--config", "run.cfg"], tmp_path)
+        res = run_main(["units", "--config", "run.cfg"])
         assert res.returncode == 2
         assert ":2:" in res.stderr
 
-    def test_unknown_section_rejected(self, tmp_path):
+    def test_config_format_is_checked(self, run_main, tmp_path):
+        (tmp_path / "run.cfg").write_text("[units]\nformat = csv\n")
+        res = run_main(["units", "--config", "run.cfg"])
+        assert res.returncode == 2
+        assert res.stderr == "error: --format: units writes json, got 'csv'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    def test_unknown_section_rejected(self, run_main, tmp_path):
         (tmp_path / "run.cfg").write_text("[uints]\nh = 0.5\n")
-        res = run_cli(["units", "--config", "run.cfg"], tmp_path)
+        res = run_main(["units", "--config", "run.cfg"])
         assert res.returncode == 2
         assert "uints" in res.stderr
 
 
+# small runs of every command
+QUICK_ARGS = {
+    "spectrum": [], "sweep-field": ["--points", "5"], "sweep-intra": ["--points", "5"],
+    "sweep-inter": ["--points", "5"], "lambdas": ["--points", "3"],
+    "verify-eq7": ["--grid", "0:0.5:3"], "gate": [],
+    "adiabatic": ["--j14", "0.3", "--ramp-times", "2", "--cal-steps", "40",
+                  "--steps-per-unit", "20"],
+    "units": [],
+}
+WRITTEN = [(c, f) for c, meta in cli.COMMANDS.items() for f in meta["formats"]]
+UNWRITTEN = [(c, f) for c, meta in cli.COMMANDS.items() for f in ("csv", "json")
+             if f not in meta["formats"]]
+
+
+class TestFormats:
+    @pytest.mark.parametrize("command, fmt", WRITTEN)
+    def test_listed_format_is_written(self, run_main, tmp_path, command, fmt):
+        is_default = fmt == cli.COMMANDS[command]["formats"][0]
+        flags = [] if is_default else ["--format", fmt]
+        res = run_main([command, *QUICK_ARGS[command], *flags])
+        assert res.returncode == 0, res.stderr
+        assert [p.name for p in tmp_path.iterdir()] == [f"{command}.{fmt}"]
+        text = (tmp_path / f"{command}.{fmt}").read_text()
+        if fmt == "json":
+            assert json.loads(text)["schema"] == 1
+        else:
+            header, *rows = csv.reader(text.splitlines())
+            assert rows and all(len(row) == len(header) for row in rows)
+            assert all(np.isfinite([float(v) for v in row]).all() for row in rows)
+
+    @pytest.mark.parametrize("command, fmt", UNWRITTEN)
+    def test_unlisted_format_is_rejected_before_running(self, run_main, tmp_path,
+                                                        monkeypatch, command, fmt):
+        def no_run(params):
+            raise AssertionError("ran a command whose format is rejected")
+
+        monkeypatch.setitem(cli.COMMANDS[command], "run", no_run)
+        res = run_main([command, "--format", fmt])
+        assert res.returncode == 2
+        assert res.stderr == f"error: --format: {command} writes json, got '{fmt}'\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_every_command_has_quick_args(self):
+        assert QUICK_ARGS.keys() == cli.COMMANDS.keys()
+        assert UNWRITTEN
+
+
 class TestRejectedValues:
     @pytest.mark.parametrize("points", ["0", "-2"])
-    def test_lambdas_needs_a_point(self, tmp_path, points):
-        res = run_cli(["lambdas", "--points", points, "--out", "lam.csv"], tmp_path)
+    def test_lambdas_needs_a_point(self, run_main, tmp_path, points):
+        res = run_main(["lambdas", "--points", points, "--out", "lam.csv"])
         assert res.returncode == 2
         assert "--points" in res.stderr and "Traceback" not in res.stderr
         assert not (tmp_path / "lam.csv").exists()
@@ -329,6 +423,19 @@ class TestSweepBounds:
         assert cli.main(["sweep-inter", "--min", "0.5", "--max", "0.1", "--out", "s.csv"]) == 3
         assert "lower bound below its upper bound" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["lambdas", "--max", "inf"],
+        ["lambdas", "--min", "nan"],
+        ["verify-eq7", "--grid", "nan:0.5:3"],
+    ])
+    def test_non_finite_j14_grid_fails_before_any_eigensolve(self, run_main, tmp_path,
+                                                             monkeypatch, command):
+        self.forbid_eigensolves(monkeypatch)
+        res = run_main([*command, "--out", "x.out"])
+        assert res.returncode == 3
+        assert res.stderr == "precondition violated: j14 grid and j23 shift must be finite\n"
+        assert not (tmp_path / "x.out").exists()
 
     def test_repeating_inter_grid_fails_before_any_eigensolve(self, tmp_path, capsys,
                                                               monkeypatch):
@@ -434,3 +541,14 @@ class TestNumericalFailureExit:
         code = cli.main(["lambdas", "--points", "3"])
         assert code == 4
         assert "tracking" in capsys.readouterr().err.lower()
+
+    def test_linalg_error_maps_to_exit_four(self, run_main, tmp_path, monkeypatch):
+        # LinAlgError is a ValueError, yet it is a numerical failure
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+        res = run_main(["lambdas", "--points", "3", "--out", "lam.csv"])
+        assert res.returncode == 4
+        assert res.stderr == "numerical failure: Eigenvalues did not converge\n"
+        assert not (tmp_path / "lam.csv").exists()

@@ -197,6 +197,12 @@ class TestLambdaSpectrum:
         with pytest.raises(ValueError):
             lambda_curve([0.2, 0.1])
 
+    def test_rejects_non_finite_values(self):
+        for call in (lambda: lambda_spectrum(np.nan), lambda: lambda_curve([0.1, np.inf]),
+                     lambda: lambda_curve([0.1], j23_shift=np.nan)):
+            with pytest.raises(ValueError, match="must be finite"):
+                call()
+
 
 class TestVerifyPolynomials:
     def test_cubic_exact_at_origin(self):

@@ -231,6 +231,13 @@ class TestUnits:
         with pytest.raises(ValueError):
             to_physical(7.0, 0.0, 0.75)
 
+    @pytest.mark.parametrize("args", [(np.nan, 0.44, 0.75), (np.inf, 0.44, 0.75),
+                                      (7.0, np.nan, 0.75), (7.0, np.inf, 0.75),
+                                      (7.0, 0.44, np.nan), (7.0, 0.44, np.inf)])
+    def test_rejects_non_finite(self, args):
+        with pytest.raises(ValueError, match="must be finite"):
+            to_physical(*args)
+
 
 class TestExactSzLabels:
     def test_field_and_intra_labels_are_allowed_m(self, field_result):
