@@ -302,17 +302,9 @@ def invariant_blocks(generators, columns) -> list[tuple[tuple[int, ...], np.ndar
         members[b] = sorted(members[b] + members.pop(a))
 
 
-def sector_spectra(graphs: list[CouplingGraph]) -> tuple[np.ndarray, np.ndarray]:
-    """``SectorOperators.spectra`` of graphs sharing one site count and edge set (in order)."""
-    if not graphs:
-        raise ValueError("need graphs sharing one site count and one edge set")
-    first = graphs[0]
-    return SectorOperators(first.n_sites, first.pairs).spectra(graphs)
-
-
 def sector_spectrum(g: CouplingGraph) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues of H and the exact total S_z of each level."""
-    vals, labels = sector_spectra([g])
+    vals, labels = SectorOperators(g.n_sites, g.pairs).spectra([g])
     return vals[0], labels[0]
 
 

@@ -22,7 +22,7 @@ from .gates import (
     synthesize_cphase,
     two_lq_report,
 )
-from .hamiltonian import SectorOperators, sector_spectra, single_lq_graph, two_lq_graph
+from .hamiltonian import SectorOperators, sector_spectrum, single_lq_graph, two_lq_graph
 
 MU_B_MICROEV_PER_TESLA = 57.88
 INTRA_COUPLINGS = ("j12", "j13", "j23")
@@ -92,13 +92,6 @@ def _gap_above(spectra: np.ndarray, logical) -> np.ndarray:
     return np.min(rest, axis=1) - np.max(logical, axis=1)
 
 
-def _gap_around(spectra: np.ndarray, logical) -> np.ndarray:
-    """Distance from the doubly degenerate idle logical level to the nearest other, per row."""
-    level = np.asarray(logical, dtype=float)[:, :1]
-    left = _unmatched(spectra, np.hstack([level, level]))
-    return np.min(np.where(left, np.abs(spectra - level), np.inf), axis=1)
-
-
 def _sweep(name: str, lo: float, hi: float, n_points: int, graph_at, logical_at, gap_fn):
     """Spectra, logical levels and gaps on a uniform grid, plus ``gap_at(x)`` off it.
 
@@ -133,15 +126,24 @@ def idle_logical_energy(h: float) -> float:
     return -0.75 - h / 2
 
 
+def _doublet_gap(spectra: np.ndarray, logical) -> np.ndarray:
+    """``_gap_above`` of the idle level counted twice: the doublet holds two states."""
+    return _gap_above(spectra, np.repeat(logical, 2, axis=1))
+
+
 def field_gap(h: float) -> float:
-    """Distance from the idle logical level to the nearest other level."""
-    vals, _ = sector_spectra([single_lq_graph(h=h)])
-    return float(_gap_around(vals, [[idle_logical_energy(h)]])[0])
+    """Protection gap of an idle triple: lowest level outside the doublet minus the doublet.
+
+    It is min(h, 3/2 - h) for h >= -3/2, so negative where the doublet is
+    not the ground (h < 0 or h > 3/2).
+    """
+    vals, _ = sector_spectrum(single_lq_graph(h=h))
+    return float(_doublet_gap(vals[None], [[idle_logical_energy(h)]])[0])
 
 
 def _field_sweep(h_min: float, h_max: float, n_points: int):
     return _sweep("h", h_min, h_max, n_points, lambda h: single_lq_graph(h=h),
-                  lambda hs: idle_logical_energy(hs)[:, None], _gap_around)
+                  lambda hs: idle_logical_energy(hs)[:, None], _doublet_gap)
 
 
 def sweep_field(h_min: float, h_max: float, n_points: int) -> SweepResult:
@@ -151,14 +153,16 @@ def sweep_field(h_min: float, h_max: float, n_points: int) -> SweepResult:
 
 def optimal_field(h_lo: float, h_hi: float, tol: float = 1e-6,
                   coarse_points: int = 33) -> float:
-    """Field maximizing the idle gap, by ternary search around the grid argmax.
+    """Field maximizing the signed idle gap (``field_gap``) on [h_lo, h_hi].
 
-    The coarse grid guards against non-unimodal data: the search is confined
-    to the bracket around the best grid point.  Its probes reuse the grid's
-    operators.
+    A ternary search to within ``tol`` (finite and positive) around the
+    argmax of a coarse grid, which guards against non-unimodal data: the
+    search is confined to the bracket around the best grid point.  The
+    maximum is h = 3/4 whenever the range holds it, else the end nearer to it.
+    The probes reuse the grid's operators.
     """
-    if not h_lo < h_hi:
-        raise ValueError("need h_lo < h_hi")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     coarse, gap_at = _field_sweep(h_lo, h_hi, coarse_points)
     k = int(np.argmax(coarse.gap))
     lo = coarse.grid[max(k - 1, 0)]
@@ -277,7 +281,8 @@ def to_physical(j_microev: float, g_factor: float, h: float) -> PhysicalUnits:
     """Translate the dimensionless working point into laboratory units.
 
     h = g mu_B B / J with mu_B = 57.88 microeV/T, so
-    B = h J / (g mu_B); the protection gap scales as gap(h) * J.
+    B = h J / (g mu_B); the protection gap is ``field_gap(h) * J``, negative
+    above h = 3/2, where the doublet is no longer the ground.
     """
     if not np.isfinite([j_microev, g_factor, h]).all():
         raise ValueError("exchange scale, g-factor and field must be finite")

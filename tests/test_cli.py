@@ -58,6 +58,12 @@ class TestSweepCommands:
         assert len(row) == 10
         float(row[0])  # parseable
 
+    def test_h_star_of_a_range_past_the_window(self, run_main):
+        # above h = 3/2 the signed gap is negative, so h* stays at 3/4
+        res = run_main(["sweep-field", "--min", "0", "--max", "4", "--out", "sf.csv"])
+        assert res.returncode == 0
+        assert abs(float(res.stdout.split("h* =")[1]) - 0.75) <= 1e-6
+
     def test_sweep_intra_summary(self, run_main):
         res = run_main(["sweep-intra", "--which", "j23", "--points", "61",
                         "--out", "si.csv"])
@@ -236,6 +242,13 @@ class TestUnitsCommand:
         data = json.loads((tmp_path / "u.json").read_text())
         assert 0.19 <= data["b_tesla"] <= 0.22
         assert abs(data["gap_microev"] - 5.25) < 1e-9
+
+    def test_gap_is_negative_above_the_window(self, run_main, tmp_path):
+        # at h = 2 the m = 3/2 level lies 1/2 J below the logical doublet
+        res = run_main(["units", "--J", "7", "--g", "0.44", "--h", "2", "--out", "u.json"])
+        assert res.returncode == 0
+        assert res.stdout.endswith("gap = -3.5 microeV\n")
+        assert json.loads((tmp_path / "u.json").read_text())["gap_microev"] == -3.5
 
     def test_lowercase_alias(self, run_main):
         res = run_main(["units", "--j", "7", "--g", "0.44", "--out", "u2.json"])

@@ -9,7 +9,6 @@ from trispin.hamiltonian import (
     basis_state,
     build_hamiltonian,
     exchange_term,
-    sector_spectra,
     sector_spectrum,
     single_lq_graph,
     spin_operator,
@@ -256,7 +255,7 @@ class TestSectorOperators:
 class TestSectorSpectra:
     def test_batch_of_fields_and_couplings(self):
         batch = [two_lq_graph(j14=x, h=h) for x, h in ((0.0, 0.75), (0.3, 0.5), (0.6, 0.0))]
-        vals, labels = sector_spectra(batch)
+        vals, labels = SectorOperators(6, batch[0].pairs).spectra(batch)
         assert vals.shape == labels.shape == (3, 64)
         for g, row in zip(batch, vals):
             assert max_abs(row - np.linalg.eigvalsh(build_hamiltonian(g))) <= 1e-12
@@ -269,8 +268,4 @@ class TestSectorSpectra:
     ])
     def test_rejects_mismatched_edge_sets(self, other):
         with pytest.raises(ValueError, match="edge set"):
-            sector_spectra([single_lq_graph(), other])
-
-    def test_rejects_empty_batch(self):
-        with pytest.raises(ValueError):
-            sector_spectra([])
+            SectorOperators(3, single_lq_graph().pairs).spectra([single_lq_graph(), other])

@@ -29,7 +29,6 @@ from trispin.hamiltonian import (
     SectorOperators,
     build_hamiltonian,
     invariant_blocks,
-    sector_spectra,
     sector_spectrum,
     single_lq_graph,
     sz_sectors,
@@ -324,7 +323,7 @@ def test_sector_spectrum_matches_dense_with_exact_labels(g):
 @given(graph_batches())
 @example([EDGELESS, CouplingGraph(3, (), -0.7)])
 def test_batched_sector_spectra_equal_single_graph_rows(batch):
-    vals, labels = sector_spectra(batch)
+    vals, labels = SectorOperators(batch[0].n_sites, batch[0].pairs).spectra(batch)
     assert vals.shape == labels.shape == (len(batch), 2**batch[0].n_sites)
     for g, row_vals, row_labels in zip(batch, vals, labels):
         one_vals, one_labels = sector_spectrum(g)

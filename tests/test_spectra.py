@@ -14,9 +14,9 @@ from trispin.hamiltonian import (
     two_lq_graph,
 )
 from trispin.spectra import (
+    _doublet_gap,
     _find_crossings,
     _gap_above,
-    _gap_around,
     _unmatched,
     adiabatic_leakage_curve,
     field_gap,
@@ -44,9 +44,9 @@ def gap_above_rows(spectra, logical):
                      for vals, lv in zip(spectra, logical)])
 
 
-def gap_around_rows(spectra, logical):
-    return np.array([float(np.min(np.abs(remove_matched(vals, [lv[0]] * 2) - lv[0])))
-                     for vals, lv in zip(spectra, logical)])
+def doublet_gap_rows(spectra, logical):
+    """Oracle of the idle doublet's gap: its one level counted for both states."""
+    return gap_above_rows(spectra, np.repeat(logical, 2, axis=1))
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +77,15 @@ class TestSweepField:
     def test_gap_at_optimum(self):
         assert abs(field_gap(0.75) - 0.75) <= 1e-12
 
+    def test_gap_is_signed_outside_the_window(self):
+        # Below h = 0 the m = -1/2 doublet and above h = 3/2 the m = 3/2
+        # state lie under the logical doublet, so the gap is negative there.
+        # Below h = -3/2 the m = -3/2 state is the nearest, so stop there.
+        result = sweep_field(-1.5, 3.0, 451)
+        pred = np.minimum(result.grid, 1.5 - result.grid)
+        assert np.max(np.abs(result.gap - pred)) <= 1e-12
+        assert max(abs(field_gap(h) - p) for h, p in zip(result.grid, pred)) <= 1e-12
+
     def test_eigenvalue_sum_equals_trace(self, result):
         for h, vals in zip(result.grid, result.spectra):
             tr = np.trace(build_hamiltonian(single_lq_graph(h=h))).real
@@ -105,6 +114,24 @@ class TestOptimalField:
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             optimal_field(1.0, 0.5)
+
+    def test_maximum_of_the_signed_gap(self):
+        # past h = 3/2 the gap keeps falling, so a wider range still peaks
+        # at 3/4, and a range above the window peaks at its lower end
+        assert abs(optimal_field(0.0, 4.0) - 0.75) <= 1e-6
+        assert abs(optimal_field(-1.0, 1.5) - 0.75) <= 1e-6
+        assert abs(optimal_field(1.6, 3.0) - 1.6) <= 1e-6
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, np.nan, np.inf])
+    def test_tolerance_must_be_finite_and_positive(self, monkeypatch, tol):
+        # a zero or negative tolerance would never end the ternary search
+        def no_solve(*args, **kwargs):
+            raise AssertionError("eigensolve before the tolerance was checked")
+
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, no_solve)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            optimal_field(0.0, 1.5, tol=tol)
 
 
 class TestSweepIntra:
@@ -340,7 +367,7 @@ class TestOperatorsBuiltOncePerSweep:
 
 class TestBatchedGapsMatchTheRowOracle:
     @pytest.mark.parametrize("run, batched, oracle", [
-        (lambda: sweep_field(0.0, 1.5, 151), _gap_around, gap_around_rows),
+        (lambda: sweep_field(-0.5, 2.0, 151), _doublet_gap, doublet_gap_rows),
         (lambda: sweep_intra("j23", 0.1, 1.9, 121)[0], _gap_above, gap_above_rows),
         (lambda: sweep_inter(0.0, 0.85, 69)[0], _gap_above, gap_above_rows),
     ])
@@ -369,4 +396,5 @@ class TestBatchedGapsMatchTheRowOracle:
         for row, keep, t in zip(spectra, left, targets):
             assert np.array_equal(row[keep], remove_matched(row, t))
         assert np.array_equal(_gap_above(spectra, targets), gap_above_rows(spectra, targets))
-        assert np.array_equal(_gap_around(spectra, targets), gap_around_rows(spectra, targets))
+        assert np.array_equal(_doublet_gap(spectra, targets[:, :1]),
+                              doublet_gap_rows(spectra, targets[:, :1]))
