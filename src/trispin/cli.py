@@ -540,7 +540,6 @@ COMMANDS: dict[str, dict] = {
         "params": (
             Param("min", "float", 0.0), Param("max", "float", 1.5),
             Param("points", "int", 301),
-            Param("workers", "int", 1, "accepted for compatibility and ignored"),
         ),
     },
     "sweep-intra": {
@@ -551,7 +550,6 @@ COMMANDS: dict[str, dict] = {
             Param("which", "choice", "j23", "coupling to vary", spectra.INTRA_COUPLINGS),
             Param("min", "float", 0.1), Param("max", "float", 1.9),
             Param("points", "int", 301), Param("h", "float", 0.75),
-            Param("workers", "int", 1, "accepted for compatibility and ignored"),
         ),
     },
     "sweep-inter": {

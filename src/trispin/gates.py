@@ -26,7 +26,7 @@ from .hamiltonian import (
     sz_sectors,
     two_lq_graph,
 )
-from .linalg import check_unitary
+from .linalg import check_unitary, regula_falsi
 
 COUPLING_WINDOW = (0.25, 1.75)
 CALIBRATION_TOL = 1e-10
@@ -454,15 +454,14 @@ def synthesize_cphase(phi: float, j14_peak: float, ramp_time: float,
 
     The pulse accumulates conditional phase at rate lambda_00 + lambda_11 -
     2 lambda_01 (about 4*J14/9 for small J14); the hold time is chosen so
-    the total equals -phi modulo 2 pi.
+    the total equals -phi modulo 2 pi, with the fewest whole turns added.
 
     In ``simultaneous`` mode the J23 = J56 couplings follow the same pulse
-    profile scaled to a shift calibrated by a bracketed secant iteration
-    (Illinois regula falsi from the probes at shift 0 and 0.35; residual
-    single-qubit phase below 1e-10, else ``ArithmeticError``), so the
-    single-LQ z-phases cancel inside the one pulse interval.  In
-    ``sequential`` mode the pulse runs uncalibrated and a sudden equal
-    z-correction on both triples follows.
+    profile scaled to a shift calibrated by ``linalg.regula_falsi`` from the
+    probes at shift 0 and 0.35 (residual single-qubit phase below 1e-10,
+    else ``ArithmeticError``), so the single-LQ z-phases cancel inside the
+    one pulse interval.  In ``sequential`` mode the pulse runs uncalibrated
+    and a sudden equal z-correction on both triples follows.
 
     ``ramp_shape`` defaults to ``smooth``: with plain linear ramps the
     residual leakage oscillates with ramp duration (interfering kicks from
@@ -476,7 +475,8 @@ def synthesize_cphase(phi: float, j14_peak: float, ramp_time: float,
     ramp_time : duration of each ramp, in 1/J.
     n_calibration_steps : quadrature nodes per ramp for the phase integrals.
     mode : z-phase cancellation, one of ``CPHASE_MODES``.
-    max_duration : reject gates longer than this (phase unreachable).
+    max_duration : reject gates longer than this, or with no conditional
+        rate above rounding at the peak (phase unreachable).
     ramp_shape : ramp profile, a key of ``RAMP_PROFILES``.
     """
     if not np.isfinite(phi):
@@ -498,60 +498,38 @@ def synthesize_cphase(phi: float, j14_peak: float, ramp_time: float,
 
     tracker = _SectorTracker(h)
 
-    def solve(eps: float) -> tuple[float, float]:
+    def solve(eps: float, offset: float = 0.0) -> tuple[float, float]:
+        """Single-qubit phase less ``offset``, and the hold, at shift ``eps``."""
         ramp, peak = _trapezoid_phases(tracker, j14_peak, eps, ramp_time,
                                        n_calibration_steps, ramp_shape)
         cc_ramp, cc_peak = _conditional(ramp), _conditional(peak)
-        total = target_cc
-        hold = (total - 2 * cc_ramp) / cc_peak
-        while hold < -1e-12:
-            total += 2 * np.pi
-            hold = (total - 2 * cc_ramp) / cc_peak
-        hold = max(hold, 0.0)
+        if not cc_peak > 0 or 2 * ramp_time > max_duration:
+            raise ValueError("requested phase unreachable within max_duration")
+        # the fewest whole turns on the target that leave the hold >= -1e-12
+        turns = max(0, int(np.ceil((2 * cc_ramp - 1e-12 * cc_peak - target_cc) / (2 * np.pi))))
+        hold = max((target_cc + turns * 2 * np.pi - 2 * cc_ramp) / cc_peak, 0.0)
         if 2 * ramp_time + hold > max_duration:
             raise ValueError("requested phase unreachable within max_duration")
-        sq = 2 * _single_qubit(ramp) + _single_qubit(peak) * hold
-        return hold, sq
+        return 2 * _single_qubit(ramp) + _single_qubit(peak) * hold - offset, hold
 
     if mode == "simultaneous":
         eps_hi = 0.35
-        hold, sq = solve(0.0)
-        _, sq1 = solve(eps_hi)
+        sq, hold = solve(0.0)
+        sq1, _ = solve(eps_hi)
         for m in range(int(np.floor(sq / (2 * np.pi))), -1, -1):
             offset = 2 * np.pi * m
             if sq - offset >= 0 >= sq1 - offset:
                 break
         else:
             raise ValueError("cannot cancel the single-qubit phase inside the shift window")
-        # Illinois regula falsi on residual(eps) = sq - offset, which is
-        # >= 0 at lo and <= 0 at hi.  When the same end moves twice in a
-        # row, the residual kept at the other end is halved, so the secant
-        # cannot stall on one side of the root.
-        lo, r_lo, hi, r_hi = 0.0, sq - offset, eps_hi, sq1 - offset
-        eps, residual, moved = 0.0, r_lo, 0
-        for _ in range(CALIBRATION_MAX_PROBES):
-            if abs(residual) <= CALIBRATION_TOL:
-                break
-            eps = (lo * r_hi - hi * r_lo) / (r_hi - r_lo)
-            hold, sq = solve(eps)
-            residual = sq - offset
-            if residual > 0:
-                lo, r_lo = eps, residual
-                if moved == 1:
-                    r_hi /= 2
-                moved = 1
-            else:
-                hi, r_hi = eps, residual
-                if moved == -1:
-                    r_lo /= 2
-                moved = -1
-        if abs(residual) > CALIBRATION_TOL:
-            raise ArithmeticError(
-                f"shift calibration did not converge: single-qubit phase residual "
-                f"{residual:.3e} after {CALIBRATION_MAX_PROBES} probes")
+        eps, residual, hold = regula_falsi(lambda e: solve(e, offset), 0.0, eps_hi,
+                                           (sq - offset, hold), (sq1 - offset, None),
+                                           CALIBRATION_TOL, CALIBRATION_MAX_PROBES)
+        if not abs(residual) <= CALIBRATION_TOL:
+            raise ArithmeticError(f"shift calibration did not converge: residual {residual:.3e}")
     else:
         eps = 0.0
-        hold, sq = solve(0.0)
+        sq, hold = solve(0.0)
 
     peak_graph = idle.with_couplings({(0, 3): j14_peak, (1, 2): 1 + eps, (4, 5): 1 + eps})
     segments = [Segment(ramp_time, idle, peak_graph, ramp_shape)]

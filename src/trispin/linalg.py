@@ -3,6 +3,8 @@
 Everything is plain numpy: operators are square ``complex128`` arrays.
 The helpers validate such matrices and measure how far a propagator is
 from unitary; eigensolves are plain ``numpy.linalg`` calls at their sites.
+``regula_falsi`` is the one bracketed root-finder, shared by the CZ shift
+calibration and the level-crossing search.
 """
 
 from __future__ import annotations
@@ -34,3 +36,37 @@ def check_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
     if dev > tol:
         raise ValueError(f"matrix is not unitary: max |U^dag U - I| = {dev:.3e}")
     return u
+
+
+def regula_falsi(fn, lo: float, hi: float, at_lo, at_hi, tol: float, max_probes: int):
+    """Illinois regula falsi (Dowell & Jarratt, BIT 11, 168 (1971)) inside [lo, hi].
+
+    ``fn(x)`` is ``(residual, info)``; ``at_lo``, ``at_hi`` are its values at the
+    ends, with residuals >= 0 and <= 0.  When one end moves twice in a row, the
+    residual kept at the other is halved.  Returns ``(x, residual, info)`` of the
+    last probe (``lo`` if none) once |residual| <= ``tol`` or the secant point is
+    not strictly inside the bracket; ``ArithmeticError`` after ``max_probes``.
+    """
+    (r_lo, _), (r_hi, _) = at_lo, at_hi
+    x, (r, info), moved = lo, at_lo, 0
+    for _ in range(max_probes):
+        if abs(r) <= tol:
+            break
+        secant = (lo * r_hi - hi * r_lo) / (r_hi - r_lo)
+        if not lo < secant < hi:
+            break
+        x = secant
+        r, info = fn(x)
+        if r > 0:
+            lo, r_lo = x, r
+            r_hi /= 2 if moved == 1 else 1
+            moved = 1
+        else:
+            hi, r_hi = x, r
+            r_lo /= 2 if moved == -1 else 1
+            moved = -1
+    else:
+        if not abs(r) <= tol:
+            raise ArithmeticError(f"regula falsi did not converge: residual {r:.3e} "
+                                  f"after {max_probes} probes")
+    return x, r, info

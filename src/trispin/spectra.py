@@ -23,9 +23,18 @@ from .gates import (
     two_lq_report,
 )
 from .hamiltonian import SectorOperators, sector_spectrum, single_lq_graph, two_lq_graph
+from .linalg import regula_falsi
 
 MU_B_MICROEV_PER_TESLA = 57.88
 INTRA_COUPLINGS = ("j12", "j13", "j23")
+CROSSING_MAX_PROBES = 100
+
+
+def _check_bounds(lo: float, hi: float) -> None:
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("sweep bounds must be finite")
+    if not lo < hi:
+        raise ValueError("sweep needs its lower bound below its upper bound")
 
 
 def _check_grid(grid) -> None:
@@ -102,10 +111,7 @@ def _sweep(name: str, lo: float, hi: float, n_points: int, graph_at, logical_at,
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ValueError("sweep bounds must be finite")
-    if not lo < hi:
-        raise ValueError("sweep needs its lower bound below its upper bound")
+    _check_bounds(lo, hi)
     grid = np.linspace(lo, hi, n_points)
     # bounds closer than n_points steps of a double repeat grid values
     _check_grid(grid)
@@ -141,40 +147,32 @@ def field_gap(h: float) -> float:
     return float(_doublet_gap(vals[None], [[idle_logical_energy(h)]])[0])
 
 
-def _field_sweep(h_min: float, h_max: float, n_points: int):
-    return _sweep("h", h_min, h_max, n_points, lambda h: single_lq_graph(h=h),
-                  lambda hs: idle_logical_energy(hs)[:, None], _doublet_gap)
-
-
 def sweep_field(h_min: float, h_max: float, n_points: int) -> SweepResult:
     """Idle single-LQ spectrum and protection gap across the Zeeman field."""
-    return _field_sweep(h_min, h_max, n_points)[0]
+    return _sweep("h", h_min, h_max, n_points, lambda h: single_lq_graph(h=h),
+                  lambda hs: idle_logical_energy(hs)[:, None], _doublet_gap)[0]
 
 
-def optimal_field(h_lo: float, h_hi: float, tol: float = 1e-6,
-                  coarse_points: int = 33) -> float:
+def optimal_field(h_lo: float, h_hi: float) -> float:
     """Field maximizing the signed idle gap (``field_gap``) on [h_lo, h_hi].
 
-    A ternary search to within ``tol`` (finite and positive) around the
-    argmax of a coarse grid, which guards against non-unimodal data: the
-    search is confined to the bracket around the best grid point.  The
-    maximum is h = 3/4 whenever the range holds it, else the end nearer to it.
-    The probes reuse the grid's operators.
+    The field enters H only as -h S_z, so each level is a line eps - h m,
+    with eps and m from one solve at h = 0.  Measured from the doublet at
+    -3/4 - h/2, the gap is the lowest of the lines a + b h of the other
+    levels, a = eps + 3/4 and b = 1/2 - m.  That minimum is concave, so its
+    maximum lies at an end of the range or where two lines cross inside it:
+    h = 3/4 whenever the range holds it, else the end nearer to it.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be finite and positive")
-    coarse, gap_at = _field_sweep(h_lo, h_hi, coarse_points)
-    k = int(np.argmax(coarse.gap))
-    lo = coarse.grid[max(k - 1, 0)]
-    hi = coarse.grid[min(k + 1, coarse_points - 1)]
-    while hi - lo > tol:
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if gap_at(m1) < gap_at(m2):
-            lo = m1
-        else:
-            hi = m2
-    return float((lo + hi) / 2)
+    _check_bounds(h_lo, h_hi)
+    eps, m = sector_spectrum(single_lq_graph(h=0.0))
+    # at h = 0 the doublet (m = +1/2) is degenerate with the m = -1/2 pair,
+    # so it is picked by label as well as by energy
+    rest = _unmatched(np.where(m == 0.5, eps, np.inf)[None], [[-0.75, -0.75]])[0]
+    a, b = eps[rest] + 0.75, 0.5 - m[rest]
+    i, j = np.nonzero(b[:, None] != b)
+    cross = (a[j] - a[i]) / (b[i] - b[j])
+    hs = np.concatenate(([h_lo, h_hi], cross[(h_lo < cross) & (cross < h_hi)]))
+    return float(hs[np.argmax(np.min(a + b * hs[:, None], axis=1))])
 
 
 def _logical_pairs(which: str, xs, h: float) -> np.ndarray:
@@ -184,32 +182,21 @@ def _logical_pairs(which: str, xs, h: float) -> np.ndarray:
     return np.linalg.eigvalsh(np.stack([eff.matrix for eff in effs])) + offsets[:, None]
 
 
-def _bisect_zero(fn, lo: float, hi: float, tol: float) -> float:
-    flo = fn(lo)
-    if flo == 0.0:
-        return lo
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return (lo + hi) / 2
+def _find_crossings(fn, grid: np.ndarray, gaps: np.ndarray) -> CrossingReport:
+    """Zeros of the gap ``fn`` at the sign changes of ``gaps``, exact to rounding.
 
-
-def _find_crossings(fn, grid: np.ndarray, gaps: np.ndarray,
-                    tol: float = 1e-6) -> CrossingReport:
-    # A gap of exactly zero at a grid point is that point's crossing, so
-    # the interval ending there is not searched again.
+    Each is closed in by ``regula_falsi`` at tolerance 0.  A gap of exactly zero
+    at a grid point is that point's crossing; the interval ending there is skipped.
+    """
     crossings = []
     for a, b, ga, gb in zip(grid[:-1], grid[1:], gaps[:-1], gaps[1:]):
         if ga == 0.0:
             crossings.append(float(a))
         elif gb != 0.0 and (ga > 0) != (gb > 0):
-            crossings.append(float(_bisect_zero(fn, a, b, tol)))
+            sign = np.sign(ga)
+            x, _, _ = regula_falsi(lambda t: (sign * fn(t), None), a, b, (sign * ga, None),
+                                   (sign * gb, None), 0.0, CROSSING_MAX_PROBES)
+            crossings.append(float(x))
     if len(gaps) and gaps[-1] == 0.0:
         crossings.append(float(grid[-1]))
     return CrossingReport(tuple(crossings))
@@ -231,7 +218,7 @@ def sweep_inter(j_min: float, j_max: float, n_points: int,
     """Two-LQ spectrum against the inter-triple coupling, with the gap closing.
 
     The logical quartet energies are the lowest levels of the quartet's
-    invariant blocks, from one tracker on the grid and at every bisection probe.
+    invariant blocks, from one tracker on the grid and at every crossing probe.
     """
     if j_min < 0:
         raise ValueError("j_min must be nonnegative")

@@ -85,11 +85,14 @@ class TestSweepCommands:
                            tmp_path).returncode == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    def test_workers_match_serial(self, run_main, tmp_path):
-        assert run_main(["sweep-field", "--points", "21", "--out", "s1.csv"]).returncode == 0
-        assert run_main(["sweep-field", "--points", "21", "--workers", "2",
-                         "--out", "s2.csv"]).returncode == 0
-        assert (tmp_path / "s1.csv").read_bytes() == (tmp_path / "s2.csv").read_bytes()
+    @pytest.mark.parametrize("command", ["sweep-field", "sweep-intra"])
+    def test_workers_is_an_unknown_flag(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--points", "21", "--workers", "2", "--out", "s.csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestSpectrumCommand:
@@ -190,6 +193,17 @@ class TestGateCommand:
         assert res.returncode == 3
         assert "gapped window" in res.stderr
 
+    @pytest.mark.parametrize("command", [
+        ["gate", "--type", "cphase", "--j14", "1e-15", "--out", "x.json"],
+        ["adiabatic", "--ramp-times", "1e10", "--out", "x.csv"],
+    ])
+    def test_phase_out_of_reach_exits_three(self, run_main, tmp_path, command):
+        res = run_main(command)
+        assert res.returncode == 3
+        assert res.stderr == ("precondition violated: requested phase unreachable "
+                              "within max_duration\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
     def test_bad_angle_exit_code(self, tmp_path):
         res = run_cli(["gate", "--type", "rz", "--theta", "halfpi"], tmp_path)
         assert res.returncode == 2
@@ -285,6 +299,12 @@ class TestConfigFile:
         res = run_main(["units", "--config", "run.cfg"])
         assert res.returncode == 2
         assert "frequency" in res.stderr
+
+    def test_workers_key_rejected(self, run_main, tmp_path):
+        (tmp_path / "run.cfg").write_text("[sweep-field]\nworkers = 2\n")
+        res = run_main(["sweep-field", "--config", "run.cfg", "--points", "5"])
+        assert res.returncode == 2
+        assert "workers" in res.stderr
 
     def test_malformed_line_reports_number(self, run_main, tmp_path):
         (tmp_path / "run.cfg").write_text("[units]\nh 0.5\n")

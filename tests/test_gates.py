@@ -475,6 +475,18 @@ class TestDecomposeSu2:
             rebuilt = rz_gate(a) @ rx_gate(b) @ rz_gate(g)
             assert phase_aligned_distance(rebuilt, u) < 1e-10
 
+    @pytest.mark.parametrize("target, beta", [
+        (np.eye(2), 0.0), (np.diag([1.0, -1.0]), 0.0), (rz_gate(0.3), 0.0),
+        (np.array([[0, 1], [1, 0]]), np.pi), (np.array([[0, -1j], [1j, 0]]), np.pi),
+        (np.array([[0, 1], [1, 0]]) @ rz_gate(0.7), np.pi),
+    ], ids=["I", "Z", "Rz(0.3)", "X", "Y", "X.Rz(0.7)"])
+    def test_diagonal_and_antidiagonal_targets(self, target, beta):
+        # beta = 0 and beta = pi leave only alpha + gamma or alpha - gamma
+        a, b, g = zxz_angles(target)
+        assert b == beta
+        assert phase_aligned_distance(rz_gate(a) @ rx_gate(b) @ rz_gate(g), target) <= 1e-12
+        assert 1 - single_lq_report(decompose_su2(target), target).fidelity <= 1e-12
+
     def test_random_targets(self):
         rng = np.random.default_rng(53)
         for _ in range(5):
@@ -544,6 +556,13 @@ class TestCphase:
         for mode in ("simultaneous", "sequential"):
             with pytest.raises(ValueError, match="phi must be finite"):
                 synthesize_cphase(phi, 0.5, 10.0, mode=mode)
+
+    @pytest.mark.parametrize("j14_peak, ramp_time", [(1e-15, 20.0), (0.5, 1e10)])
+    def test_phase_out_of_reach_is_rejected(self, j14_peak, ramp_time):
+        # no conditional rate above rounding at J14 = 1e-15, and ramps that
+        # alone outlast max_duration: rejected without counting turns
+        with pytest.raises(ValueError, match="unreachable"):
+            synthesize_cphase(np.pi, j14_peak, ramp_time)
 
     def test_unreachable_phase(self):
         with pytest.raises(ValueError, match="unreachable"):

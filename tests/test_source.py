@@ -1,0 +1,19 @@
+"""Every module parses as the oldest Python that ``pyproject.toml`` accepts (3.10)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted(path for folder in ("src/trispin", "tests", "perfbench")
+                 for path in (ROOT / folder).rglob("*.py"))
+
+
+def test_sources_found():
+    assert len(SOURCES) > 10
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_parses_as_python_3_10(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

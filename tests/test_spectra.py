@@ -106,41 +106,54 @@ class TestSweepField:
 
 class TestOptimalField:
     def test_full_interval(self):
-        assert abs(optimal_field(0.0, 1.5) - 0.75) <= 1e-6
+        assert abs(optimal_field(0.0, 1.5) - 0.75) <= np.spacing(0.75)
 
     def test_restricted_interval(self):
-        assert abs(optimal_field(0.7, 0.8) - 0.75) <= 1e-6
+        assert abs(optimal_field(0.7, 0.8) - 0.75) <= np.spacing(0.75)
 
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             optimal_field(1.0, 0.5)
 
     def test_maximum_of_the_signed_gap(self):
-        # past h = 3/2 the gap keeps falling, so a wider range still peaks
-        # at 3/4, and a range above the window peaks at its lower end
-        assert abs(optimal_field(0.0, 4.0) - 0.75) <= 1e-6
-        assert abs(optimal_field(-1.0, 1.5) - 0.75) <= 1e-6
-        assert abs(optimal_field(1.6, 3.0) - 1.6) <= 1e-6
+        # past h = 3/2 and below h = 0 the gap keeps falling, so a wider range
+        # still peaks at 3/4, and a range above the window at its lower end
+        for lo, hi in ((0.0, 4.0), (-1.5, 3.0), (-1.0, 1.5)):
+            assert abs(optimal_field(lo, hi) - 0.75) <= np.spacing(0.75)
+        assert optimal_field(1.4, 3.0) == 1.4
+        assert optimal_field(1.6, 3.0) == 1.6
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-6, np.nan, np.inf])
-    def test_tolerance_must_be_finite_and_positive(self, monkeypatch, tol):
-        # a zero or negative tolerance would never end the ternary search
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.5), (0.0, 4.0), (-1.5, 3.0), (-1.0, 1.5),
+                                        (0.7, 0.8), (1.4, 3.0), (1.6, 3.0)])
+    def test_no_field_of_a_grid_has_a_larger_gap(self, lo, hi):
+        best = field_gap(optimal_field(lo, hi))
+        assert all(best >= field_gap(h) for h in np.linspace(lo, hi, 91))
+
+    @pytest.mark.parametrize("lo, hi, message", [
+        (np.nan, 1.5, "finite"), (0.0, np.inf, "finite"), (-np.inf, 1.5, "finite"),
+        (0.75, 0.75, "lower bound below"),
+    ])
+    def test_range_checked_before_any_eigensolve(self, monkeypatch, lo, hi, message):
         def no_solve(*args, **kwargs):
-            raise AssertionError("eigensolve before the tolerance was checked")
+            raise AssertionError("eigensolve before the range was checked")
 
         for name in ("eigh", "eigvalsh", "eig", "eigvals"):
             monkeypatch.setattr(np.linalg, name, no_solve)
-        with pytest.raises(ValueError, match="tol must be finite and positive"):
-            optimal_field(0.0, 1.5, tol=tol)
+        with pytest.raises(ValueError, match=message):
+            optimal_field(lo, hi)
+
+
+CROSSING_GRIDS = [31, 61, 69, 121, 301]
 
 
 class TestSweepIntra:
     @pytest.mark.parametrize("which", ["j23", "j12", "j13"])
     def test_crossings(self, which):
-        _, crossings = sweep_intra(which, 0.1, 1.9, 121)
-        assert len(crossings.crossings) == 2
-        assert abs(crossings.crossings[0] - 0.25) <= 1e-6
-        assert abs(crossings.crossings[1] - 1.75) <= 1e-6
+        for n_points in CROSSING_GRIDS:
+            _, crossings = sweep_intra(which, 0.1, 1.9, n_points)
+            assert len(crossings.crossings) == 2
+            assert abs(crossings.crossings[0] - 0.25) <= 1e-14
+            assert abs(crossings.crossings[1] - 1.75) <= 1e-14
 
     def test_idle_point_is_degenerate(self):
         result, _ = sweep_intra("j23", 0.5, 1.5, 101)
@@ -166,13 +179,18 @@ class TestSweepIntra:
     def test_crossing_resolution_independent_of_grid(self):
         _, c1 = sweep_intra("j23", 0.1, 1.9, 61)
         _, c2 = sweep_intra("j23", 0.1, 1.9, 193)
-        assert abs(c1.crossings[0] - c2.crossings[0]) <= 2e-6
-        assert abs(c1.crossings[1] - c2.crossings[1]) <= 2e-6
+        assert c1.crossings == pytest.approx(c2.crossings, abs=1e-14)
 
     def test_exact_zero_at_a_grid_point_counts_once(self):
         grid = np.array([0.0, 1.0, 2.0])
         report = _find_crossings(lambda x: 1.0 - x, grid, np.array([1.0, 0.0, -1.0]))
         assert report.crossings == (1.0,)
+
+    def test_crossing_past_the_probe_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(spectra, "CROSSING_MAX_PROBES", 2)
+        grid = np.array([0.0, 2.0])
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            _find_crossings(lambda x: 1.0 - x**3, grid, np.array([1.0, -7.0]))
 
     def test_unknown_coupling(self):
         with pytest.raises(ValueError):
@@ -184,10 +202,11 @@ class TestSweepInter:
     def result(self, inter_result):
         return inter_result
 
-    def test_gap_closing_point(self, result):
-        _, crossings = result
-        assert len(crossings.crossings) == 1
-        assert abs(crossings.crossings[0] - 0.75) <= 1e-3
+    def test_gap_closing_point(self):
+        for n_points in CROSSING_GRIDS:
+            _, crossings = sweep_inter(0.0, 0.85, n_points)
+            assert len(crossings.crossings) == 1
+            assert abs(crossings.crossings[0] - 0.75) <= 1e-14
 
     def test_crossing_matches_overlap_walk(self, result):
         sweep, crossings = result
@@ -306,19 +325,6 @@ class TestBatchedSweeps:
         grid_solves = [s[-1] for s in shapes if len(s) == 4 and s[0] == 31]
         assert sorted(grid_solves) == sorted({len(s.indices) for s in sz_sectors(n_sites)})
 
-    def test_coarse_grid_of_optimal_field_is_the_field_sweep(self, monkeypatch):
-        grids = []
-        original = spectra._field_sweep
-
-        def recorded(*args):
-            grids.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(spectra, "_field_sweep", recorded)
-        assert abs(spectra.optimal_field(0.0, 1.5) - 0.75) <= 1e-6
-        assert grids == [(0.0, 1.5, 33)]
-        assert np.array_equal(original(0.0, 1.5, 33)[0].gap, spectra.sweep_field(0.0, 1.5, 33).gap)
-
 
 def _count_builds(monkeypatch):
     """Record the ``ms`` of every SectorOperators, and count trackers, walks and solves."""
@@ -352,17 +358,14 @@ class TestOperatorsBuiltOncePerSweep:
         # the register's operators once, plus the m = +1 sector inside the one tracker
         assert sorted(seen["ops"], key=repr) == [(1.0,), None]
         assert seen["trackers"] == 1
-        # the grid, then every bisection probe, on the same tracker and operators
-        assert seen["walks"] == seen["solves"] > 10
+        # the grid, then every crossing probe, on the same tracker and operators
+        assert seen["walks"] == seen["solves"] >= 2
 
     def test_optimal_field(self, monkeypatch):
-        probes = []
-        for tol in (1e-3, 1e-9):
-            seen = _count_builds(monkeypatch)
-            assert abs(optimal_field(0.0, 1.5, tol=tol) - 0.75) <= max(tol, 1e-6)
-            assert seen["ops"] == [None]
-            probes.append(seen["solves"])
-        assert probes[0] < probes[1]
+        seen = _count_builds(monkeypatch)
+        assert abs(optimal_field(0.0, 1.5) - 0.75) <= np.spacing(0.75)
+        assert seen["ops"] == [None]
+        assert seen["solves"] == 1
 
 
 class TestBatchedGapsMatchTheRowOracle:
