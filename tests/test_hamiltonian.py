@@ -246,12 +246,10 @@ class TestSectorOperators:
         CouplingGraph(4, ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0))),
     ])
     def test_weights_reject_another_edge_set(self, g):
-        # a missing pair would otherwise read as a zero coupling; ``spectra``
-        # takes its couplings from ``weights``, so a batch with g fails too
+        # a missing pair would otherwise read as a zero coupling
         ops = SectorOperators(3, single_lq_graph().pairs)
-        for entry in (lambda: ops.weights(g), lambda: ops.spectra([single_lq_graph(), g])):
-            with pytest.raises(ValueError, match="edge set"):
-                entry()
+        with pytest.raises(ValueError, match="edge set"):
+            ops.weights(g)
 
 
 class TestSectorSpectra:
@@ -262,3 +260,12 @@ class TestSectorSpectra:
         for g, row in zip(batch, vals):
             assert max_abs(row - np.linalg.eigvalsh(build_hamiltonian(g))) <= 1e-12
             assert np.array_equal(row, sector_spectrum(g)[0])
+
+    @pytest.mark.parametrize("other", [
+        CouplingGraph(3, ((0, 1, 1.0), (1, 2, 1.0))),
+        CouplingGraph(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0))),
+        CouplingGraph(4, ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0))),
+    ])
+    def test_rejects_mismatched_edge_sets(self, other):
+        with pytest.raises(ValueError, match="edge set"):
+            SectorOperators(3, single_lq_graph().pairs).spectra([single_lq_graph(), other])

@@ -142,6 +142,18 @@ class TestOptimalField:
         with pytest.raises(ValueError, match=message):
             optimal_field(lo, hi)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, np.nan, np.inf])
+    def test_tolerance_must_be_finite_and_positive(self, monkeypatch, tol):
+        # the maximum is exact, so no tolerance is taken: a caller still
+        # passing one is refused before any eigensolve, not silently ignored
+        def no_solve(*args, **kwargs):
+            raise AssertionError("eigensolve before the arguments were checked")
+
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, no_solve)
+        with pytest.raises(TypeError, match="tol"):
+            optimal_field(0.0, 1.5, tol=tol)
+
 
 CROSSING_GRIDS = [31, 61, 69, 121, 301]
 
