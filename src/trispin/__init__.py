@@ -13,7 +13,6 @@ from .encoding import (
     GroundStateReport,
     LambdaTriple,
     LogicalBasis,
-    TrackingError,
     effective_h1,
     initialization_ground,
     lambda_curve,

@@ -24,8 +24,8 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from . import encoding, gates, spectra
-from .encoding import TrackingError
 from .hamiltonian import CouplingGraph, sector_spectrum, single_lq_graph, sz_sectors
+from .linalg import degeneracy_tol
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -236,9 +236,21 @@ def _write_text(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
+def _non_finite(obj) -> bool:
+    """Whether an artifact value holds a NaN or an infinity anywhere."""
+    if isinstance(obj, dict):
+        return any(map(_non_finite, obj.values()))
+    if isinstance(obj, (list, tuple)):
+        return any(map(_non_finite, obj))
+    return isinstance(obj, (float, np.floating, np.ndarray)) and not np.isfinite(obj).all()
+
+
 def write_csv(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
+    """Write the rows under ``header``; a non-finite number raises ``FloatingPointError``."""
     def cell(v) -> str:
         if isinstance(v, (float, np.floating)):
+            if not math.isfinite(v):
+                raise FloatingPointError(f"non-finite value {v} in the artifact")
             return fmt_float(v)
         return str(v)
 
@@ -309,7 +321,12 @@ def _json_text(obj, pad: str = "") -> str:
 
 
 def write_json(path: str, payload: dict) -> None:
-    """Write ``{"schema": 1, **payload}`` as indented JSON, encoded before the file opens."""
+    """Write ``{"schema": 1, **payload}`` as indented JSON, encoded before the file opens.
+
+    A non-finite number, which strict JSON cannot hold, raises ``FloatingPointError``.
+    """
+    if _non_finite(payload):
+        raise FloatingPointError("non-finite value in the artifact")
     _write_text(path, _json_text({"schema": 1, **payload}) + "\n")
 
 
@@ -350,7 +367,7 @@ def _run_spectrum(p: dict) -> tuple[dict, str]:
     else:
         graph = single_lq_graph(p["j12"], p["j13"], p["j23"], p["h"])
     vals, sz = sector_spectrum(graph)
-    degeneracy = int(np.sum(np.abs(vals - vals[0]) <= 1e-9))
+    degeneracy = int(np.sum(np.abs(vals - vals[0]) <= degeneracy_tol(vals)))
     gap = float(vals[degeneracy] - vals[0]) if degeneracy < len(vals) else 0.0
     artifacts = {
         "csv": (["level", "energy", "sz"],
@@ -395,8 +412,7 @@ def _run_lambdas(p: dict) -> tuple[dict, str]:
         raise ConfigError(f"--points: need at least one point, got {p['points']}")
     grid = _linspace(p["min"], p["max"], p["points"])
     rows = encoding.lambda_curve(grid, h=p["h"])
-    table = [[x, r[0], (r[1] + r[2]) / 2, r[3], r[0] + r[3] - r[1] - r[2]]
-             for x, r in zip(grid, rows)]
+    table = [[x, *r, encoding.entangling_rate(*r)] for x, r in zip(grid, rows)]
     artifacts = {
         "csv": (["j14", "lambda00", "lambda01", "lambda11", "entangling"], table),
         "json": {
@@ -626,11 +642,14 @@ COMMANDS: dict[str, dict] = {
 
 
 def run(cfg: RunConfig) -> int:
-    artifacts, summary = COMMANDS[cfg.command]["run"](cfg.params)
-    if cfg.fmt == "csv":
-        write_csv(cfg.output_path, *artifacts["csv"])
-    else:
-        write_json(cfg.output_path, artifacts["json"])
+    # an overflow or an invalid operation is a numerical failure, not a warning
+    # beside an artifact of infinities
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        artifacts, summary = COMMANDS[cfg.command]["run"](cfg.params)
+        if cfg.fmt == "csv":
+            write_csv(cfg.output_path, *artifacts["csv"])
+        else:
+            write_json(cfg.output_path, artifacts["json"])
     print(summary)
     return EXIT_OK
 
@@ -644,7 +663,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     # before ValueError: numpy's LinAlgError is one
-    except (TrackingError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -31,15 +31,11 @@ from .hamiltonian import (
     basis_state,
     build_hamiltonian,
     exchange_term,
-    invariant_blocks,
+    projected_blocks,
     single_lq_graph,
     two_lq_graph,
 )
-from .linalg import max_abs
-
-
-class TrackingError(RuntimeError):
-    """The tracked quartet levels disagree (lambda_01 and lambda_10 split)."""
+from .linalg import degeneracy_tol, max_abs
 
 
 @dataclass(frozen=True)
@@ -65,6 +61,11 @@ class EffectiveHamiltonian:
     off_block_residual: float = 0.0
 
 
+def entangling_rate(lambda_00, lambda_01, lambda_11):
+    """Conditional-phase combination lambda_00 + lambda_11 - 2 lambda_01."""
+    return lambda_00 + lambda_11 - 2 * lambda_01
+
+
 @dataclass(frozen=True)
 class LambdaTriple:
     """Tracked two-LQ eigenvalues adiabatically connected to |00>, |01>, |11>."""
@@ -76,8 +77,7 @@ class LambdaTriple:
 
     @property
     def entangling_rate(self) -> float:
-        """Conditional-phase combination lambda_00 + lambda_11 - 2 lambda_01."""
-        return self.lambda_00 + self.lambda_11 - 2 * self.lambda_01
+        return entangling_rate(self.lambda_00, self.lambda_01, self.lambda_11)
 
 
 def _component_states(triple: tuple[int, int, int]):
@@ -177,7 +177,7 @@ def initialization_ground(j23_shift: float, h: float = 0.75) -> GroundStateRepor
     basis = logical_basis((0, 1, 2), 3)
     vals, vecs = np.linalg.eigh(hmat)
     splitting = float(vals[1] - vals[0])
-    if splitting <= 1e-9:
+    if splitting <= degeneracy_tol(vals):
         return GroundStateReport(None, 0.0, splitting)
     ground = vecs[:, 0]
     ov0 = abs(basis.zero_l.conj() @ ground) ** 2
@@ -194,11 +194,11 @@ def initialization_ground(j23_shift: float, h: float = 0.75) -> GroundStateRepor
 class _SectorTracker:
     """Quartet levels of the two-LQ register, each from its invariant block.
 
-    Every (j14, shift) Hamiltonian of the m=+1 sector is H(0, 0) + j14 dH/dj14
-    + shift dH/dshift.  The shift moves J23 and J56 together, so the three
-    generators keep both triple swap symmetries and each quartet column stays
-    in its own invariant block (dimensions 1, 2, 2 and 3).  The level
-    adiabatically connected to a column is the lowest level of its block.
+    The CZ pulse moves the couplings from idle along J14 and along J23 = J56,
+    which keeps both triple swap symmetries, so the m = +1 columns |00>, |01>
+    and |11> stay in blocks of dimensions 1, 2 and 3.  Swapping the triples
+    maps |01> onto |10> and the pulse onto itself, so lambda_10 = lambda_01.
+    The level adiabatically connected to a column is the lowest of its block.
 
     The name and ``walk`` remain from the overlap-tracking walk this replaced:
     the benchmark traces ``_SectorTracker.walk`` by name, and the tests count
@@ -206,32 +206,28 @@ class _SectorTracker:
     """
 
     def __init__(self, h: float = 0.75):
-        graph = two_lq_graph(h=h)
-        ops = SectorOperators(6, graph.pairs, ms=(1.0,))
-        (grp,) = ops.groups
-        terms = grp.terms[:, 0]
-        idle = grp.hamiltonians(ops.weights(graph), h)[0]
-        # edge order of two_lq_graph: (1, 2) and (4, 5) are 2 and 5, (0, 3) is 6
-        generators = np.stack([idle, terms[6], terms[2] + terms[5]])
-        columns = two_lq_basis()[grp.indices[0]].real
-        self.blocks = [(col, basis.T @ generators @ basis)
-                       for (col,), basis in invariant_blocks(generators, columns)]
+        idle = two_lq_graph(h=h)
+        ops = SectorOperators(6, idle.pairs, ms=(1.0,))
+        # edge weights at idle, per unit of J14 and per unit of the J23 = J56 shift
+        self.h, self.directions = h, np.array(
+            [ops.weights(idle), [p == (0, 3) for p in idle.pairs],
+             [p in ((1, 2), (4, 5)) for p in idle.pairs]], dtype=float)
+        columns = two_lq_basis()[ops.groups[0].indices[0]][:, [0, 1, 3]].real
+        self.blocks = [grp for (_,), grp, _ in projected_blocks(ops, self.directions, columns)]
 
     def walk(self, path: list[tuple[float, float]]) -> np.ndarray:
-        """Quartet levels [l00, l01, l10, l11] at each (j14, j23_shift) point of ``path``.
+        """Quartet levels [l00, l01, l11] at each (j14, j23_shift) point of ``path``.
 
         One batched ``eigvalsh`` call per block covers every point; each point's
         levels are independent of the rest of the path.
         """
-        j14, shift = np.reshape(path, (-1, 2)).T[:, :, None, None]
-        out = np.empty((len(path), 4))
-        for col, (idle, d_j14, d_shift) in self.blocks:
-            out[:, col] = np.linalg.eigvalsh(idle + j14 * d_j14 + shift * d_shift)[:, 0]
-        return out
+        weights = np.insert(np.reshape(path, (-1, 2)), 0, 1.0, axis=1) @ self.directions
+        return np.stack([np.linalg.eigvalsh(grp.hamiltonians(weights, self.h)[:, 0])[:, 0]
+                         for grp in self.blocks], axis=1)
 
 
 def lambda_curve(j14_values, h: float = 0.75, j23_shift: float = 0.0) -> np.ndarray:
-    """Tracked quartet eigenvalues on an ascending, nonnegative J14 grid."""
+    """Tracked quartet levels [l00, l01, l11] (l10 = l01) on an ascending, nonnegative J14 grid."""
     grid = [float(x) for x in j14_values]
     if not np.isfinite(grid + [j23_shift]).all():
         raise ValueError("j14 grid and j23 shift must be finite")
@@ -244,10 +240,7 @@ def lambda_spectrum(j14: float, h: float = 0.75, j23_shift: float = 0.0) -> Lamb
     """Tracked lambda_00, lambda_01, lambda_11 at one inter-LQ coupling value."""
     if j14 < 0:
         raise ValueError("j14 must be nonnegative")
-    row = lambda_curve([j14], h, j23_shift)[0]
-    if abs(row[1] - row[2]) > 1e-9:
-        raise TrackingError(f"lambda_01/lambda_10 split by {row[1] - row[2]:.3e}")
-    return LambdaTriple(j14, float(row[0]), float((row[1] + row[2]) / 2), float(row[3]))
+    return LambdaTriple(j14, *map(float, lambda_curve([j14], h, j23_shift)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +291,7 @@ def verify_lambda_polynomials(j14_grid, h: float = 0.75) -> list[dict]:
     grid = [float(x) for x in j14_grid]
     rows = lambda_curve(grid, h)
     report = []
-    for j14, (l00, l01a, l01b, l11) in zip(grid, rows):
-        l01 = (l01a + l01b) / 2
+    for j14, (l00, l01, l11) in zip(grid, rows):
         report.append({
             "j14": j14,
             "lambda_00": l00,

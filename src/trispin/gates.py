@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import _SectorTracker, logical_basis, two_lq_basis
+from .encoding import _SectorTracker, entangling_rate, logical_basis, two_lq_basis
 from .hamiltonian import (
     CouplingGraph,
     SectorGroup,
     SectorOperators,
-    invariant_blocks,
+    projected_blocks,
     single_lq_graph,
     sz_sectors,
     two_lq_graph,
@@ -425,11 +425,11 @@ def decompose_su2(target: np.ndarray, delta_z: float = 0.5, delta_x: float = 0.2
 # Two-LQ conditional phase gate
 # ---------------------------------------------------------------------------
 
-def _trapezoid_phases(tracker: _SectorTracker, j14_peak: float, eps: float,
-                      ramp_time: float, n_nodes: int, ramp_shape: str):
+def _midpoint_phases(tracker: _SectorTracker, j14_peak: float, eps: float,
+                     ramp_time: float, n_nodes: int, ramp_shape: str):
     """Midpoint-quadrature lambda integrals along one ramp of the pulse.
 
-    Returns (per-ramp integrals of the four lambdas, lambdas at the peak).
+    Returns (per-ramp integrals of [l00, l01, l11], the same levels at the peak).
     """
     profile = RAMP_PROFILES[ramp_shape]
     mids = [profile((k + 0.5) / n_nodes) for k in range(n_nodes)]
@@ -438,12 +438,8 @@ def _trapezoid_phases(tracker: _SectorTracker, j14_peak: float, eps: float,
     return rows[:-1].sum(axis=0) * dt, rows[-1]
 
 
-def _conditional(lams: np.ndarray) -> float:
-    return float(lams[0] + lams[3] - lams[1] - lams[2])
-
-
 def _single_qubit(lams: np.ndarray) -> float:
-    return float(lams[0] - (lams[1] + lams[2]) / 2)
+    return float(lams[0] - lams[1])
 
 
 def synthesize_cphase(phi: float, j14_peak: float, ramp_time: float,
@@ -500,9 +496,9 @@ def synthesize_cphase(phi: float, j14_peak: float, ramp_time: float,
 
     def solve(eps: float, offset: float = 0.0) -> tuple[float, float]:
         """Single-qubit phase less ``offset``, and the hold, at shift ``eps``."""
-        ramp, peak = _trapezoid_phases(tracker, j14_peak, eps, ramp_time,
-                                       n_calibration_steps, ramp_shape)
-        cc_ramp, cc_peak = _conditional(ramp), _conditional(peak)
+        ramp, peak = _midpoint_phases(tracker, j14_peak, eps, ramp_time,
+                                      n_calibration_steps, ramp_shape)
+        cc_ramp, cc_peak = float(entangling_rate(*ramp)), float(entangling_rate(*peak))
         if not cc_peak > 0 or 2 * ramp_time > max_duration:
             raise ValueError("requested phase unreachable within max_duration")
         # the fewest whole turns on the target that leave the hold >= -1e-12
@@ -597,10 +593,9 @@ def _sector_report(schedule: PulseSchedule, target: np.ndarray, cols: np.ndarray
                    n_steps_per_segment: int) -> GateReport:
     """Score a schedule on real basis columns that lie in one S_z sector.
 
-    Only the invariant blocks of the columns are evolved: the smallest
-    subspaces of the sector that hold them and are closed under the
-    Hamiltonians at the segment endpoints.  Every midpoint step is a
-    combination of its segment's endpoints, so it leaves the blocks invariant.
+    Only the invariant blocks of the columns under the segment endpoints are
+    evolved (``projected_blocks``).  Every midpoint step is a combination of
+    its segment's endpoints, so it leaves the blocks invariant.
     Raises ``ValueError`` when the columns have nonzero rows in several sectors.
     """
     if n_steps_per_segment < 1:
@@ -614,15 +609,11 @@ def _sector_report(schedule: PulseSchedule, target: np.ndarray, cols: np.ndarray
     if not schedule.segments:
         return gate_report(np.eye(len(cols), dtype=np.complex128), target, cols)
     first = schedule.segments[0].start
-    ops = SectorOperators(first.n_sites, first.pairs)
-    grp, s = next((grp, s) for grp in ops.groups for s, m in enumerate(grp.m) if m == sector.m)
+    ops = SectorOperators(first.n_sites, first.pairs, ms=(sector.m,))
     ends = [ops.weights(g) for seg in schedule.segments for g in (seg.start, seg.end)]
-    generators = grp.hamiltonians(ends, first.field_h)[:, s]
-    blocks = [basis for _, basis in invariant_blocks(generators, cols.real)]
-    groups = [SectorGroup(grp.m[s:s + 1], None, (basis.T @ grp.terms[:, s] @ basis)[:, None])
-              for basis in blocks]
-    u = _evolve_sectors(schedule, n_steps_per_segment, ops, groups)
-    u_blocks = sum(basis @ check_unitary(step[0]) @ basis.T for basis, step in zip(blocks, u))
+    _, groups, bases = zip(*projected_blocks(ops, ends, cols.real))
+    u = _evolve_sectors(schedule, n_steps_per_segment, ops, list(groups))
+    u_blocks = sum(basis @ check_unitary(step[0]) @ basis.T for basis, step in zip(bases, u))
     return gate_report(u_blocks, target, cols)
 
 

@@ -54,10 +54,6 @@ class CouplingGraph:
         object.__setattr__(self, "field_h", float(self.field_h))
 
     @property
-    def dim(self) -> int:
-        return 2**self.n_sites
-
-    @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """(i, j) of each edge, in edge order."""
         return tuple((i, j) for (i, j, _) in self.edges)
@@ -300,6 +296,20 @@ def invariant_blocks(generators, columns) -> list[tuple[tuple[int, ...], np.ndar
             return [(tuple(m), basis) for m, basis in zip(members, bases)]
         a, b = pair
         members[b] = sorted(members[b] + members.pop(a))
+
+
+def projected_blocks(ops: SectorOperators, weights, columns
+                     ) -> list[tuple[tuple[int, ...], SectorGroup, np.ndarray]]:
+    """(column indices, projected group, basis) of each invariant block of real ``columns``.
+
+    ``ops`` holds one S_z sector, whose rows the columns are on.  The blocks
+    are closed under the exchange parts of the edge ``weights`` (one row each)
+    only: the field is -h m I inside the sector, so the blocks hold at every h.
+    """
+    (grp,) = ops.groups
+    generators = grp.hamiltonians(weights, 0.0)[:, 0]
+    return [(cols, SectorGroup(grp.m, None, (basis.T @ grp.terms[:, 0] @ basis)[:, None]), basis)
+            for cols, basis in invariant_blocks(generators, columns)]
 
 
 def sector_spectrum(g: CouplingGraph) -> tuple[np.ndarray, np.ndarray]:

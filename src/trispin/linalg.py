@@ -12,11 +12,20 @@ from __future__ import annotations
 import numpy as np
 
 UNITARITY_TOL = 1e-9
+# Levels closer than this fraction of the spectrum's largest magnitude count
+# as degenerate: far above the rounding of a small dense eigensolve, and far
+# below any splitting the model makes, at every energy scale.
+DEGENERACY_TOL = 1e-9
 
 
 def max_abs(m: np.ndarray) -> float:
     """Entrywise max-modulus norm; 0.0 for empty input."""
     return float(np.max(np.abs(m))) if np.asarray(m).size else 0.0
+
+
+def degeneracy_tol(levels) -> float:
+    """Largest distance at which two of ``levels`` count as degenerate."""
+    return DEGENERACY_TOL * max_abs(levels)
 
 
 def as_matrix(m) -> np.ndarray:

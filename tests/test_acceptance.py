@@ -114,8 +114,8 @@ def test_criterion_05_lambda_series():
 
     fit_grid = np.linspace(0.0, 0.1, 21)
     fit_rows = lambda_curve(fit_grid)
-    pair = (fit_rows[:, 1] + fit_rows[:, 2]) / 2 + 9 / 4
-    top = fit_rows[:, 3] + 9 / 4
+    pair = fit_rows[:, 1] + 9 / 4
+    top = fit_rows[:, 2] + 9 / 4
     c_pair = np.polyfit(fit_grid, pair, 4)
     c_top = np.polyfit(fit_grid, top, 4)
     # Correct branch assignment (the reference series labels are swapped): the

@@ -121,6 +121,18 @@ class TestSpectrumCommand:
         assert data["energies"] == [-0.5, 0.0, 0.0, 0.5]
         assert data["sz"] == [1.0, 0.0, 0.0, -1.0]
 
+    @pytest.mark.parametrize("scale", [1e8, 1e-12, 1.0])
+    def test_degeneracy_and_gap_scale_with_the_couplings(self, run_main, tmp_path, scale):
+        # at zero field the triangle's ground is its two S = 1/2 doublets,
+        # 3/2 J below the S = 3/2 quartet, at every coupling scale
+        j = repr(scale)
+        res = run_main(["spectrum", "--j12", j, "--j13", j, "--j23", j, "--h", "0",
+                        "--out", "s.json"])
+        assert res.returncode == 0, res.stderr
+        data = json.loads((tmp_path / "s.json").read_text())
+        assert data["ground_degeneracy"] == 4
+        assert abs(data["gap"] - 1.5 * scale) <= 1e-12 * scale
+
     @pytest.mark.parametrize("n_sites", ["0", "1", "4"])
     def test_n_sites_without_edges_is_rejected(self, run_main, tmp_path, n_sites):
         res = run_main(["spectrum", "--n-sites", n_sites, "--out", "s.json"])
@@ -561,19 +573,46 @@ class TestJsonArtifacts:
         assert (tmp_path / "s.json").read_text(encoding="utf-8") == oracle_json(payload)
 
 
+HUGE = "1.7976931348623157e308"
+
+
 class TestNumericalFailureExit:
-    def test_tracking_error_maps_to_exit_four(self, monkeypatch, tmp_path, capsys):
-        from trispin import cli
-        from trispin.encoding import TrackingError
+    @pytest.mark.parametrize("args", [
+        ["verify-eq7", "--h", HUGE], ["lambdas", "--h", HUGE], ["sweep-inter", "--h", HUGE],
+        ["gate", "--type", "cphase", "--h", HUGE],
+    ], ids=["verify-eq7", "lambdas", "sweep-inter", "gate-cphase"])
+    def test_largest_field_ends_with_one_line(self, run_main, tmp_path, args):
+        # the field used to overflow the invariant-block closure into an IndexError
+        res = run_main(args + ["--out", str(tmp_path / "artifact")])
+        assert res.returncode in (3, 4)
+        assert res.stderr.count("\n") == 1 and not res.stdout
+        assert list(tmp_path.iterdir()) == []
 
-        def boom(*args, **kwargs):
-            raise TrackingError("tracking ambiguity at j14=0.9")
+    @pytest.mark.parametrize("args", [
+        ["units", "--h", HUGE], ["lambdas", "--max", HUGE, "--points", "3"],
+        ["sweep-field", "--max", HUGE, "--points", "3"], ["verify-eq7", "--h", "1e200"],
+        ["units", "--h", "1e300", "--j", "1e10"],
+    ], ids=["units", "lambdas", "sweep-field", "verify-eq7", "units-python-floats"])
+    def test_overflow_is_a_numerical_failure(self, run_main, tmp_path, args):
+        # these wrote infinities (units: "b_tesla": Infinity, not strict JSON);
+        # the last overflows in Python floats, which raise nothing, so only the
+        # artifact's own check stops it
+        res = run_main(args + ["--out", str(tmp_path / "artifact")])
+        assert res.returncode == 4
+        assert res.stderr.startswith("numerical failure: ") and res.stderr.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
-        monkeypatch.setattr(cli.encoding, "lambda_curve", boom)
-        monkeypatch.chdir(tmp_path)
-        code = cli.main(["lambdas", "--points", "3"])
-        assert code == 4
-        assert "tracking" in capsys.readouterr().err.lower()
+    @pytest.mark.parametrize("payload", [{"b_tesla": math.inf}, {"rows": [{"x": math.nan}]},
+                                         {"grid": np.array([0.0, -math.inf])}])
+    def test_non_finite_json_is_not_written(self, tmp_path, payload):
+        with pytest.raises(FloatingPointError):
+            cli.write_json(str(tmp_path / "a.json"), payload)
+        assert not (tmp_path / "a.json").exists()
+
+    def test_non_finite_csv_is_not_written(self, tmp_path):
+        with pytest.raises(FloatingPointError):
+            cli.write_csv(str(tmp_path / "a.csv"), ["x"], [[1.0], [np.float64(math.inf)]])
+        assert not (tmp_path / "a.csv").exists()
 
     def test_linalg_error_maps_to_exit_four(self, run_main, tmp_path, monkeypatch):
         # LinAlgError is a ValueError, yet it is a numerical failure

@@ -3,7 +3,6 @@ import pytest
 
 from trispin import encoding
 from trispin.encoding import (
-    TrackingError,
     _SectorTracker,
     effective_h1,
     initialization_ground,
@@ -170,8 +169,8 @@ class TestLambdaSpectrum:
         # |11> branch (+1/36, -2/27); the reference labels are swapped.
         grid = np.linspace(0.0, 0.1, 21)
         rows = lambda_curve(grid)
-        pair = (rows[:, 1] + rows[:, 2]) / 2 + 9 / 4
-        top = rows[:, 3] + 9 / 4
+        pair = rows[:, 1] + 9 / 4
+        top = rows[:, 2] + 9 / 4
         c_pair = np.polyfit(grid, pair, 4)
         c_top = np.polyfit(grid, top, 4)
         assert abs(c_pair[-2] - (-1 / 12)) / (1 / 12) < 1e-3
@@ -269,7 +268,7 @@ def _loop_advance(hmat, pt, refs):
         cls = np.abs(vals - vals[best]) <= 1e-8
         weight = float(np.sum(np.abs(amps[cls]) ** 2))
         if weight < 0.5:
-            raise TrackingError(
+            raise RuntimeError(
                 f"tracking ambiguity at (j14={pt[0]:.6f}, shift={pt[1]:.6f}): "
                 f"overlap {weight:.3f} < 0.5")
         proj = vecs[:, cls] @ amps[cls]
@@ -284,7 +283,8 @@ def _overlap_walk(path, h=0.75, step=1e-3):
 
     The oracle for the block levels: from j14 = 0, where the logical product
     states are exact eigenstates, each state follows the eigenspace it
-    overlaps most, in substeps of at most ``step``.
+    overlaps most, in substeps of at most ``step``.  Returns the levels of all
+    four columns |00>, |01>, |10>, |11>; ``WALKED`` picks the tracker's three.
     """
     if path[0][0] != 0.0:
         raise ValueError("the overlap walk starts at j14 = 0")
@@ -307,11 +307,22 @@ def _overlap_walk(path, h=0.75, step=1e-3):
     return out
 
 
+# the oracle's columns of the tracker's levels [l00, l01, l11]
+WALKED = [0, 1, 3]
+
+
+def assert_pair_levels_agree(walked):
+    """The oracle's |01> and |10> levels agree: lambda_10 = lambda_01 by the triple swap."""
+    assert max_abs(walked[:, 1] - walked[:, 2]) <= 1e-12
+
+
 class TestTrackerStep:
     def test_matches_per_state_reference(self):
         # from the degenerate quartet at j14 = 0 along a shifted ramp
         path = [(x, 0.3 * x) for x in np.linspace(0.0, 0.7, 141)]
-        assert max_abs(_SectorTracker(0.75).walk(path) - _overlap_walk(path)) <= 1e-12
+        walked = _overlap_walk(path)
+        assert max_abs(_SectorTracker(0.75).walk(path) - walked[:, WALKED]) <= 1e-12
+        assert_pair_levels_agree(walked)
 
 
 def _calibration_path(j14_peak=0.5, eps=0.12, n_nodes=40):
@@ -325,20 +336,23 @@ class TestBatchedWalk:
     def tracker(self):
         return _SectorTracker(0.75)
 
-    def test_one_block_per_column_with_dimensions_1_2_2_3(self, tracker):
-        assert [(col, len(idle)) for col, (idle, _, _) in tracker.blocks] == [
-            (0, 1), (1, 2), (2, 2), (3, 3)]
+    def test_one_block_per_column_with_dimensions_1_2_3(self, tracker):
+        # |00>, |01> and |11>; |10> mirrors |01> and is not solved
+        assert [grp.terms.shape[-2:] for grp in tracker.blocks] == [(1, 1), (2, 2), (3, 3)]
 
     @pytest.mark.parametrize("j14_peak,eps", [(0.1, 0.0), (0.3, 0.12), (0.5, 0.35), (0.7, 0.2)])
     def test_matches_overlap_walk_on_calibration_paths(self, tracker, j14_peak, eps):
         path = _calibration_path(j14_peak, eps, 160)
-        assert max_abs(tracker.walk(path) - _overlap_walk(path)) <= 1e-12
+        walked = _overlap_walk(path)
+        assert max_abs(tracker.walk(path) - walked[:, WALKED]) <= 1e-12
+        assert_pair_levels_agree(walked)
 
     @pytest.mark.parametrize("j14_max", [0.85, 1.5])
     def test_matches_overlap_walk_on_sweep_grids(self, j14_max):
         grid = np.linspace(0.0, j14_max, 301)
         walked = _overlap_walk([(x, 0.0) for x in grid])
-        assert max_abs(lambda_curve(grid) - walked) <= 1e-12
+        assert max_abs(lambda_curve(grid) - walked[:, WALKED]) <= 1e-12
+        assert_pair_levels_agree(walked)
 
     def test_resumed_walk_continues_the_levels(self, tracker):
         path = _calibration_path()
@@ -357,4 +371,4 @@ class TestBatchedWalk:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         path = _calibration_path()
         tracker.walk(path)
-        assert sizes == [(len(path), d, d) for d in (1, 2, 2, 3)]
+        assert sizes == [(len(path), d, d) for d in (1, 2, 3)]

@@ -580,8 +580,8 @@ class TestCphaseCalibration:
         peak = ramp_seg.end
         eps = peak.coupling(1, 2) - 1.0
         assert eps == peak.coupling(4, 5) - 1.0
-        ramp, top = gates._trapezoid_phases(_SectorTracker(0.75), 0.5, eps, 20.0,
-                                            160, "smooth")
+        ramp, top = gates._midpoint_phases(_SectorTracker(0.75), 0.5, eps, 20.0,
+                                           160, "smooth")
         sq = 2 * gates._single_qubit(ramp) + gates._single_qubit(top) * hold_seg.duration
         residual = sq - 2 * np.pi * np.round(sq / (2 * np.pi))
         assert abs(residual) <= CALIBRATION_TOL
@@ -604,9 +604,9 @@ class TestCphaseCalibration:
         # changes inside the bracket but no shift brings it near zero.
         def phases(tracker, j14_peak, eps, ramp_time, n_nodes, ramp_shape):
             s = 1.0 if eps < 0.1 else -1.0
-            return np.array([s, 0.0, 0.0, 1.0 - s]), np.array([0.0, 0.0, 0.0, 1.0])
+            return np.array([s, 0.0, 1.0 - s]), np.array([0.0, 0.0, 1.0])
 
-        monkeypatch.setattr(gates, "_trapezoid_phases", phases)
+        monkeypatch.setattr(gates, "_midpoint_phases", phases)
 
     def test_non_converging_calibration_raises(self, monkeypatch):
         self._step_phases(monkeypatch)

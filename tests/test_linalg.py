@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trispin.linalg import as_matrix, check_unitary, regula_falsi
+from trispin.linalg import as_matrix, check_unitary, degeneracy_tol, regula_falsi
 
 
 class TestValidation:
@@ -14,6 +14,15 @@ class TestValidation:
     def test_check_unitary_rejects(self):
         with pytest.raises(ValueError, match="not unitary"):
             check_unitary(np.diag([1.0, 0.5]))
+
+
+class TestDegeneracyTol:
+    @pytest.mark.parametrize("scale", [1e8, 1e-12, 1.0])
+    def test_scales_with_the_largest_level(self, scale):
+        assert degeneracy_tol(scale * np.array([-2.0, 0.5, 1.0])) == pytest.approx(2e-9 * scale)
+
+    def test_zero_spectrum(self):
+        assert degeneracy_tol(np.zeros(4)) == 0.0
 
 
 def _probed(fn):
