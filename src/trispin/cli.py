@@ -31,10 +31,22 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 EXIT_NUMERICAL = 4
+# The request budget: each command checks its sizes against these caps before
+# any work, so that every accepted request ends in bounded time and memory.
 # Largest register ``spectrum`` accepts: the exchange blocks of one edge hold
 # C(2n, n) doubles (1.5 MB at n = 10, 4.8 GB at n = 16), and the S_z sectors
 # are sorted state by state in Python.
 MAX_SPECTRUM_SITES = 10
+# Grid points of a sweep, ``lambdas`` or ``verify-eq7``.  At the cap the
+# largest, ``sweep-inter``, took 1.6 s and 133 MB.  (Every figure here: one
+# in-process call on a shared 2-vCPU x86-64 machine, one BLAS thread.)
+MAX_GRID_POINTS = 10_000
+# Propagation steps per ramp (``gates.ramp_steps``): a default CZ at the cap
+# took 0.45 s and 33 MB, and 10x the cap took 6.2 s.
+MAX_RAMP_STEPS = 100_000
+# Calibration quadrature nodes per ramp: a default CZ at the cap took 0.14 s
+# and 36 MB, and 10x the cap took 1.1 s and 69 MB.
+MAX_CALIBRATION_NODES = 10_000
 
 _ANGLE_RE = re.compile(r"^([+-]?)(\d+(?:\.\d*)?)?\s*pi\s*(?:/\s*(\d+(?:\.\d*)?))?$")
 
@@ -64,6 +76,26 @@ def parse_angle(token: str) -> float:
     return angle
 
 
+def _at_most(flag: str, value, count: float, cap: int, unit: str) -> None:
+    """Reject a request of more than ``cap`` ``unit`` before any work starts (exit 2)."""
+    if count > cap:
+        raise ConfigError(f"--{flag} {value}: at most {cap} {unit}")
+
+
+def _check_ramp_steps(steps_per_unit: float, longest_ramp: float, synthesized: bool) -> None:
+    """Cap the propagation steps per ramp that ``gates.ramp_steps`` will pick.
+
+    A synthesized gate whose ramps outlast half of ``gates.MAX_DURATION`` is
+    rejected (exit 3) before it propagates, so only that much ramp counts.  A
+    rate or ramp that is not finite is left to the checks that own it.
+    """
+    if synthesized:
+        longest_ramp = min(longest_ramp, gates.MAX_DURATION / 2)
+    if np.isfinite([steps_per_unit, longest_ramp]).all():
+        _at_most("steps-per-unit", steps_per_unit, steps_per_unit * longest_ramp,
+                 MAX_RAMP_STEPS, "propagation steps per ramp")
+
+
 def parse_grid(token: str) -> tuple[float, float, int]:
     """'start:stop:npts' grid specification."""
     parts = str(token).split(":")
@@ -75,6 +107,7 @@ def parse_grid(token: str) -> tuple[float, float, int]:
         raise ConfigError(f"invalid grid {token!r}: non-numeric field") from None
     if n < 1:
         raise ConfigError(f"invalid grid {token!r}: need at least one point")
+    _at_most("grid", token, n, MAX_GRID_POINTS, "points")
     return lo, hi, n
 
 
@@ -356,8 +389,7 @@ def _linspace(lo: float, hi: float, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _run_spectrum(p: dict) -> tuple[dict, str]:
-    if p["n_sites"] > MAX_SPECTRUM_SITES:
-        raise ConfigError(f"--n-sites {p['n_sites']}: at most {MAX_SPECTRUM_SITES} sites")
+    _at_most("n-sites", p["n_sites"], p["n_sites"], MAX_SPECTRUM_SITES, "sites")
     if p["edges"] is not None:
         parsed = parse_edges(p["edges"], p["n_sites"])
         graph = CouplingGraph(parsed.n_sites, parsed.edges, p["h"])
@@ -386,6 +418,7 @@ def _run_spectrum(p: dict) -> tuple[dict, str]:
 
 
 def _run_sweep_field(p: dict) -> tuple[dict, str]:
+    _at_most("points", p["points"], p["points"], MAX_GRID_POINTS, "points")
     result = spectra.sweep_field(p["min"], p["max"], p["points"])
     h_star = spectra.optimal_field(p["min"], p["max"])
     return (_sweep_artifacts(result, {"h_star": h_star}),
@@ -393,6 +426,7 @@ def _run_sweep_field(p: dict) -> tuple[dict, str]:
 
 
 def _run_sweep_intra(p: dict) -> tuple[dict, str]:
+    _at_most("points", p["points"], p["points"], MAX_GRID_POINTS, "points")
     result, crossings = spectra.sweep_intra(p["which"], p["min"], p["max"],
                                             p["points"], h=p["h"])
     pts = ", ".join(fmt_float(c) for c in crossings.crossings) or "none"
@@ -401,6 +435,7 @@ def _run_sweep_intra(p: dict) -> tuple[dict, str]:
 
 
 def _run_sweep_inter(p: dict) -> tuple[dict, str]:
+    _at_most("points", p["points"], p["points"], MAX_GRID_POINTS, "points")
     result, crossings = spectra.sweep_inter(p["min"], p["max"], p["points"], h=p["h"])
     pts = ", ".join(fmt_float(c) for c in crossings.crossings) or "none in range"
     return (_sweep_artifacts(result, {"crossings": list(crossings.crossings)}),
@@ -410,6 +445,7 @@ def _run_sweep_inter(p: dict) -> tuple[dict, str]:
 def _run_lambdas(p: dict) -> tuple[dict, str]:
     if p["points"] < 1:
         raise ConfigError(f"--points: need at least one point, got {p['points']}")
+    _at_most("points", p["points"], p["points"], MAX_GRID_POINTS, "points")
     grid = _linspace(p["min"], p["max"], p["points"])
     rows = encoding.lambda_curve(grid, h=p["h"])
     table = [[x, *r, encoding.entangling_rate(*r)] for x, r in zip(grid, rows)]
@@ -489,6 +525,9 @@ GATES: dict[str, tuple[Callable[[dict], tuple], Callable]] = {
 
 def _run_gate(p: dict) -> tuple[dict, str]:
     kind = p["type"]
+    if kind == "cphase":
+        _at_most("cal-steps", p["cal_steps"], p["cal_steps"], MAX_CALIBRATION_NODES, "nodes")
+        _check_ramp_steps(p["steps_per_unit"], p["ramp_time"], synthesized=True)
     build, score = GATES[kind]
     schedule, target = build(p)
     report = score(schedule, target, gates.ramp_steps(schedule, p["steps_per_unit"]))
@@ -508,6 +547,8 @@ def _run_gate(p: dict) -> tuple[dict, str]:
 
 def _run_adiabatic(p: dict) -> tuple[dict, str]:
     times = _parse_ramp_times(p["ramp_times"])
+    _at_most("cal-steps", p["cal_steps"], p["cal_steps"], MAX_CALIBRATION_NODES, "nodes")
+    _check_ramp_steps(p["steps_per_unit"], max(times), synthesized=p["j14"] != 0)
     rows = spectra.adiabatic_leakage_curve(
         p["phi"], p["j14"], times, n_calibration_steps=p["cal_steps"],
         steps_per_unit_time=p["steps_per_unit"], h=p["h"],

@@ -169,13 +169,17 @@ def initialization_ground(j23_shift: float, h: float = 0.75) -> GroundStateRepor
 
     Raising J23 favors the (b, c) singlet, so positive shifts select |0_L>
     and negative shifts select |1_L>.  Shifts outside (-0.75, 0.75) cross a
-    non-logical level and are rejected.
+    non-logical level and are rejected, and so is a field whose ground levels
+    hold no state of the m = +1/2 doublet.
     """
     if not abs(j23_shift) < 0.75:
         raise ValueError("shift outside the crossing-free window (-0.75, 0.75)")
     hmat = build_hamiltonian(single_lq_graph(j23=1.0 + j23_shift, h=h))
     basis = logical_basis((0, 1, 2), 3)
     vals, vecs = np.linalg.eigh(hmat)
+    ground = vecs[:, vals - vals[0] <= degeneracy_tol(vals)]
+    if not np.max(np.linalg.norm(basis.columns.conj().T @ ground, axis=1)) > 0.5:
+        raise ValueError(f"the ground state at h = {h} is not in the logical doublet")
     splitting = float(vals[1] - vals[0])
     if splitting <= degeneracy_tol(vals):
         return GroundStateReport(None, 0.0, splitting)
@@ -199,41 +203,42 @@ class _SectorTracker:
     and |11> stay in blocks of dimensions 1, 2 and 3.  Swapping the triples
     maps |01> onto |10> and the pulse onto itself, so lambda_10 = lambda_01.
     The level adiabatically connected to a column is the lowest of its block.
+    The levels are exchange only: the field adds -h to each (m = +1).
 
     The name and ``walk`` remain from the overlap-tracking walk this replaced:
     the benchmark traces ``_SectorTracker.walk`` by name, and the tests count
     its calls.
     """
 
-    def __init__(self, h: float = 0.75):
-        idle = two_lq_graph(h=h)
+    def __init__(self):
+        idle = two_lq_graph()
         ops = SectorOperators(6, idle.pairs, ms=(1.0,))
         # edge weights at idle, per unit of J14 and per unit of the J23 = J56 shift
-        self.h, self.directions = h, np.array(
+        self.directions = np.array(
             [ops.weights(idle), [p == (0, 3) for p in idle.pairs],
              [p in ((1, 2), (4, 5)) for p in idle.pairs]], dtype=float)
         columns = two_lq_basis()[ops.groups[0].indices[0]][:, [0, 1, 3]].real
         self.blocks = [grp for (_,), grp, _ in projected_blocks(ops, self.directions, columns)]
 
     def walk(self, path: list[tuple[float, float]]) -> np.ndarray:
-        """Quartet levels [l00, l01, l11] at each (j14, j23_shift) point of ``path``.
+        """Exchange quartet levels [l00, l01, l11] at each (j14, j23_shift) point of ``path``.
 
         One batched ``eigvalsh`` call per block covers every point; each point's
         levels are independent of the rest of the path.
         """
         weights = np.insert(np.reshape(path, (-1, 2)), 0, 1.0, axis=1) @ self.directions
-        return np.stack([np.linalg.eigvalsh(grp.hamiltonians(weights, self.h)[:, 0])[:, 0]
+        return np.stack([np.linalg.eigvalsh(grp.exchange(weights)[:, 0])[:, 0]
                          for grp in self.blocks], axis=1)
 
 
 def lambda_curve(j14_values, h: float = 0.75, j23_shift: float = 0.0) -> np.ndarray:
-    """Tracked quartet levels [l00, l01, l11] (l10 = l01) on an ascending, nonnegative J14 grid."""
+    """Tracked quartet levels [l00, l01, l11] (l10 = l01), less h, on ascending J14 >= 0."""
     grid = [float(x) for x in j14_values]
     if not np.isfinite(grid + [j23_shift]).all():
         raise ValueError("j14 grid and j23 shift must be finite")
     if any(b < a for a, b in zip(grid, grid[1:])) or (grid and grid[0] < 0):
         raise ValueError("j14 grid must be ascending and nonnegative")
-    return _SectorTracker(h).walk([(x, j23_shift) for x in grid])
+    return _SectorTracker().walk([(x, j23_shift) for x in grid]) - h
 
 
 def lambda_spectrum(j14: float, h: float = 0.75, j23_shift: float = 0.0) -> LambdaTriple:

@@ -31,6 +31,8 @@ from .linalg import check_unitary, regula_falsi
 COUPLING_WINDOW = (0.25, 1.75)
 CALIBRATION_TOL = 1e-10
 CALIBRATION_MAX_PROBES = 200
+# Default longest conditional-phase gate ``synthesize_cphase`` accepts
+MAX_DURATION = 2000.0
 # Ramp steps built, diagonalized and multiplied per batch.  The pairwise
 # product takes about log2(_CHUNK) batched matmuls per chunk, so larger chunks
 # cut Python overhead per step; the chunk also bounds the memory of a ramp,
@@ -227,12 +229,11 @@ def _evolve_sectors(schedule: PulseSchedule, n_steps_per_segment: int, ops: Sect
     propagator exp(-i H dt) of a real symmetric H is symmetric, and every
     profile has f(1 - s) = 1 - f(s), so the reversed ramp takes the same steps
     in the opposite order, and the product of the reversed steps is the
-    transpose of the product.
+    transpose of the product.  The steps are exchange only: the field, -h m on
+    a sector, commutes with each, so it is one phase e^{i h m T} over the duration T.
     """
-    field_h = schedule.segments[0].start.field_h
-
     def built(weights: np.ndarray) -> list[np.ndarray]:
-        return [grp.hamiltonians(weights, field_h) for grp in groups]
+        return [grp.exchange(weights) for grp in groups]
 
     def identity() -> list[np.ndarray]:
         return [np.broadcast_to(np.eye(grp.terms.shape[-1], dtype=np.complex128),
@@ -259,7 +260,8 @@ def _evolve_sectors(schedule: PulseSchedule, n_steps_per_segment: int, ops: Sect
                 ramp = _evolve(built(w0 + f[:, None] * (w1 - w0)), dt, ramp)
             ramps[seg.ramp, seg.duration, seg.start, seg.end] = ramp
         u = [r @ prev for r, prev in zip(ramp, u)]
-    return u
+    phase = schedule.segments[0].start.field_h * schedule.total_duration
+    return [np.exp(1j * phase * grp.m)[:, None, None] * blk for grp, blk in zip(groups, u)]
 
 
 def propagate(schedule: PulseSchedule, n_steps_per_segment: int = 200) -> np.ndarray:
@@ -444,7 +446,7 @@ def _single_qubit(lams: np.ndarray) -> float:
 
 def synthesize_cphase(phi: float, j14_peak: float, ramp_time: float,
                       n_calibration_steps: int = 160, h: float = 0.75,
-                      mode: str = "simultaneous", max_duration: float = 2000.0,
+                      mode: str = "simultaneous", max_duration: float = MAX_DURATION,
                       ramp_shape: str = "smooth") -> PulseSchedule:
     """Conditional phase gate from one ramp-hold-ramp J14 pulse.
 
@@ -492,7 +494,7 @@ def synthesize_cphase(phi: float, j14_peak: float, ramp_time: float,
     if target_cc == 0.0:
         return PulseSchedule((), 6, idle=idle)
 
-    tracker = _SectorTracker(h)
+    tracker = _SectorTracker()
 
     def solve(eps: float, offset: float = 0.0) -> tuple[float, float]:
         """Single-qubit phase less ``offset``, and the hold, at shift ``eps``."""

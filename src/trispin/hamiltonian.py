@@ -131,9 +131,10 @@ def total_spin(n_sites: int, axis: str) -> np.ndarray:
 
 
 def build_hamiltonian(g: CouplingGraph) -> np.ndarray:
-    """H = sum_ij J_ij S_i . S_j  -  h sum_i S_z^i, assembled from its S_z sector blocks."""
+    """H = sum_ij J_ij S_i . S_j  -  h sum_i S_z^i: exchange sector blocks, then the field."""
     ops = SectorOperators(g.n_sites, g.pairs)
-    return ops.embed(ops.blocks(ops.weights(g), g.field_h)).astype(np.complex128)
+    sz = np.diag([g.n_sites / 2 - bin(idx).count("1") for idx in range(2**g.n_sites)])
+    return ops.embed(ops.blocks(ops.weights(g))).astype(np.complex128) - g.field_h * sz
 
 
 def sz_sectors(n_sites: int) -> list[SectorBasis]:
@@ -150,30 +151,27 @@ def sz_sectors(n_sites: int) -> list[SectorBasis]:
 
 @dataclass(frozen=True)
 class SectorGroup:
-    """Blocks of equal size, stacked for batched eigensolves.
+    """Exchange blocks of equal size, stacked for batched eigensolves.
 
     ``terms[e, k]`` is the exchange operator of edge ``e`` on block ``k`` (real
     symmetric), and ``m[k]`` the magnetization of the sector holding the block.
     For whole sectors ``indices[k]`` are the sector's product-basis indices;
-    groups of projected invariant blocks carry ``None``.
+    groups of projected invariant blocks carry ``None``.  No block holds the field.
     """
 
     m: np.ndarray
     indices: np.ndarray | None
     terms: np.ndarray
 
-    def hamiltonians(self, weights: np.ndarray, field_h) -> np.ndarray:
-        """Hamiltonian blocks at edge ``weights``, with matching leading batch axes on ``field_h``.
+    def exchange(self, weights: np.ndarray) -> np.ndarray:
+        """Exchange blocks at edge ``weights`` (linear in them), after their leading batch axes.
 
         Each row is its own matrix-vector product, so it equals its unbatched block.
         """
         weights = np.asarray(weights, dtype=float)
-        field_h = np.asarray(field_h, dtype=float)[..., None, None, None]
         # an explicit row length, not -1, so that an empty edge set reshapes too
         terms = self.terms.reshape(len(self.terms), math.prod(self.terms.shape[1:]))
-        exchange = weights[..., None, :] @ terms
-        return (exchange.reshape(weights.shape[:-1] + self.terms.shape[1:])
-                - field_h * self.m[:, None, None] * np.eye(self.terms.shape[-1]))
+        return (weights[..., None, :] @ terms).reshape(weights.shape[:-1] + self.terms.shape[1:])
 
 
 class SectorOperators:
@@ -181,10 +179,11 @@ class SectorOperators:
 
     Every Hamiltonian built from exchange and a uniform field conserves total
     S_z, so it is the direct sum of its sector blocks, and the Zeeman term is
-    the constant -h m on the sector of magnetization m.  The blocks come from
-    bit operations on the product index.  They are the one builder of
-    exchange operators here (``build_hamiltonian`` and ``exchange_term`` embed
-    them); the tests check them against Kronecker products of Pauli matrices
+    the constant -h m on the sector of magnetization m, which ``spectra`` adds
+    to the exchange levels.  The blocks come from bit operations on the product
+    index.  They are the one builder of exchange operators here
+    (``build_hamiltonian`` and ``exchange_term`` embed them); the tests check
+    them against Kronecker products of Pauli matrices
     (``kron_hamiltonian`` in ``tests/test_hamiltonian.py``).  ``ms`` keeps
     only the listed sectors.
     """
@@ -224,9 +223,9 @@ class SectorOperators:
             raise ValueError("need graphs sharing one site count and one edge set")
         return np.array([jij for (_, _, jij) in g.edges])
 
-    def blocks(self, weights: np.ndarray, field_h) -> list[np.ndarray]:
-        """Hamiltonian blocks, one stack per group (see ``SectorGroup.hamiltonians``)."""
-        return [grp.hamiltonians(weights, field_h) for grp in self.groups]
+    def blocks(self, weights: np.ndarray) -> list[np.ndarray]:
+        """Exchange blocks, one stack per group (see ``SectorGroup.exchange``)."""
+        return [grp.exchange(weights) for grp in self.groups]
 
     def spectra(self, graphs: list[CouplingGraph]) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues of H and exact total-S_z labels, one row per graph.
@@ -239,8 +238,8 @@ class SectorOperators:
         weights = np.array([self.weights(g) for g in graphs])
         fields = np.array([g.field_h for g in graphs])
         vals, labels = [], []
-        for grp, stack in zip(self.groups, self.blocks(weights, fields)):
-            ev = np.linalg.eigvalsh(stack)
+        for grp, stack in zip(self.groups, self.blocks(weights)):
+            ev = np.linalg.eigvalsh(stack) - fields[:, None, None] * grp.m[:, None]
             vals.append(ev.reshape(len(graphs), -1))
             labels.append(np.repeat(grp.m, ev.shape[-1]))
         vals, labels = np.concatenate(vals, axis=1), np.concatenate(labels)
@@ -303,11 +302,11 @@ def projected_blocks(ops: SectorOperators, weights, columns
     """(column indices, projected group, basis) of each invariant block of real ``columns``.
 
     ``ops`` holds one S_z sector, whose rows the columns are on.  The blocks
-    are closed under the exchange parts of the edge ``weights`` (one row each)
-    only: the field is -h m I inside the sector, so the blocks hold at every h.
+    are closed under the exchange blocks of the edge ``weights`` (one row
+    each); the field is -h m I inside the sector, so they hold at every h.
     """
     (grp,) = ops.groups
-    generators = grp.hamiltonians(weights, 0.0)[:, 0]
+    generators = grp.exchange(weights)[:, 0]
     return [(cols, SectorGroup(grp.m, None, (basis.T @ grp.terms[:, 0] @ basis)[:, None]), basis)
             for cols, basis in invariant_blocks(generators, columns)]
 

@@ -218,14 +218,14 @@ def sweep_inter(j_min: float, j_max: float, n_points: int,
     """Two-LQ spectrum against the inter-triple coupling, with the gap closing.
 
     The logical quartet energies are the lowest levels of the quartet's
-    invariant blocks, from one tracker on the grid and at every crossing probe;
-    lambda_01 stands twice, as the |01> and |10> levels.
+    invariant blocks, from one tracker on the grid and at every crossing probe,
+    less h (m = +1); lambda_01 stands twice, as the |01> and |10> levels.
     """
     if j_min < 0:
         raise ValueError("j_min must be nonnegative")
-    tracker = _SectorTracker(h)
+    tracker = _SectorTracker()
     result, gap_at = _sweep("j14", j_min, j_max, n_points, lambda x: two_lq_graph(j14=x, h=h),
-                            lambda xs: tracker.walk([(x, 0.0) for x in xs])[:, [0, 1, 1, 2]],
+                            lambda xs: tracker.walk([(x, 0.0) for x in xs])[:, [0, 1, 1, 2]] - h,
                             _gap_above)
     return result, _find_crossings(gap_at, result.grid, result.gap)
 

@@ -50,7 +50,7 @@ class TestSweepCommands:
         res = run_cli(["sweep-field", "--points", "41", "--out", "sf.csv"], tmp_path)
         assert res.returncode == 0
         h_star = float(res.stdout.split("h* =")[1])
-        assert abs(h_star - 0.75) <= 1e-6
+        assert abs(h_star - 0.75) <= np.spacing(0.75)
         lines = (tmp_path / "sf.csv").read_text().splitlines()
         assert lines[0] == "h,e1,e2,e3,e4,e5,e6,e7,e8,gap"
         assert len(lines) == 42
@@ -62,13 +62,15 @@ class TestSweepCommands:
         # above h = 3/2 the signed gap is negative, so h* stays at 3/4
         res = run_main(["sweep-field", "--min", "0", "--max", "4", "--out", "sf.csv"])
         assert res.returncode == 0
-        assert abs(float(res.stdout.split("h* =")[1]) - 0.75) <= 1e-6
+        assert abs(float(res.stdout.split("h* =")[1]) - 0.75) <= np.spacing(0.75)
 
     def test_sweep_intra_summary(self, run_main):
         res = run_main(["sweep-intra", "--which", "j23", "--points", "61",
                         "--out", "si.csv"])
         assert res.returncode == 0
-        assert "0.25" in res.stdout and "1.75" in res.stdout
+        crossings = [float(x) for x in res.stdout.split(" at: ")[1].split(",")]
+        assert len(crossings) == 2
+        assert abs(crossings[0] - 0.25) <= 1e-14 and abs(crossings[1] - 1.75) <= 1e-14
 
     def test_lambdas_csv(self, run_main, tmp_path):
         res = run_main(["lambdas", "--points", "8", "--max", "0.35",
@@ -240,6 +242,30 @@ class TestGateCommand:
         assert res.stdout.startswith(f"{kind}: fidelity ")
         data = json.loads((tmp_path / "g.json").read_text())
         assert data["type"] == kind and data["fidelity"] >= 0.99
+
+    @pytest.mark.parametrize("kind", ["rz", "rx"])
+    def test_single_lq_gates_are_exact_at_any_field(self, run_main, tmp_path, kind):
+        # the field is one phase per sector, so it cannot round the exchange away
+        blocks = []
+        for h in ("0.75", "1e10", "1e20", "1e300"):
+            assert run_main(["gate", "--type", kind, "--h", h, "--out", "g.json"]).returncode == 0
+            data = json.loads((tmp_path / "g.json").read_text())
+            assert 1 - data["fidelity"] <= 1e-15
+            blocks.append(np.array(data["logical_unitary_re"])
+                          + 1j * np.array(data["logical_unitary_im"]))
+        for block in blocks[1:]:
+            tr = np.trace(blocks[0].conj().T @ block)
+            assert np.max(np.abs(block - tr / abs(tr) * blocks[0])) <= 1e-15
+
+    def test_cphase_at_large_fields(self, run_main, tmp_path):
+        # the calibration used to fail at h = 1e6 (exit 4) and at h = 1e20 (exit 3)
+        reports = []
+        for h in ("0.75", "1e6", "1e20"):
+            res = run_main(["gate", "--type", "cphase", "--h", h, "--out", "g.json"])
+            assert res.returncode == 0, res.stderr
+            data = json.loads((tmp_path / "g.json").read_text())
+            reports.append((data["fidelity"], data["conditional_phase"]))
+        assert np.max(np.abs(np.array(reports[1:]) - reports[0])) <= 1e-12
 
     def test_angle_defaults_are_parsed(self, run_main, tmp_path):
         # defaults declared as pi tokens must go through the angle parser
@@ -430,6 +456,67 @@ class TestRejectedValues:
     def test_parse_angle_rejects_non_finite_values(self, token):
         with pytest.raises(cli.ConfigError, match="must be finite"):
             cli.parse_angle(token)
+
+
+# argv of a request of size n, and the cap on that size
+BUDGETS = {
+    "sweep-field": (lambda n: ["sweep-field", "--points", str(n)], cli.MAX_GRID_POINTS),
+    "sweep-intra": (lambda n: ["sweep-intra", "--points", str(n)], cli.MAX_GRID_POINTS),
+    "sweep-inter": (lambda n: ["sweep-inter", "--points", str(n)], cli.MAX_GRID_POINTS),
+    "lambdas": (lambda n: ["lambdas", "--points", str(n)], cli.MAX_GRID_POINTS),
+    "verify-eq7": (lambda n: ["verify-eq7", "--grid", f"0:0.7:{n}"], cli.MAX_GRID_POINTS),
+    "gate-cal-steps": (lambda n: ["gate", "--type", "cphase", "--cal-steps", str(n)],
+                       cli.MAX_CALIBRATION_NODES),
+    "adiabatic-cal-steps": (lambda n: ["adiabatic", "--cal-steps", str(n)],
+                            cli.MAX_CALIBRATION_NODES),
+    "gate-steps": (lambda n: ["gate", "--type", "cphase", "--ramp-time", "1",
+                              "--steps-per-unit", str(n)], cli.MAX_RAMP_STEPS),
+    # the longest ramp sets the count
+    "adiabatic-steps": (lambda n: ["adiabatic", "--ramp-times", "0.5,2",
+                                   "--steps-per-unit", str(n / 2)], cli.MAX_RAMP_STEPS),
+}
+
+
+class TestRequestBudget:
+    """Each cap is checked before any work: no eigensolve runs past it."""
+
+    @pytest.fixture(autouse=True)
+    def no_eigensolves(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigensolver reached")
+
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+
+    @pytest.mark.parametrize("name", list(BUDGETS))
+    def test_one_past_the_cap_exits_two(self, run_main, tmp_path, name):
+        argv, cap = BUDGETS[name]
+        res = run_main(argv(cap + 1) + ["--out", "x.out"])
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: --") and res.stderr.count("\n") == 1
+        assert f"at most {cap} " in res.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["lambdas", "verify-eq7", "gate-cal-steps",
+                                      "adiabatic-cal-steps", "gate-steps", "adiabatic-steps"])
+    def test_the_cap_itself_is_accepted(self, run_main, name):
+        argv, cap = BUDGETS[name]
+        res = run_main(argv(cap) + ["--out", "x.out"])
+        assert res.stderr == "numerical failure: eigensolver reached\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["gate", "--type", "cphase", "--steps-per-unit", "1e300"],
+        ["gate", "--type", "cphase", "--steps-per-unit", "1e308"],
+        ["adiabatic", "--ramp-times", "4", "--steps-per-unit", "1e300"],
+        ["adiabatic", "--j14", "0", "--ramp-times", "1e10"],
+        ["gate", "--type", "cphase", "--cal-steps", "100000000"],
+        ["sweep-field", "--points", "30000000"],
+        ["lambdas", "--points", "100000000"],
+    ])
+    def test_requests_that_ran_unbounded_exit_two(self, run_main, tmp_path, argv):
+        res = run_main(argv + ["--out", "x.out"])
+        assert res.returncode == 2 and "at most" in res.stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSweepBounds:

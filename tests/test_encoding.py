@@ -256,6 +256,17 @@ class TestInitialization:
         with pytest.raises(ValueError):
             initialization_ground(-0.75)
 
+    @pytest.mark.parametrize("h", [2.0, -0.5])
+    def test_ground_outside_the_doublet_is_rejected(self, h):
+        # the ground is the m = 3/2 state at h = 2 and in the m = -1/2 doublet at h = -0.5
+        with pytest.raises(ValueError, match="not in the logical doublet"):
+            initialization_ground(0.3, h=h)
+
+    def test_idle_field_report_is_kept(self):
+        rep = initialization_ground(0.3)
+        assert rep.label == "0_L"
+        assert abs(rep.overlap - 1) <= 1e-14 and abs(rep.splitting - 0.3) <= 1e-14
+
 
 def _loop_advance(hmat, pt, refs):
     """One step of the overlap walk: follow each state into the eigenspace it overlaps most."""
@@ -294,7 +305,7 @@ def _overlap_walk(path, h=0.75, step=1e-3):
         w = np.ones(7)
         w[2] = w[5] = 1.0 + pt[1]
         w[6] = pt[0]
-        return _loop_advance(ops.blocks(w, h)[0][0], pt, refs)
+        return _loop_advance(ops.blocks(w)[0][0] - h * np.eye(15), pt, refs)
 
     refs = two_lq_basis()[ops.groups[0].indices[0], :]
     out = np.empty((len(path), 4))
@@ -321,7 +332,8 @@ class TestTrackerStep:
         # from the degenerate quartet at j14 = 0 along a shifted ramp
         path = [(x, 0.3 * x) for x in np.linspace(0.0, 0.7, 141)]
         walked = _overlap_walk(path)
-        assert max_abs(_SectorTracker(0.75).walk(path) - walked[:, WALKED]) <= 1e-12
+        # the tracker's levels are exchange only; the oracle's hold the field, -h on m = +1
+        assert max_abs(_SectorTracker().walk(path) - 0.75 - walked[:, WALKED]) <= 1e-12
         assert_pair_levels_agree(walked)
 
 
@@ -334,7 +346,7 @@ def _calibration_path(j14_peak=0.5, eps=0.12, n_nodes=40):
 class TestBatchedWalk:
     @pytest.fixture(scope="class")
     def tracker(self):
-        return _SectorTracker(0.75)
+        return _SectorTracker()
 
     def test_one_block_per_column_with_dimensions_1_2_3(self, tracker):
         # |00>, |01> and |11>; |10> mirrors |01> and is not solved
@@ -344,7 +356,7 @@ class TestBatchedWalk:
     def test_matches_overlap_walk_on_calibration_paths(self, tracker, j14_peak, eps):
         path = _calibration_path(j14_peak, eps, 160)
         walked = _overlap_walk(path)
-        assert max_abs(tracker.walk(path) - walked[:, WALKED]) <= 1e-12
+        assert max_abs(tracker.walk(path) - 0.75 - walked[:, WALKED]) <= 1e-12
         assert_pair_levels_agree(walked)
 
     @pytest.mark.parametrize("j14_max", [0.85, 1.5])

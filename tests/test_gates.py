@@ -571,6 +571,16 @@ class TestCphase:
 
 
 class TestCphaseCalibration:
+    def test_schedule_does_not_depend_on_the_field(self):
+        # the field shifts every quartet level by -h, which no rate sees
+        def schedule(h):
+            return [(s.duration, s.ramp, s.start.edges, s.end.edges)
+                    for s in synthesize_cphase(np.pi, 0.5, 20.0, h=h).segments]
+
+        reference = schedule(0.75)
+        for h in (1e4, 1e6, 1e20):
+            assert schedule(h) == reference
+
     @pytest.fixture(scope="class")
     def default_gate(self):
         return synthesize_cphase(np.pi, 0.5, 20.0)
@@ -580,7 +590,7 @@ class TestCphaseCalibration:
         peak = ramp_seg.end
         eps = peak.coupling(1, 2) - 1.0
         assert eps == peak.coupling(4, 5) - 1.0
-        ramp, top = gates._midpoint_phases(_SectorTracker(0.75), 0.5, eps, 20.0,
+        ramp, top = gates._midpoint_phases(_SectorTracker(), 0.5, eps, 20.0,
                                            160, "smooth")
         sq = 2 * gates._single_qubit(ramp) + gates._single_qubit(top) * hold_seg.duration
         residual = sq - 2 * np.pi * np.round(sq / (2 * np.pi))

@@ -231,8 +231,9 @@ class TestSectorOperators:
     def test_embedded_blocks_rebuild_the_hamiltonian(self):
         g = two_lq_graph(j14=0.4, j23=1.2, h=0.6)
         ops = SectorOperators(g.n_sites, [(i, j) for (i, j, _) in g.edges])
-        full = ops.embed(ops.blocks(ops.weights(g), g.field_h))
-        assert max_abs(full - kron_hamiltonian(g)) <= 1e-14
+        exchange = ops.embed(ops.blocks(ops.weights(g)))
+        assert max_abs(exchange - kron_hamiltonian(CouplingGraph(6, g.edges))) <= 1e-14
+        assert max_abs(build_hamiltonian(g) - kron_hamiltonian(g)) <= 1e-14
 
     def test_selected_sectors_only(self):
         ops = SectorOperators(6, [(0, 1)], ms=(1.0,))

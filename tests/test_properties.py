@@ -164,7 +164,7 @@ def _quartet_sector_closures(schedule):
                           ms=(1.0,))
     (grp,) = ops.groups
     ends = [ops.weights(g) for seg in schedule.segments for g in (seg.start, seg.end)]
-    generators = grp.hamiltonians(ends, schedule.segments[0].start.field_h)[:, 0]
+    generators = grp.exchange(ends)[:, 0]
     columns = two_lq_basis()[grp.indices[0]].real
     return generators, invariant_blocks(generators, columns)
 
@@ -226,7 +226,11 @@ def test_blocked_propagation_equals_dense_midpoint_product(case):
 
 
 def stepwise_propagator(schedule: PulseSchedule, n_steps: int) -> np.ndarray:
-    """Sector blocks evolved one midpoint step at a time with ``gates``' own step propagators."""
+    """Sector blocks evolved one midpoint step at a time with ``gates``' own step propagators.
+
+    The steps are exchange only, and the field is the phase e^{i h m T} of each
+    sector over the whole duration T: the field commutes with every step.
+    """
     first = schedule.segments[0].start
     ops = SectorOperators(first.n_sites, [(i, j) for (i, j, _) in first.edges])
     u = [np.broadcast_to(np.eye(grp.indices.shape[1], dtype=np.complex128),
@@ -234,7 +238,7 @@ def stepwise_propagator(schedule: PulseSchedule, n_steps: int) -> np.ndarray:
 
     def step(weights, dt, u):
         return [_step_propagators(h, dt) @ prev
-                for h, prev in zip(ops.blocks(weights, first.field_h), u)]
+                for h, prev in zip(ops.blocks(weights), u)]
 
     for seg in schedule.segments:
         w0 = ops.weights(seg.start)
@@ -245,7 +249,9 @@ def stepwise_propagator(schedule: PulseSchedule, n_steps: int) -> np.ndarray:
         w1 = ops.weights(seg.end)
         for k in range(n_steps):
             u = step(w0 + profile((k + 0.5) / n_steps) * (w1 - w0), seg.duration / n_steps, u)
-    return ops.embed(u)
+    phase = first.field_h * schedule.total_duration
+    return ops.embed([np.exp(1j * phase * grp.m)[:, None, None] * blk
+                      for grp, blk in zip(ops.groups, u)])
 
 
 @PROPERTY_SETTINGS
