@@ -99,20 +99,11 @@ def logical_basis(triple: tuple[int, int, int], n_sites: int) -> LogicalBasis:
     return LogicalBasis(tuple(triple), n_sites, zero, one)
 
 
-def two_lq_basis(n_sites: int = 6,
-                 triples: tuple[tuple[int, int, int], ...] = ((0, 1, 2), (3, 4, 5)),
-                 ) -> np.ndarray:
-    """Columns |00>, |01>, |10>, |11> for two triples in one register."""
-    parts = [_component_states(t) for t in triples]
-    cols = []
-    for a_label in (0, 1):
-        for b_label in (0, 1):
-            vec = np.zeros(2**n_sites, dtype=np.complex128)
-            for ca, da in parts[0][a_label]:
-                for cb, db in parts[1][b_label]:
-                    vec += ca * cb * basis_state(n_sites, da + db)
-            cols.append(vec)
-    return np.stack(cols, axis=1)
+def two_lq_basis() -> np.ndarray:
+    """Columns |00>, |01>, |10>, |11> of the triples (0, 1, 2) and (3, 4, 5) of six sites."""
+    one = logical_basis((0, 1, 2), 3).columns
+    # + 0.0 turns the -0.0 of a negative amplitude times a zero into 0.0
+    return np.kron(one, one) + 0.0
 
 
 def effective_h1(j12: float, j13: float, j23: float, h: float = 0.0) -> EffectiveHamiltonian:

@@ -33,6 +33,8 @@ CALIBRATION_TOL = 1e-10
 CALIBRATION_MAX_PROBES = 200
 # Default longest conditional-phase gate ``synthesize_cphase`` accepts
 MAX_DURATION = 2000.0
+# Default midpoint steps per unit time of a ramp (``ramp_steps``)
+STEPS_PER_UNIT_TIME = 100.0
 # Ramp steps built, diagonalized and multiplied per batch.  The pairwise
 # product takes about log2(_CHUNK) batched matmuls per chunk, so larger chunks
 # cut Python overhead per step; the chunk also bounds the memory of a ramp,
@@ -216,7 +218,22 @@ def _evolve(blocks: list[np.ndarray], dt: float, u: list[np.ndarray]) -> list[np
             for h, prev in zip(blocks, u)]
 
 
-def _evolve_sectors(schedule: PulseSchedule, n_steps_per_segment: int, ops: SectorOperators,
+def _check_rate(steps_per_unit_time: float) -> None:
+    if not (np.isfinite(steps_per_unit_time) and steps_per_unit_time > 0):
+        raise ValueError(
+            f"steps per unit time must be finite and positive, got {steps_per_unit_time}")
+
+
+def ramp_steps(duration: float, steps_per_unit_time: float) -> int:
+    """The one step rule: a ramp takes ceil(duration x rate) midpoint steps, at least 1.
+
+    The rate, ``steps_per_unit_time``, must be finite and positive.
+    """
+    _check_rate(steps_per_unit_time)
+    return max(1, int(np.ceil(duration * steps_per_unit_time)))
+
+
+def _evolve_sectors(schedule: PulseSchedule, steps_per_unit_time: float, ops: SectorOperators,
                     groups: list[SectorGroup]) -> list[np.ndarray]:
     """Time-ordered propagator blocks of a non-empty schedule, one stack per group.
 
@@ -224,13 +241,13 @@ def _evolve_sectors(schedule: PulseSchedule, n_steps_per_segment: int, ops: Sect
     from one of its sectors; ``ops`` gives the edge weights of each segment.
 
     A ramp that runs an earlier ramp of the schedule backwards (same kind and
-    duration, endpoints swapped; the step count is the same for every ramp)
-    gets that ramp's propagator transposed.  This is exact: every step
-    propagator exp(-i H dt) of a real symmetric H is symmetric, and every
-    profile has f(1 - s) = 1 - f(s), so the reversed ramp takes the same steps
-    in the opposite order, and the product of the reversed steps is the
-    transpose of the product.  The steps are exchange only: the field, -h m on
-    a sector, commutes with each, so it is one phase e^{i h m T} over the duration T.
+    duration, so the same ``ramp_steps`` count; endpoints swapped) gets that
+    ramp's propagator transposed.  This is exact: every step propagator
+    exp(-i H dt) of a real symmetric H is symmetric, and every profile has
+    f(1 - s) = 1 - f(s), so the reversed ramp takes the same steps in the
+    opposite order, and the product of the reversed steps is the transpose of
+    the product.  The steps are exchange only: the field, -h m on a sector,
+    commutes with each, so it is one phase e^{i h m T} over the duration T.
     """
     def built(weights: np.ndarray) -> list[np.ndarray]:
         return [grp.exchange(weights) for grp in groups]
@@ -252,11 +269,12 @@ def _evolve_sectors(schedule: PulseSchedule, n_steps_per_segment: int, ops: Sect
         else:
             profile = RAMP_PROFILES[seg.ramp]
             w1 = ops.weights(seg.end)
-            dt = seg.duration / n_steps_per_segment
+            n_steps = ramp_steps(seg.duration, steps_per_unit_time)
+            dt = seg.duration / n_steps
             ramp = identity()
-            for k0 in range(0, n_steps_per_segment, _CHUNK):
-                k = np.arange(k0, min(k0 + _CHUNK, n_steps_per_segment))
-                f = profile((k + 0.5) / n_steps_per_segment)
+            for k0 in range(0, n_steps, _CHUNK):
+                k = np.arange(k0, min(k0 + _CHUNK, n_steps))
+                f = profile((k + 0.5) / n_steps)
                 ramp = _evolve(built(w0 + f[:, None] * (w1 - w0)), dt, ramp)
             ramps[seg.ramp, seg.duration, seg.start, seg.end] = ramp
         u = [r @ prev for r, prev in zip(ramp, u)]
@@ -264,43 +282,24 @@ def _evolve_sectors(schedule: PulseSchedule, n_steps_per_segment: int, ops: Sect
     return [np.exp(1j * phase * grp.m)[:, None, None] * blk for grp, blk in zip(groups, u)]
 
 
-def propagate(schedule: PulseSchedule, n_steps_per_segment: int = 200) -> np.ndarray:
+def propagate(schedule: PulseSchedule,
+              steps_per_unit_time: float = STEPS_PER_UNIT_TIME) -> np.ndarray:
     """Time-ordered propagator of a schedule on the full Hilbert space.
 
-    Ramps use midpoint stepping (the Hamiltonian at each step's midpoint
-    couplings, second-order accurate); constant segments evolve in one exact
-    exponential independent of the step count.  Total S_z is conserved, so
-    each sector block evolves on its own; this evolves every sector and
-    assembles the full unitary at the end.  The steps of a ramp are built in
-    chunks of ``_CHUNK`` and exponentiated in closed form for 1x1 and 2x2
-    blocks, with one ``eigh`` call per larger block size and chunk; each
-    chunk's step propagators are multiplied pairwise in about log2(``_CHUNK``)
-    batched matmuls.  A ramp that runs an earlier one backwards reuses its
-    transposed propagator (see ``_evolve_sectors``).
+    Each ramp takes ``ramp_steps(duration, steps_per_unit_time)`` midpoint
+    steps (the Hamiltonian at each step's midpoint couplings, second-order
+    accurate); constant segments evolve in one exact exponential.  Total S_z
+    is conserved, so each sector block evolves on its own (``_evolve_sectors``,
+    in chunks of ``_CHUNK`` steps, see ``_evolve``); this evolves every sector
+    and assembles the full unitary at the end.
     """
-    if n_steps_per_segment < 1:
-        raise ValueError("n_steps_per_segment must be at least 1")
+    _check_rate(steps_per_unit_time)
     if not schedule.segments:
         return np.eye(2**schedule.n_sites, dtype=np.complex128)
     first = schedule.segments[0].start
     ops = SectorOperators(first.n_sites, first.pairs)
-    u = _evolve_sectors(schedule, n_steps_per_segment, ops, ops.groups)
+    u = _evolve_sectors(schedule, steps_per_unit_time, ops, ops.groups)
     return check_unitary(ops.embed(u))
-
-
-def ramp_steps(schedule: PulseSchedule, steps_per_unit_time: float) -> int:
-    """Propagation steps per segment: the longest ramp times ``steps_per_unit_time``.
-
-    A hold is one exact exponential, so only ramps set the count; a schedule
-    without ramps counts as one unit of ramp time.  ``steps_per_unit_time``
-    must be finite and positive.
-    """
-    if not (np.isfinite(steps_per_unit_time) and steps_per_unit_time > 0):
-        raise ValueError(
-            f"steps per unit time must be finite and positive, got {steps_per_unit_time}")
-    longest = max((s.duration for s in schedule.segments if s.ramp != "constant"),
-                  default=1.0)
-    return max(1, int(np.ceil(longest * steps_per_unit_time)))
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +591,7 @@ def gate_report(u_full: np.ndarray, target: np.ndarray, basis) -> GateReport:
 
 
 def _sector_report(schedule: PulseSchedule, target: np.ndarray, cols: np.ndarray,
-                   n_steps_per_segment: int) -> GateReport:
+                   steps_per_unit_time: float) -> GateReport:
     """Score a schedule on real basis columns that lie in one S_z sector.
 
     Only the invariant blocks of the columns under the segment endpoints are
@@ -600,8 +599,7 @@ def _sector_report(schedule: PulseSchedule, target: np.ndarray, cols: np.ndarray
     its segment's endpoints, so it leaves the blocks invariant.
     Raises ``ValueError`` when the columns have nonzero rows in several sectors.
     """
-    if n_steps_per_segment < 1:
-        raise ValueError("n_steps_per_segment must be at least 1")
+    _check_rate(steps_per_unit_time)
     rows = np.flatnonzero(np.any(cols != 0, axis=1))
     sector = next((s for s in sz_sectors(schedule.n_sites) if np.isin(rows, s.indices).all()),
                   None)
@@ -614,25 +612,25 @@ def _sector_report(schedule: PulseSchedule, target: np.ndarray, cols: np.ndarray
     ops = SectorOperators(first.n_sites, first.pairs, ms=(sector.m,))
     ends = [ops.weights(g) for seg in schedule.segments for g in (seg.start, seg.end)]
     _, groups, bases = zip(*projected_blocks(ops, ends, cols.real))
-    u = _evolve_sectors(schedule, n_steps_per_segment, ops, list(groups))
+    u = _evolve_sectors(schedule, steps_per_unit_time, ops, list(groups))
     u_blocks = sum(basis @ check_unitary(step[0]) @ basis.T for basis, step in zip(bases, u))
     return gate_report(u_blocks, target, cols)
 
 
 def single_lq_report(schedule: PulseSchedule, target: np.ndarray,
-                     n_steps_per_segment: int = 200) -> GateReport:
+                     steps_per_unit_time: float = STEPS_PER_UNIT_TIME) -> GateReport:
     """Propagate a 3-site schedule and score it on the logical doublet.
 
     Only the invariant blocks of the doublet in the m = +1/2 sector are evolved.
     """
     return _sector_report(schedule, target, logical_basis((0, 1, 2), 3).columns,
-                          n_steps_per_segment)
+                          steps_per_unit_time)
 
 
 def two_lq_report(schedule: PulseSchedule, target: np.ndarray,
-                  n_steps_per_segment: int = 200) -> GateReport:
+                  steps_per_unit_time: float = STEPS_PER_UNIT_TIME) -> GateReport:
     """Propagate a 6-site schedule and score it on the logical quartet.
 
     Only the invariant blocks of the quartet in the m = +1 sector are evolved.
     """
-    return _sector_report(schedule, target, two_lq_basis(), n_steps_per_segment)
+    return _sector_report(schedule, target, two_lq_basis(), steps_per_unit_time)

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import DEGENERACY_TOL
+
 SX = np.array([[0, 1], [1, 0]], dtype=np.complex128) / 2
 SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128) / 2
 SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128) / 2
@@ -227,13 +229,12 @@ class SectorOperators:
         """Exchange blocks, one stack per group (see ``SectorGroup.exchange``)."""
         return [grp.exchange(weights) for grp in self.groups]
 
-    def spectra(self, graphs: list[CouplingGraph]) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues of H and exact total-S_z labels, one row per graph.
+    def levels(self, graphs: list[CouplingGraph]) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues of H, sector by sector, one row per graph, and the S_z of each column.
 
         The graphs have this site count and edge set (in order); each sector
-        size takes one ``eigvalsh`` call for the whole batch.  Every level
-        carries its sector's magnetization, also inside degeneracies across
-        sectors.
+        size takes one ``eigvalsh`` call for the whole batch.  Each level
+        keeps the magnetization of the sector it was solved in.
         """
         weights = np.array([self.weights(g) for g in graphs])
         fields = np.array([g.field_h for g in graphs])
@@ -242,9 +243,23 @@ class SectorOperators:
             ev = np.linalg.eigvalsh(stack) - fields[:, None, None] * grp.m[:, None]
             vals.append(ev.reshape(len(graphs), -1))
             labels.append(np.repeat(grp.m, ev.shape[-1]))
-        vals, labels = np.concatenate(vals, axis=1), np.concatenate(labels)
+        return np.concatenate(vals, axis=1), np.concatenate(labels)
+
+    def spectra(self, graphs: list[CouplingGraph]) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending ``levels`` and exact total-S_z labels, one row per graph.
+
+        Every level carries a sector's magnetization, also inside degeneracies
+        across sectors: in a run of levels each within the degeneracy
+        tolerance of the next (``linalg.DEGENERACY_TOL`` of the row's largest
+        magnitude), the labels go highest m first, as ``sz_sectors`` lists
+        them, so that rounding does not order them.
+        """
+        vals, labels = self.levels(graphs)
         order = np.argsort(vals, axis=1, kind="stable")
-        return np.take_along_axis(vals, order, axis=1), labels[order]
+        vals, labels = np.take_along_axis(vals, order, axis=1), labels[order]
+        tol = DEGENERACY_TOL * np.max(np.abs(vals), axis=1, keepdims=True)
+        runs = np.cumsum(np.diff(vals, axis=1, prepend=-np.inf) > tol, axis=1)
+        return vals, np.take_along_axis(labels, np.lexsort((-labels, runs)), axis=1)
 
     def embed(self, blocks: list[np.ndarray]) -> np.ndarray:
         """Full 2^n matrix with the given sector blocks on its diagonal."""

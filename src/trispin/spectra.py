@@ -15,10 +15,10 @@ import numpy as np
 
 from .encoding import _SectorTracker, effective_h1
 from .gates import (
+    STEPS_PER_UNIT_TIME,
     PulseSchedule,
-    Segment,
+    constant_segment,
     cphase_gate,
-    ramp_steps,
     synthesize_cphase,
     two_lq_report,
 )
@@ -164,11 +164,12 @@ def optimal_field(h_lo: float, h_hi: float) -> float:
     h = 3/4 whenever the range holds it, else the end nearer to it.
     """
     _check_bounds(h_lo, h_hi)
-    eps, m = sector_spectrum(single_lq_graph(h=0.0))
+    idle = single_lq_graph(h=0.0)
+    eps, m = SectorOperators(3, idle.pairs).levels([idle])
     # at h = 0 the doublet (m = +1/2) is degenerate with the m = -1/2 pair,
-    # so it is picked by label as well as by energy
-    rest = _unmatched(np.where(m == 0.5, eps, np.inf)[None], [[-0.75, -0.75]])[0]
-    a, b = eps[rest] + 0.75, 0.5 - m[rest]
+    # so it is picked by the sector it was solved in as well as by energy
+    rest = _unmatched(np.where(m == 0.5, eps, np.inf), [[-0.75, -0.75]])[0]
+    a, b = eps[0, rest] + 0.75, 0.5 - m[rest]
     i, j = np.nonzero(b[:, None] != b)
     cross = (a[j] - a[i]) / (b[i] - b[j])
     hs = np.concatenate(([h_lo, h_hi], cross[(h_lo < cross) & (cross < h_hi)]))
@@ -240,12 +241,12 @@ class AdiabaticPoint:
 
 def adiabatic_leakage_curve(phi: float, j14_peak: float, ramp_times,
                             n_calibration_steps: int = 160,
-                            steps_per_unit_time: float = 100.0,
+                            steps_per_unit_time: float = STEPS_PER_UNIT_TIME,
                             h: float = 0.75,
                             ramp_shape: str = "smooth") -> list[AdiabaticPoint]:
     """Leakage and fidelity of the conditional phase gate vs ramp duration.
 
-    A zero peak coupling degenerates to idle evolution: exactly zero leakage
+    A zero peak coupling is one exact hold at idle: leakage zero to rounding
     at every ramp time (and no conditional phase, whatever ``phi`` asked).
     """
     target = cphase_gate(phi)
@@ -253,14 +254,12 @@ def adiabatic_leakage_curve(phi: float, j14_peak: float, ramp_times,
     for ramp in ramp_times:
         if j14_peak == 0.0:
             idle = two_lq_graph(h=h)
-            schedule = PulseSchedule((Segment(ramp, idle, idle, "linear"),
-                                      Segment(ramp, idle, idle, "linear")), 6, idle=idle)
+            schedule = PulseSchedule((constant_segment(2 * ramp, idle),), 6, idle=idle)
         else:
             schedule = synthesize_cphase(phi, j14_peak, ramp,
                                          n_calibration_steps=n_calibration_steps,
                                          h=h, ramp_shape=ramp_shape)
-        n_steps = ramp_steps(schedule, steps_per_unit_time)
-        report = two_lq_report(schedule, target, n_steps)
+        report = two_lq_report(schedule, target, steps_per_unit_time)
         out.append(AdiabaticPoint(float(ramp), report.max_leakage,
                                   report.fidelity, report.conditional_phase))
     return out

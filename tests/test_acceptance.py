@@ -218,7 +218,7 @@ def _conditional_phase_of_pulse(j14: float, hold: float, ramp: float = 10.0) -> 
             constant_segment(hold, peak),
             Segment(ramp, peak, idle, "smooth")]
     sched = PulseSchedule(tuple(segs), 6, idle=idle)
-    rep = gate_report(propagate(sched, 1000), cphase_gate(np.pi), two_lq_basis())
+    rep = gate_report(propagate(sched, 1000 / ramp), cphase_gate(np.pi), two_lq_basis())
     return rep.conditional_phase
 
 
@@ -246,7 +246,7 @@ def test_criterion_09_conditional_phase_gate():
         assert later <= earlier + 1e-10
     assert rows[-1].fidelity >= 0.999
     quench = synthesize_cphase(np.pi, 0.5, 1e-3, n_calibration_steps=20)
-    quench_rep = two_lq_report(quench, cphase_gate(np.pi), n_steps_per_segment=60)
+    quench_rep = two_lq_report(quench, cphase_gate(np.pi), 60 / 1e-3)
     assert quench_rep.max_leakage > rows[-1].max_leakage
     report(9, f"phase rate/J14 at 0.05 = {rates[0.05]:.6f} (series "
               f"{series:.6f}, dev {dev_series:.1e}); limit {extrapolated:.6f} "

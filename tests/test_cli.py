@@ -267,6 +267,24 @@ class TestGateCommand:
             reports.append((data["fidelity"], data["conditional_phase"]))
         assert np.max(np.abs(np.array(reports[1:]) - reports[0])) <= 1e-12
 
+    @pytest.mark.parametrize("args, schedule, target, score", [
+        (["--type", "cphase"], lambda: gates.synthesize_cphase(np.pi, 0.5, 20.0),
+         gates.cphase_gate(np.pi), gates.two_lq_report),
+        ([], lambda: gates.synthesize_rz(np.pi / 2, 0.25), gates.rz_gate(np.pi / 2),
+         gates.single_lq_report),
+    ], ids=["cphase", "rz"])
+    def test_library_defaults_give_the_artifact(self, run_main, tmp_path, args, schedule,
+                                                target, score):
+        # one step rule and one default rate: the scorer at its defaults is the CLI's gate
+        assert run_main(["gate", *args, "--out", "g.json"]).returncode == 0
+        data = json.loads((tmp_path / "g.json").read_text())
+        report = score(schedule(), target)
+        assert np.array_equal(report.logical_unitary.real, data["logical_unitary_re"])
+        assert np.array_equal(report.logical_unitary.imag, data["logical_unitary_im"])
+        assert (report.fidelity, report.max_leakage, report.avg_leakage,
+                report.conditional_phase) == (data["fidelity"], data["max_leakage"],
+                                              data["avg_leakage"], data["conditional_phase"])
+
     def test_angle_defaults_are_parsed(self, run_main, tmp_path):
         # defaults declared as pi tokens must go through the angle parser
         res = run_main(["gate", "--out", "d.json"])  # rz, theta pi/2
@@ -285,6 +303,25 @@ class TestAdiabaticCommand:
         rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
         assert len(rows) == 2
         assert rows[1][1] <= rows[0][1] + 1e-10
+
+    def test_zero_coupling_is_one_exact_hold(self, run_main, tmp_path, monkeypatch):
+        # j14 = 0 evolves at idle: no ramp, so no step, however long the ramp time
+        stepped = []
+        step_propagators = gates._step_propagators
+
+        def counted(h, dt):
+            stepped.append(int(np.prod(h.shape[:-2])))
+            return step_propagators(h, dt)
+
+        monkeypatch.setattr(gates, "_step_propagators", counted)
+        res = run_main(["adiabatic", "--j14", "0", "--ramp-times", "3,1e10", "--out", "ad.csv"])
+        assert res.returncode == 0, res.stderr
+        # one hold of each of the quartet's four blocks per ramp time
+        assert stepped == [1] * 8
+        rows = [[float(x) for x in line.split(",")]
+                for line in (tmp_path / "ad.csv").read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == [3.0, 1e10]
+        assert all(row[1] <= 1e-15 for row in rows)
 
 
 class TestUnitsCommand:
@@ -471,6 +508,8 @@ BUDGETS = {
                             cli.MAX_CALIBRATION_NODES),
     "gate-steps": (lambda n: ["gate", "--type", "cphase", "--ramp-time", "1",
                               "--steps-per-unit", str(n)], cli.MAX_RAMP_STEPS),
+    "ramp-times": (lambda n: ["adiabatic", "--ramp-times", ",".join(["4"] * n)],
+                   cli.MAX_RAMP_TIMES),
     # the longest ramp sets the count
     "adiabatic-steps": (lambda n: ["adiabatic", "--ramp-times", "0.5,2",
                                    "--steps-per-unit", str(n / 2)], cli.MAX_RAMP_STEPS),
@@ -498,7 +537,8 @@ class TestRequestBudget:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("name", ["lambdas", "verify-eq7", "gate-cal-steps",
-                                      "adiabatic-cal-steps", "gate-steps", "adiabatic-steps"])
+                                      "adiabatic-cal-steps", "gate-steps", "adiabatic-steps",
+                                      "ramp-times"])
     def test_the_cap_itself_is_accepted(self, run_main, name):
         argv, cap = BUDGETS[name]
         res = run_main(argv(cap) + ["--out", "x.out"])
@@ -508,7 +548,7 @@ class TestRequestBudget:
         ["gate", "--type", "cphase", "--steps-per-unit", "1e300"],
         ["gate", "--type", "cphase", "--steps-per-unit", "1e308"],
         ["adiabatic", "--ramp-times", "4", "--steps-per-unit", "1e300"],
-        ["adiabatic", "--j14", "0", "--ramp-times", "1e10"],
+        ["adiabatic", "--ramp-times", ",".join(["4"] * 100_000)],
         ["gate", "--type", "cphase", "--cal-steps", "100000000"],
         ["sweep-field", "--points", "30000000"],
         ["lambdas", "--points", "100000000"],

@@ -57,18 +57,18 @@ class TestPropagate:
         t = 2.3
         idle = single_lq_graph(h=0.75)
         sched = PulseSchedule((constant_segment(t, idle),), 3, idle=idle)
-        u = propagate(sched, 50)
+        u = propagate(sched)
         h = build_hamiltonian(idle)
         assert max_abs(u @ h - h @ u) <= 1e-10
         basis = logical_basis((0, 1, 2), 3)
         amp = np.vdot(basis.zero_l, u @ basis.zero_l)
         assert abs(amp - np.exp(1j * 9 / 8 * t)) < 1e-12
 
-    @pytest.mark.parametrize("n_steps", [1, 7])
-    def test_constant_segment_equals_expm(self, n_steps):
+    @pytest.mark.parametrize("rate", [1, 7])
+    def test_constant_segment_equals_expm(self, rate):
         g = single_lq_graph(j23=1.3, h=0.75)
         sched = PulseSchedule((constant_segment(0.9, g),), 3, idle=single_lq_graph(h=0.75))
-        u = propagate(sched, n_steps)
+        u = propagate(sched, rate)
         assert max_abs(u - expm(kron_hamiltonian(g), 0.9)) <= 1e-10
 
     def test_degenerate_ramp_equals_idle_hold(self):
@@ -76,7 +76,7 @@ class TestPropagate:
         idle = two_lq_graph(h=0.75)
         ramp = PulseSchedule((Segment(1.5, idle, idle, "linear"),), 6, idle=idle)
         hold = PulseSchedule((constant_segment(1.5, idle),), 6, idle=idle)
-        assert max_abs(propagate(ramp, 40) - propagate(hold, 1)) <= 1e-12
+        assert max_abs(propagate(ramp, 40 / 1.5) - propagate(hold)) <= 1e-12
 
     def test_empty_schedule_is_identity(self):
         assert np.array_equal(propagate(empty_schedule(3)), np.eye(8))
@@ -98,14 +98,14 @@ class TestPropagate:
         singlet = np.outer([0, 1, -1, 0], [0, 1, -1, 0]) / 2
         exact = np.diag(np.exp(-1j * (exchange / 4 - h * m * total)))
         exact += (np.exp(3j * exchange / 4) - np.exp(-1j * exchange / 4)) * singlet
-        assert max_abs(propagate(sched, n_steps) - exact) <= 1e-13
+        assert max_abs(propagate(sched, n_steps / ramp) - exact) <= 1e-13
 
     def test_midpoint_second_order_convergence(self):
         idle = two_lq_graph(h=0.75)
         peak = idle.with_couplings({(0, 3): 0.5})
         sched = PulseSchedule((Segment(3.0, idle, peak, "linear"),
                                Segment(3.0, peak, idle, "linear")), 6, idle=idle)
-        u20, u40, u80 = (propagate(sched, n) for n in (20, 40, 80))
+        u20, u40, u80 = (propagate(sched, n / 3.0) for n in (20, 40, 80))
         e1, e2 = max_abs(u40 - u20), max_abs(u80 - u40)
         assert 2.0 < e1 / e2 < 8.0  # ratio ~4 within a factor of 2
 
@@ -141,7 +141,7 @@ class TestBatchedPropagation:
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        propagate(schedule, n_steps)
+        propagate(schedule, n_steps / 2.0)
         chunks = -(-n_steps // _CHUNK)
         # block sizes 1, 6, 15 and 20: the 1x1 blocks take a closed form, the
         # others one call per chunk of the up-ramp and one for the hold; the
@@ -191,7 +191,7 @@ class TestSectorScoring:
 
         monkeypatch.setattr(gates, "_step_propagators", counted_steps)
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-        two_lq_report(self._ramp_hold_ramp(), cphase_gate(np.pi), n_steps)
+        two_lq_report(self._ramp_hold_ramp(), cphase_gate(np.pi), n_steps / 2.0)
         # the quartet's invariant blocks of the m = +1 sector, dimensions 1, 2, 2, 3,
         # one stack each per chunk and per hold
         sizes = [shape[-1] for shape in stacks]
@@ -208,9 +208,12 @@ class TestSectorScoring:
         schedule = self._ramp_hold_ramp()
         up, hold, down = schedule.segments
         # one ulp longer, so it runs no earlier ramp backwards and is stepped anew
-        anew = PulseSchedule((up, hold, Segment(np.nextafter(down.duration, np.inf),
-                                                down.start, down.end, down.ramp)), 6,
+        longer = np.nextafter(down.duration, np.inf)
+        anew = PulseSchedule((up, hold, Segment(longer, down.start, down.end, down.ramp)), 6,
                              idle=schedule.idle)
+        # a rate that gives both durations n_steps
+        rate = np.nextafter(n_steps / longer, 0.0)
+        assert ramp_steps(down.duration, rate) == ramp_steps(longer, rate) == n_steps
         matrices = []
         step_propagators = gates._step_propagators
 
@@ -222,7 +225,7 @@ class TestSectorScoring:
         reports = []
         for sched, stepped in ((schedule, n_steps + 1), (anew, 2 * n_steps + 1)):
             matrices.clear()
-            reports.append(two_lq_report(sched, cphase_gate(np.pi), n_steps))
+            reports.append(two_lq_report(sched, cphase_gate(np.pi), rate))
             assert sum(matrices) == 4 * stepped
         mirrored, stepped = reports
         assert max_abs(mirrored.logical_unitary - stepped.logical_unitary) <= 1e-13
@@ -234,7 +237,7 @@ class TestSectorScoring:
         mixed[0b000111, 3] = 1.0  # three spins down: the m = 0 sector
         monkeypatch.setattr(gates, "two_lq_basis", lambda: mixed)
         with pytest.raises(ValueError, match="more than one S_z sector"):
-            two_lq_report(self._ramp_hold_ramp(), cphase_gate(np.pi), 4)
+            two_lq_report(self._ramp_hold_ramp(), cphase_gate(np.pi))
 
     def test_empty_schedule_scores_as_identity(self):
         two = two_lq_report(PulseSchedule((), 6, idle=two_lq_graph()), np.eye(4))
@@ -248,12 +251,17 @@ class TestSectorScoring:
             assert np.array_equal(rep.logical_unitary, full.logical_unitary)
         assert two.conditional_phase == 0.0
 
-    def test_step_count_must_be_positive(self):
-        for schedule in (PulseSchedule((), 6), self._ramp_hold_ramp()):
-            with pytest.raises(ValueError, match="n_steps_per_segment must be at least 1"):
-                two_lq_report(schedule, cphase_gate(np.pi), 0)
-        with pytest.raises(ValueError, match="n_steps_per_segment must be at least 1"):
-            single_lq_report(synthesize_rz(1.0, 0.5), rz_gate(1.0), 0)
+    def test_rate_must_be_finite_and_positive(self):
+        # checked for every schedule, also those without ramps
+        for rate in (0.0, -3.0, np.inf, np.nan):
+            for schedule in (PulseSchedule((), 6), self._ramp_hold_ramp()):
+                with pytest.raises(ValueError, match="steps per unit time"):
+                    two_lq_report(schedule, cphase_gate(np.pi), rate)
+            for schedule in (empty_schedule(3), synthesize_rz(1.0, 0.5)):
+                with pytest.raises(ValueError, match="steps per unit time"):
+                    single_lq_report(schedule, rz_gate(1.0), rate)
+                with pytest.raises(ValueError, match="steps per unit time"):
+                    propagate(schedule, rate)
 
 
 class TestScheduleValidation:
@@ -331,7 +339,7 @@ class TestRampRegistry:
     def test_cphase_with_the_new_kind(self):
         sched = synthesize_cphase(np.pi, 0.5, 20.0, ramp_shape="cubic")
         assert {seg.ramp for seg in sched.segments} == {"cubic", "constant"}
-        rep = two_lq_report(sched, cphase_gate(np.pi), ramp_steps(sched, 100.0))
+        rep = two_lq_report(sched, cphase_gate(np.pi))
         assert rep.fidelity >= 0.999
 
     def test_cli_offers_the_new_kind(self, tmp_path, monkeypatch):
@@ -341,22 +349,50 @@ class TestRampRegistry:
 
 
 class TestRampSteps:
-    def test_holds_do_not_set_the_count(self):
+    @pytest.mark.parametrize("duration, rate, n_steps", [
+        (10.0, 20.0, 200), (20.0, gates.STEPS_PER_UNIT_TIME, 2000), (0.5, 3.0, 2),
+        (2.5, 0.4, 1), (1e-3, 0.1, 1), (np.nextafter(2.0, np.inf), 0.5, 2),
+    ])
+    def test_duration_times_rate_rounded_up(self, duration, rate, n_steps):
+        assert ramp_steps(duration, rate) == n_steps
+
+    @staticmethod
+    def _count_step_matrices(monkeypatch) -> list[int]:
+        matrices = []
+        step_propagators = gates._step_propagators
+
+        def counted(h, dt):
+            matrices.append(int(np.prod(h.shape[:-2])))
+            return step_propagators(h, dt)
+
+        monkeypatch.setattr(gates, "_step_propagators", counted)
+        return matrices
+
+    def test_holds_do_not_set_the_count(self, monkeypatch):
+        # each ramp takes its own count, the ramp of 4 twice the steps of the
+        # ramp of 2, and the hold between them one exponential
         idle = two_lq_graph()
         peak = idle.with_couplings({(0, 3): 0.1})
-        sched = PulseSchedule((Segment(10.0, idle, peak, "smooth"),
+        sched = PulseSchedule((Segment(4.0, idle, peak, "smooth"),
                                constant_segment(57.4, peak),
-                               Segment(10.0, peak, idle, "smooth")), 6, idle=idle)
-        assert ramp_steps(sched, 20.0) == 200
+                               Segment(2.0, peak, idle, "smooth")), 6, idle=idle)
+        matrices = self._count_step_matrices(monkeypatch)
+        two_lq_report(sched, cphase_gate(np.pi), 5.0)
+        # the quartet's four blocks, each stepped 20 + 10 times and held once
+        assert sum(matrices) == 4 * (20 + 10 + 1)
 
-    def test_schedule_without_ramps(self):
-        assert ramp_steps(synthesize_rz(0.9, 0.5), 100.0) == 100
-        assert ramp_steps(empty_schedule(3), 0.1) == 1
+    def test_schedule_without_ramps(self, monkeypatch):
+        # no ramp, no step: the rate changes nothing
+        sched = synthesize_rz(0.9, 0.5)
+        matrices = self._count_step_matrices(monkeypatch)
+        slow, fast = (single_lq_report(sched, rz_gate(0.9), rate) for rate in (1e-3, 1e6))
+        assert matrices == [1, 1] * 2
+        assert np.array_equal(slow.logical_unitary, fast.logical_unitary)
 
     @pytest.mark.parametrize("rate", [0.0, -3.0, np.inf, np.nan])
     def test_rejects_nonpositive_or_non_finite_rate(self, rate):
         with pytest.raises(ValueError, match="steps per unit time"):
-            ramp_steps(synthesize_rz(0.9, 0.5), rate)
+            ramp_steps(1.0, rate)
 
 
 class TestRz:
@@ -374,7 +410,7 @@ class TestRz:
         fwd = synthesize_rz(np.pi / 2, 0.5)
         bwd = synthesize_rz(-np.pi / 2, -0.5)
         assert bwd.total_duration == pytest.approx(fwd.total_duration)
-        u = propagate(fwd.then(bwd), 10)
+        u = propagate(fwd.then(bwd))
         basis = logical_basis((0, 1, 2), 3).columns
         m = basis.conj().T @ u @ basis
         assert phase_aligned_distance(m, np.eye(2)) <= 1e-10
@@ -433,7 +469,7 @@ class TestRx:
 
     def test_pi_flip(self):
         sched = synthesize_rx(np.pi, 0.25)
-        u = propagate(sched, 10)
+        u = propagate(sched)
         basis = logical_basis((0, 1, 2), 3)
         # |0_L> maps to -i |1_L> up to the idle global phase
         amp = np.vdot(basis.one_l, u @ basis.zero_l)
@@ -512,12 +548,12 @@ class TestCphase:
         sched = synthesize_cphase(np.pi, 0.5, 5.0, n_calibration_steps=60,
                                   ramp_shape="linear")
         assert sched.segments[0].ramp == "linear"
-        rep = two_lq_report(sched, cphase_gate(np.pi), n_steps_per_segment=600)
+        rep = two_lq_report(sched, cphase_gate(np.pi), 600 / 5.0)
         assert rep.fidelity >= 0.999
 
     def test_gate_quality_and_phase(self):
         sched = synthesize_cphase(np.pi, 0.5, 15.0, n_calibration_steps=120)
-        rep = two_lq_report(sched, cphase_gate(np.pi), n_steps_per_segment=1500)
+        rep = two_lq_report(sched, cphase_gate(np.pi), 1500 / 15.0)
         assert rep.fidelity >= 0.999
         assert rep.max_leakage < 1e-3
         assert abs(abs(rep.conditional_phase) - np.pi) < 0.01
@@ -526,14 +562,14 @@ class TestCphase:
         sched = synthesize_cphase(np.pi, 0.5, 10.0, n_calibration_steps=80,
                                   mode="sequential")
         assert sched.segments[-1].ramp == "constant"
-        rep = two_lq_report(sched, cphase_gate(np.pi), n_steps_per_segment=1000)
+        rep = two_lq_report(sched, cphase_gate(np.pi), 1000 / 10.0)
         assert rep.fidelity >= 0.998
 
     def test_quench_leaks_more_than_ramp(self):
         slow = synthesize_cphase(np.pi, 0.5, 10.0, n_calibration_steps=80)
         quench = synthesize_cphase(np.pi, 0.5, 1e-3, n_calibration_steps=20)
-        rep_slow = two_lq_report(slow, cphase_gate(np.pi), n_steps_per_segment=1000)
-        rep_quench = two_lq_report(quench, cphase_gate(np.pi), n_steps_per_segment=50)
+        rep_slow = two_lq_report(slow, cphase_gate(np.pi), 1000 / 10.0)
+        rep_quench = two_lq_report(quench, cphase_gate(np.pi), 50 / 1e-3)
         assert rep_quench.max_leakage > rep_slow.max_leakage
 
     def test_window_violation(self):
@@ -666,7 +702,7 @@ class TestGateReport:
             sched = PulseSchedule((constant_segment(t, graph),), 3,
                                   idle=single_lq_graph(h=0.75))
             basis = logical_basis((0, 1, 2), 3).columns
-            m = basis.conj().T @ propagate(sched, 1) @ basis
+            m = basis.conj().T @ propagate(sched) @ basis
             vals, vecs = np.linalg.eig(m)
             gen = 1j * (vecs @ np.diag(np.log(vals)) @ np.linalg.inv(vecs)) / t
             gen = gen - np.trace(gen) / 2 * np.eye(2)
@@ -677,9 +713,9 @@ class TestGateReport:
         a = synthesize_rz(0.9, 0.5)
         b = synthesize_rx(0.7, 0.25)
         basis = logical_basis((0, 1, 2), 3).columns
-        ua = propagate(a, 10)
-        ub = propagate(b, 10)
-        uc = propagate(a.then(b), 10)
+        ua = propagate(a)
+        ub = propagate(b)
+        uc = propagate(a.then(b))
         ma = basis.conj().T @ ua @ basis
         mb = basis.conj().T @ ub @ basis
         mc = basis.conj().T @ uc @ basis

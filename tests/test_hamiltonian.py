@@ -262,6 +262,28 @@ class TestSectorSpectra:
             assert max_abs(row - np.linalg.eigvalsh(build_hamiltonian(g))) <= 1e-12
             assert np.array_equal(row, sector_spectrum(g)[0])
 
+    @pytest.mark.parametrize("batch", [
+        [single_lq_graph(h=h) for h in (0.0, 0.75, 1.5)],
+        [two_lq_graph(j14=x, h=0.75) for x in (0.0, 0.3, 0.75)],
+    ], ids=["triangle", "two-lq"])
+    def test_labels_do_not_depend_on_the_last_bits(self, monkeypatch, batch):
+        # levels of different sectors that are degenerate in exact arithmetic
+        # keep their labels, highest m first, when rounding moves them by ulps
+        ops = SectorOperators(batch[0].n_sites, batch[0].pairs)
+        vals, labels = ops.spectra(batch)
+        for row, row_labels in zip(vals, labels):
+            degenerate = np.abs(np.diff(row)) <= 1e-12
+            assert np.any(degenerate & (np.diff(row_labels) != 0))
+        eigvalsh, rng = np.linalg.eigvalsh, np.random.default_rng(7)
+
+        def nudged(a):
+            ev = eigvalsh(a)
+            return ev + rng.integers(-4, 5, ev.shape) * np.spacing(ev)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", nudged)
+        for _ in range(10):
+            assert np.array_equal(ops.spectra(batch)[1], labels)
+
     @pytest.mark.parametrize("other", [
         CouplingGraph(3, ((0, 1, 1.0), (1, 2, 1.0))),
         CouplingGraph(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0))),

@@ -1,6 +1,7 @@
 """Property tests on random coupling graphs (derandomized, so reproducible)."""
 
 import json
+import math
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -17,6 +18,7 @@ from trispin.gates import (
     cphase_gate,
     gate_report,
     propagate,
+    ramp_steps,
     rotation_gate,
     single_lq_report,
     synthesize_axis120,
@@ -45,6 +47,20 @@ couplings = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
 fields = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 # one step, just before, at and just after a chunk edge, and over two chunks
 chunk_edge_steps = st.sampled_from((1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 88))
+
+
+def rate_for(n_steps: int, duration: float) -> float:
+    """A steps-per-unit-time rate at which a ramp of ``duration`` takes exactly ``n_steps``."""
+    rate = n_steps / duration
+    if ramp_steps(duration, rate) > n_steps:  # duration * rate rounded above n_steps
+        rate = np.nextafter(rate, 0.0)
+    assert ramp_steps(duration, rate) == n_steps
+    return rate
+
+
+def oracle_steps(duration: float, rate: float) -> int:
+    """The step rule, written out for the oracles: ceil(duration x rate), at least 1."""
+    return max(1, math.ceil(duration * rate))
 
 
 @st.composite
@@ -91,7 +107,7 @@ def single_lq_schedules(draw, h):
 
 @st.composite
 def ramp_hold_schedules(draw):
-    """Ramp from idle to a random peak, hold it, ramp back."""
+    """Ramp from idle to a random peak, hold it, ramp back; and a rate of 1 to 6 steps per ramp."""
     n, pairs = draw(edge_sets())
     h = draw(fields)
     idle = CouplingGraph(n, tuple((i, j, draw(st.sampled_from((0.0, 1.0))))
@@ -102,7 +118,7 @@ def ramp_hold_schedules(draw):
     hold = draw(st.floats(0.1, 2.0))
     segments = (Segment(ramp, idle, peak, shape), constant_segment(hold, peak),
                 Segment(ramp, peak, idle, shape))
-    return PulseSchedule(segments, n, idle=idle), draw(st.integers(1, 6))
+    return PulseSchedule(segments, n, idle=idle), rate_for(draw(st.integers(1, 6)), ramp)
 
 
 @st.composite
@@ -145,16 +161,18 @@ def assert_close_report(a, b, tol=1e-12):
 @given(two_lq_schedules(), chunk_edge_steps)
 def test_two_lq_report_equals_full_propagator_report(case, n_steps):
     schedule, target = case
-    assert_close_report(two_lq_report(schedule, target, n_steps),
-                        gate_report(propagate(schedule, n_steps), target, two_lq_basis()))
+    rate = rate_for(n_steps, schedule.segments[0].duration)
+    assert_close_report(two_lq_report(schedule, target, rate),
+                        gate_report(propagate(schedule, rate), target, two_lq_basis()))
 
 
 @PROPERTY_SETTINGS
-@given(single_lq_hold_schedules(), st.integers(1, 4))
-def test_single_lq_report_equals_full_propagator_report(case, n_steps):
+@given(single_lq_hold_schedules(), st.sampled_from((1.0, 2.0, 3.0, 4.0)))
+def test_single_lq_report_equals_full_propagator_report(case, rate):
+    # holds only: one exact exponential each, whatever the rate
     schedule, target = case
-    assert_close_report(single_lq_report(schedule, target, n_steps),
-                        gate_report(propagate(schedule, n_steps), target,
+    assert_close_report(single_lq_report(schedule, target, rate),
+                        gate_report(propagate(schedule, rate), target,
                                     logical_basis((0, 1, 2), 3)))
 
 
@@ -194,18 +212,20 @@ def test_symmetry_breaking_schedule_gets_larger_blocks(j14, shift, tilt, h):
     assert len(broken) < 4
     assert sum(basis.shape[1] for _, basis in broken) > 8
     target = cphase_gate(np.pi)
-    assert_close_report(two_lq_report(schedules[1], target, 20),
-                        gate_report(propagate(schedules[1], 20), target, two_lq_basis()))
+    # 20 steps per ramp of 2.0
+    assert_close_report(two_lq_report(schedules[1], target, 10.0),
+                        gate_report(propagate(schedules[1], 10.0), target, two_lq_basis()))
 
 
-def dense_propagator(schedule: PulseSchedule, n_steps: int) -> np.ndarray:
-    """Product of full-space midpoint exponentials, one Hamiltonian per step."""
+def dense_propagator(schedule: PulseSchedule, rate: float) -> np.ndarray:
+    """Product of full-space midpoint exponentials: one per step, ``oracle_steps`` per ramp."""
     u = np.eye(2**schedule.n_sites, dtype=np.complex128)
     for seg in schedule.segments:
         if seg.ramp == "constant":
             u = expm(kron_hamiltonian(seg.start), seg.duration) @ u
             continue
         profile = RAMP_PROFILES[seg.ramp]
+        n_steps = oracle_steps(seg.duration, rate)
         dt = seg.duration / n_steps
         for k in range(n_steps):
             f = profile((k + 0.5) / n_steps)
@@ -218,15 +238,18 @@ def dense_propagator(schedule: PulseSchedule, n_steps: int) -> np.ndarray:
 @PROPERTY_SETTINGS
 @given(ramp_hold_schedules())
 @example((PulseSchedule((Segment(1.0, EDGELESS, EDGELESS, "smooth"),
-                         constant_segment(0.5, EDGELESS)), 3, idle=EDGELESS), 3))
+                         constant_segment(0.5, EDGELESS)), 3, idle=EDGELESS), 3.0))
 def test_blocked_propagation_equals_dense_midpoint_product(case):
-    schedule, n_steps = case
-    u = propagate(schedule, n_steps)
-    assert max_abs(u - dense_propagator(schedule, n_steps)) <= 1e-12
+    schedule, rate = case
+    u = propagate(schedule, rate)
+    assert max_abs(u - dense_propagator(schedule, rate)) <= 1e-12
 
 
-def stepwise_propagator(schedule: PulseSchedule, n_steps: int) -> np.ndarray:
+def stepwise_propagator(schedule: PulseSchedule, rate: float) -> np.ndarray:
     """Sector blocks evolved one midpoint step at a time with ``gates``' own step propagators.
+
+    Each ramp takes ``oracle_steps(duration, rate)`` steps and is stepped anew,
+    also where it runs an earlier ramp backwards.
 
     The steps are exchange only, and the field is the phase e^{i h m T} of each
     sector over the whole duration T: the field commutes with every step.
@@ -236,19 +259,22 @@ def stepwise_propagator(schedule: PulseSchedule, n_steps: int) -> np.ndarray:
     u = [np.broadcast_to(np.eye(grp.indices.shape[1], dtype=np.complex128),
                          grp.terms.shape[1:]).copy() for grp in ops.groups]
 
-    def step(weights, dt, u):
-        return [_step_propagators(h, dt) @ prev
-                for h, prev in zip(ops.blocks(weights), u)]
+    def steps(weights, dt, u):
+        # the step propagators of all rows of ``weights`` at once, applied one at a time
+        for props in zip(*(_step_propagators(h, dt) for h in ops.blocks(weights))):
+            u = [p @ prev for p, prev in zip(props, u)]
+        return u
 
     for seg in schedule.segments:
         w0 = ops.weights(seg.start)
         if seg.ramp == "constant":
-            u = step(w0, seg.duration, u)
+            u = steps(w0[None], seg.duration, u)
             continue
         profile = RAMP_PROFILES[seg.ramp]
         w1 = ops.weights(seg.end)
-        for k in range(n_steps):
-            u = step(w0 + profile((k + 0.5) / n_steps) * (w1 - w0), seg.duration / n_steps, u)
+        n_steps = oracle_steps(seg.duration, rate)
+        f = profile((np.arange(n_steps) + 0.5) / n_steps)
+        u = steps(w0 + f[:, None] * (w1 - w0), seg.duration / n_steps, u)
     phase = first.field_h * schedule.total_duration
     return ops.embed([np.exp(1j * phase * grp.m)[:, None, None] * blk
                       for grp, blk in zip(ops.groups, u)])
@@ -260,7 +286,22 @@ def test_chunked_propagation_matches_stepwise_product(case, n_steps):
     # the pairwise product associates the steps differently, so the two agree
     # to rounding, not bit for bit: at most 5.5e-15 over these examples, 3.7e-14 over 200
     schedule, _ = case
-    assert max_abs(propagate(schedule, n_steps) - stepwise_propagator(schedule, n_steps)) <= 1e-13
+    rate = rate_for(n_steps, schedule.segments[0].duration)
+    assert max_abs(propagate(schedule, rate) - stepwise_propagator(schedule, rate)) <= 1e-13
+
+
+@PROPERTY_SETTINGS
+@given(ramp_hold_schedules(), st.floats(0.2, 0.45))
+def test_each_ramp_is_stepped_at_its_own_density(case, ratio):
+    # a ramp down shorter than the ramp up takes fewer steps at the same rate,
+    # and is stepped anew, as the oracle steps it
+    schedule, rate = case
+    up, hold, down = schedule.segments
+    short = Segment(ratio * down.duration, down.start, down.end, down.ramp)
+    schedule = PulseSchedule((up, hold, short), schedule.n_sites, idle=schedule.idle)
+    n_up, n_down = (oracle_steps(seg.duration, rate) for seg in (up, short))
+    assert n_down < n_up or n_up == 1
+    assert max_abs(propagate(schedule, rate) - stepwise_propagator(schedule, rate)) <= 1e-13
 
 
 entries = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
@@ -292,7 +333,7 @@ def test_closed_form_steps_match_eigh(stack, dt):
 
 @PROPERTY_SETTINGS
 @given(ramp_hold_schedules())
-@example((PulseSchedule((), 4), 1))
+@example((PulseSchedule((), 4), 1.0))
 def test_schedule_dict_round_trip(case):
     schedule, _ = case
     data = schedule.to_dict()
@@ -303,8 +344,8 @@ def test_schedule_dict_round_trip(case):
 @PROPERTY_SETTINGS
 @given(ramp_hold_schedules())
 def test_propagator_commutes_with_total_sz(case):
-    schedule, n_steps = case
-    u = propagate(schedule, n_steps)
+    schedule, rate = case
+    u = propagate(schedule, rate)
     sz = total_spin(schedule.n_sites, "z")
     assert max_abs(u @ sz - sz @ u) <= 1e-12
 

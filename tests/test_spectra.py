@@ -339,10 +339,13 @@ class TestBatchedSweeps:
 
 
 def _count_builds(monkeypatch):
-    """Record the ``ms`` of every SectorOperators, and count trackers, walks and solves."""
+    """Record the ``ms`` of every SectorOperators, and count trackers, walks and solves.
+
+    A solve is one ``SectorOperators.levels`` call, which ``spectra`` makes too.
+    """
     seen = {"ops": [], "trackers": 0, "walks": 0, "solves": 0}
     init, tracker_init, walk, solve = (SectorOperators.__init__, _SectorTracker.__init__,
-                                       _SectorTracker.walk, SectorOperators.spectra)
+                                       _SectorTracker.walk, SectorOperators.levels)
 
     def ops(self, n_sites, pairs, ms=None):
         seen["ops"].append(ms)
@@ -355,7 +358,7 @@ def _count_builds(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(SectorOperators, "__init__", ops)
-    monkeypatch.setattr(SectorOperators, "spectra", counted("solves", solve))
+    monkeypatch.setattr(SectorOperators, "levels", counted("solves", solve))
     monkeypatch.setattr(_SectorTracker, "__init__", counted("trackers", tracker_init))
     monkeypatch.setattr(_SectorTracker, "walk", counted("walks", walk))
     return seen
