@@ -49,6 +49,7 @@ from .hamiltonian import (
     sz_sectors,
     two_lq_graph,
 )
+from .linalg import BudgetError
 from .spectra import (
     CrossingReport,
     PhysicalUnits,

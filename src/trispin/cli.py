@@ -2,8 +2,9 @@
 
 Every command writes one artifact, in a format its ``COMMANDS`` entry lists,
 and prints a one-line summary to stdout.  Outputs are byte-reproducible: no
-wall clock, no randomness, fixed 17-significant-digit float formatting.  Exit codes: 0 ok, 2 configuration
-error, 3 precondition violation, 4 numerical failure.
+wall clock, no randomness, fixed 17-significant-digit float formatting.
+Exit codes: 0 ok, 2 configuration error or a request past a library cap
+(``linalg.BudgetError``), 3 precondition violation, 4 numerical failure.
 
 Flags override config-file values.  The config file is line-oriented
 ``key = value`` text with ``[command]`` section headers; keys before any
@@ -23,34 +24,14 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from . import encoding, gates, spectra
+from . import encoding, gates, hamiltonian, spectra
 from .hamiltonian import CouplingGraph, sector_spectrum, single_lq_graph, sz_sectors
-from .linalg import degeneracy_tol
+from .linalg import BudgetError, degeneracy_tol
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 EXIT_NUMERICAL = 4
-# The request budget: each command checks its sizes against these caps before
-# any work, so that every accepted request ends in bounded time and memory.
-# Largest register ``spectrum`` accepts: the exchange blocks of one edge hold
-# C(2n, n) doubles (1.5 MB at n = 10, 4.8 GB at n = 16), and the S_z sectors
-# are sorted state by state in Python.
-MAX_SPECTRUM_SITES = 10
-# Grid points of a sweep, ``lambdas`` or ``verify-eq7``.  At the cap the
-# largest, ``sweep-inter``, took 1.6 s and 133 MB.  (Every figure here: one
-# in-process call on a shared 2-vCPU x86-64 machine, one BLAS thread.)
-MAX_GRID_POINTS = 10_000
-# Propagation steps per ramp (``gates.ramp_steps``): a default CZ at the cap
-# took 0.45 s and 33 MB, and 10x the cap took 6.2 s.
-MAX_RAMP_STEPS = 100_000
-# Calibration quadrature nodes per ramp: a default CZ at the cap took 0.14 s
-# and 36 MB, and 10x the cap took 1.1 s and 69 MB.
-MAX_CALIBRATION_NODES = 10_000
-# Entries of ``adiabatic --ramp-times``, each a calibrated and propagated CZ:
-# 32 entries of ramp 500 at both caps above took 21 s and 36 MB, and 32 of the
-# default 5, 10, 20, 40 took 0.64 s.
-MAX_RAMP_TIMES = 32
 
 _ANGLE_RE = re.compile(r"^([+-]?)(\d+(?:\.\d*)?)?\s*pi\s*(?:/\s*(\d+(?:\.\d*)?))?$")
 
@@ -80,23 +61,12 @@ def parse_angle(token: str) -> float:
     return angle
 
 
-def _at_most(flag: str, value, count: float, cap: int, unit: str) -> None:
-    """Reject a request of more than ``cap`` ``unit`` before any work starts (exit 2)."""
-    if count > cap:
-        raise ConfigError(f"--{flag} {value}: at most {cap} {unit}")
-
-
-def _check_ramp_steps(steps_per_unit: float, longest_ramp: float) -> None:
-    """Cap the propagation steps per ramp that ``gates.ramp_steps`` will pick.
-
-    A synthesized gate whose ramps outlast half of ``gates.MAX_DURATION`` is
-    rejected (exit 3) before it propagates, so only that much ramp counts.  A
-    rate or ramp that is not finite is left to the checks that own it.
-    """
-    longest_ramp = min(longest_ramp, gates.MAX_DURATION / 2)
-    if np.isfinite([steps_per_unit, longest_ramp]).all():
-        _at_most("steps-per-unit", steps_per_unit, steps_per_unit * longest_ramp,
-                 MAX_RAMP_STEPS, "propagation steps per ramp")
+def _within(flag: str, value, check: Callable, *args) -> None:
+    """Run a library budget check before any work, naming the flag of a request past its cap."""
+    try:
+        check(*args)
+    except BudgetError as exc:
+        raise BudgetError(f"--{flag} {value}: {exc}") from None
 
 
 def parse_grid(token: str) -> tuple[float, float, int]:
@@ -110,7 +80,7 @@ def parse_grid(token: str) -> tuple[float, float, int]:
         raise ConfigError(f"invalid grid {token!r}: non-numeric field") from None
     if n < 1:
         raise ConfigError(f"invalid grid {token!r}: need at least one point")
-    _at_most("grid", token, n, MAX_GRID_POINTS, "points")
+    _within("grid", token, encoding.MAX_GRID_POINTS.check, n)
     return lo, hi, n
 
 
@@ -392,7 +362,7 @@ def _linspace(lo: float, hi: float, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _run_spectrum(p: dict) -> tuple[dict, str]:
-    _at_most("n-sites", p["n_sites"], p["n_sites"], MAX_SPECTRUM_SITES, "sites")
+    _within("n-sites", p["n_sites"], hamiltonian.MAX_SITES.check, p["n_sites"])
     if p["edges"] is not None:
         parsed = parse_edges(p["edges"], p["n_sites"])
         graph = CouplingGraph(parsed.n_sites, parsed.edges, p["h"])
@@ -421,7 +391,7 @@ def _run_spectrum(p: dict) -> tuple[dict, str]:
 
 
 def _run_sweep_field(p: dict) -> tuple[dict, str]:
-    _at_most("points", p["points"], p["points"], MAX_GRID_POINTS, "points")
+    _within("points", p["points"], encoding.MAX_GRID_POINTS.check, p["points"])
     result = spectra.sweep_field(p["min"], p["max"], p["points"])
     h_star = spectra.optimal_field(p["min"], p["max"])
     return (_sweep_artifacts(result, {"h_star": h_star}),
@@ -429,7 +399,7 @@ def _run_sweep_field(p: dict) -> tuple[dict, str]:
 
 
 def _run_sweep_intra(p: dict) -> tuple[dict, str]:
-    _at_most("points", p["points"], p["points"], MAX_GRID_POINTS, "points")
+    _within("points", p["points"], encoding.MAX_GRID_POINTS.check, p["points"])
     result, crossings = spectra.sweep_intra(p["which"], p["min"], p["max"],
                                             p["points"], h=p["h"])
     pts = ", ".join(fmt_float(c) for c in crossings.crossings) or "none"
@@ -438,7 +408,7 @@ def _run_sweep_intra(p: dict) -> tuple[dict, str]:
 
 
 def _run_sweep_inter(p: dict) -> tuple[dict, str]:
-    _at_most("points", p["points"], p["points"], MAX_GRID_POINTS, "points")
+    _within("points", p["points"], encoding.MAX_GRID_POINTS.check, p["points"])
     result, crossings = spectra.sweep_inter(p["min"], p["max"], p["points"], h=p["h"])
     pts = ", ".join(fmt_float(c) for c in crossings.crossings) or "none in range"
     return (_sweep_artifacts(result, {"crossings": list(crossings.crossings)}),
@@ -448,7 +418,7 @@ def _run_sweep_inter(p: dict) -> tuple[dict, str]:
 def _run_lambdas(p: dict) -> tuple[dict, str]:
     if p["points"] < 1:
         raise ConfigError(f"--points: need at least one point, got {p['points']}")
-    _at_most("points", p["points"], p["points"], MAX_GRID_POINTS, "points")
+    _within("points", p["points"], encoding.MAX_GRID_POINTS.check, p["points"])
     grid = _linspace(p["min"], p["max"], p["points"])
     rows = encoding.lambda_curve(grid, h=p["h"])
     table = [[x, *r, encoding.entangling_rate(*r)] for x, r in zip(grid, rows)]
@@ -529,8 +499,9 @@ GATES: dict[str, tuple[Callable[[dict], tuple], Callable]] = {
 def _run_gate(p: dict) -> tuple[dict, str]:
     kind = p["type"]
     if kind == "cphase":
-        _at_most("cal-steps", p["cal_steps"], p["cal_steps"], MAX_CALIBRATION_NODES, "nodes")
-        _check_ramp_steps(p["steps_per_unit"], p["ramp_time"])
+        _within("cal-steps", p["cal_steps"], gates.MAX_CALIBRATION_NODES.check, p["cal_steps"])
+        _within("steps-per-unit", p["steps_per_unit"], gates.check_cphase_ramp,
+                p["ramp_time"], p["steps_per_unit"])
     build, score = GATES[kind]
     schedule, target = build(p)
     report = score(schedule, target, p["steps_per_unit"])
@@ -550,9 +521,10 @@ def _run_gate(p: dict) -> tuple[dict, str]:
 
 def _run_adiabatic(p: dict) -> tuple[dict, str]:
     times = _parse_ramp_times(p["ramp_times"])
-    _at_most("ramp-times", f"({len(times)} given)", len(times), MAX_RAMP_TIMES, "ramp times")
-    _at_most("cal-steps", p["cal_steps"], p["cal_steps"], MAX_CALIBRATION_NODES, "nodes")
-    _check_ramp_steps(p["steps_per_unit"], max(times))
+    _within("ramp-times", f"({len(times)} given)", spectra.MAX_RAMP_TIMES.check, len(times))
+    _within("cal-steps", p["cal_steps"], gates.MAX_CALIBRATION_NODES.check, p["cal_steps"])
+    _within("steps-per-unit", p["steps_per_unit"], gates.check_cphase_ramp,
+            max(times), p["steps_per_unit"])
     rows = spectra.adiabatic_leakage_curve(
         p["phi"], p["j14"], times, n_calibration_steps=p["cal_steps"],
         steps_per_unit_time=p["steps_per_unit"], h=p["h"],
@@ -706,7 +678,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = parse_config(argv)
         return run(cfg)
-    except ConfigError as exc:
+    # before ValueError: a BudgetError is one
+    except (ConfigError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     # before ValueError: numpy's LinAlgError is one

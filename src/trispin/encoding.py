@@ -35,7 +35,7 @@ from .hamiltonian import (
     single_lq_graph,
     two_lq_graph,
 )
-from .linalg import degeneracy_tol, max_abs
+from .linalg import Budget, degeneracy_tol, max_abs
 
 
 @dataclass(frozen=True)
@@ -222,9 +222,15 @@ class _SectorTracker:
                          for grp in self.blocks], axis=1)
 
 
+# Grid points of ``lambda_curve`` and of the sweeps in ``spectra``: at the
+# cap the largest, ``spectra.sweep_inter``, took 1.6 s and 133 MB.
+MAX_GRID_POINTS = Budget(10_000, "points")
+
+
 def lambda_curve(j14_values, h: float = 0.75, j23_shift: float = 0.0) -> np.ndarray:
     """Tracked quartet levels [l00, l01, l11] (l10 = l01), less h, on ascending J14 >= 0."""
     grid = [float(x) for x in j14_values]
+    MAX_GRID_POINTS.check(len(grid))
     if not np.isfinite(grid + [j23_shift]).all():
         raise ValueError("j14 grid and j23 shift must be finite")
     if any(b < a for a, b in zip(grid, grid[1:])) or (grid and grid[0] < 0):

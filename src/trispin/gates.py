@@ -26,15 +26,22 @@ from .hamiltonian import (
     sz_sectors,
     two_lq_graph,
 )
-from .linalg import check_unitary, regula_falsi
+from .linalg import Budget, check_unitary, regula_falsi
 
 COUPLING_WINDOW = (0.25, 1.75)
 CALIBRATION_TOL = 1e-10
 CALIBRATION_MAX_PROBES = 200
 # Default longest conditional-phase gate ``synthesize_cphase`` accepts
 MAX_DURATION = 2000.0
+_UNREACHABLE = "requested phase unreachable within max_duration"
 # Default midpoint steps per unit time of a ramp (``ramp_steps``)
 STEPS_PER_UNIT_TIME = 100.0
+# Propagation steps per ramp (``ramp_steps``): a default CZ at the cap took
+# 0.45 s and 33 MB, and 10x the cap took 6.2 s.
+MAX_RAMP_STEPS = Budget(100_000, "propagation steps per ramp")
+# Calibration quadrature nodes per ramp (``synthesize_cphase``): a default CZ
+# at the cap took 0.14 s and 36 MB, and 10x the cap took 1.1 s and 69 MB.
+MAX_CALIBRATION_NODES = Budget(10_000, "nodes")
 # Ramp steps built, diagonalized and multiplied per batch.  The pairwise
 # product takes about log2(_CHUNK) batched matmuls per chunk, so larger chunks
 # cut Python overhead per step; the chunk also bounds the memory of a ramp,
@@ -227,10 +234,31 @@ def _check_rate(steps_per_unit_time: float) -> None:
 def ramp_steps(duration: float, steps_per_unit_time: float) -> int:
     """The one step rule: a ramp takes ceil(duration x rate) midpoint steps, at least 1.
 
-    The rate, ``steps_per_unit_time``, must be finite and positive.
+    The rate, ``steps_per_unit_time``, must be finite and positive, and the
+    count at most ``MAX_RAMP_STEPS``.
     """
     _check_rate(steps_per_unit_time)
-    return max(1, int(np.ceil(duration * steps_per_unit_time)))
+    steps = duration * steps_per_unit_time
+    MAX_RAMP_STEPS.check(steps)
+    return max(1, int(np.ceil(steps)))
+
+
+def _check_ramp_time(ramp_time: float, max_duration: float) -> None:
+    """A conditional-phase ramp is positive and finite, and two of them fit in ``max_duration``."""
+    if not (np.isfinite(ramp_time) and ramp_time > 0):
+        raise ValueError("ramp_time must be positive and finite")
+    if 2 * ramp_time > max_duration:
+        raise ValueError(_UNREACHABLE)
+
+
+def check_cphase_ramp(ramp_time: float, steps_per_unit_time: float) -> None:
+    """Check a conditional-phase ramp before any work: its reach first, then its steps.
+
+    Two ramps longer than ``MAX_DURATION`` are out of reach (``ValueError``);
+    more than ``MAX_RAMP_STEPS`` steps are a ``BudgetError``.
+    """
+    _check_ramp_time(ramp_time, MAX_DURATION)
+    ramp_steps(ramp_time, steps_per_unit_time)
 
 
 def _evolve_sectors(schedule: PulseSchedule, steps_per_unit_time: float, ops: SectorOperators,
@@ -470,20 +498,22 @@ def synthesize_cphase(phi: float, j14_peak: float, ramp_time: float,
     phi : conditional phase in radians; 0 gives the empty schedule.
     j14_peak : peak inter-triple coupling, inside the gapped window (0, 0.75).
     ramp_time : duration of each ramp, in 1/J.
-    n_calibration_steps : quadrature nodes per ramp for the phase integrals.
+    n_calibration_steps : quadrature nodes per ramp for the phase integrals,
+        at most ``MAX_CALIBRATION_NODES``.
     mode : z-phase cancellation, one of ``CPHASE_MODES``.
     max_duration : reject gates longer than this, or with no conditional
-        rate above rounding at the peak (phase unreachable).
+        rate above rounding at the peak (phase unreachable); ramps that
+        alone are longer are rejected before any walk.
     ramp_shape : ramp profile, a key of ``RAMP_PROFILES``.
     """
     if not np.isfinite(phi):
         raise ValueError("phi must be finite")
     if not 0 < j14_peak < 0.75:
         raise ValueError("j14_peak outside the gapped window (0, 0.75)")
-    if not (np.isfinite(ramp_time) and ramp_time > 0):
-        raise ValueError("ramp_time must be positive and finite")
+    _check_ramp_time(ramp_time, max_duration)
     if n_calibration_steps < 1:
         raise ValueError("n_calibration_steps must be at least 1")
+    MAX_CALIBRATION_NODES.check(n_calibration_steps)
     if mode not in CPHASE_MODES:
         raise ValueError(f"mode must be one of {CPHASE_MODES}")
     if ramp_shape not in RAMP_PROFILES:
@@ -500,13 +530,13 @@ def synthesize_cphase(phi: float, j14_peak: float, ramp_time: float,
         ramp, peak = _midpoint_phases(tracker, j14_peak, eps, ramp_time,
                                       n_calibration_steps, ramp_shape)
         cc_ramp, cc_peak = float(entangling_rate(*ramp)), float(entangling_rate(*peak))
-        if not cc_peak > 0 or 2 * ramp_time > max_duration:
-            raise ValueError("requested phase unreachable within max_duration")
+        if not cc_peak > 0:
+            raise ValueError(_UNREACHABLE)
         # the fewest whole turns on the target that leave the hold >= -1e-12
         turns = max(0, int(np.ceil((2 * cc_ramp - 1e-12 * cc_peak - target_cc) / (2 * np.pi))))
         hold = max((target_cc + turns * 2 * np.pi - 2 * cc_ramp) / cc_peak, 0.0)
         if 2 * ramp_time + hold > max_duration:
-            raise ValueError("requested phase unreachable within max_duration")
+            raise ValueError(_UNREACHABLE)
         return 2 * _single_qubit(ramp) + _single_qubit(peak) * hold - offset, hold
 
     if mode == "simultaneous":

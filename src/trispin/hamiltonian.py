@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEGENERACY_TOL
+from .linalg import DEGENERACY_TOL, Budget
 
 SX = np.array([[0, 1], [1, 0]], dtype=np.complex128) / 2
 SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128) / 2
@@ -22,6 +22,10 @@ SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128) / 2
 _AXES = {"x": SX, "y": SY, "z": SZ}
 
 IDLE_FIELD = 0.75
+# Largest register ``sz_sectors`` (so every sector builder) accepts: the
+# exchange blocks of one edge hold C(2n, n) doubles (1.5 MB at n = 10, 4.8 GB
+# at n = 16), and the S_z sectors are sorted state by state in Python.
+MAX_SITES = Budget(10, "sites")
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,8 @@ def build_hamiltonian(g: CouplingGraph) -> np.ndarray:
 
 
 def sz_sectors(n_sites: int) -> list[SectorBasis]:
-    """Partition the product basis by total S_z, highest m first."""
+    """Partition the product basis by total S_z, highest m first; at most ``MAX_SITES`` sites."""
+    MAX_SITES.check(n_sites)
     buckets: dict[int, list[int]] = {}
     for idx in range(2**n_sites):
         ups = n_sites - bin(idx).count("1")

@@ -4,10 +4,13 @@ Everything is plain numpy: operators are square ``complex128`` arrays.
 The helpers validate such matrices and measure how far a propagator is
 from unitary; eigensolves are plain ``numpy.linalg`` calls at their sites.
 ``regula_falsi`` is the one bracketed root-finder, shared by the CZ shift
-calibration and the level-crossing search.
+calibration and the level-crossing search.  ``Budget`` is the one kind of cap
+on a request: each module keeps its caps beside the work they bound.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,6 +19,28 @@ UNITARITY_TOL = 1e-9
 # as degenerate: far above the rounding of a small dense eigensolve, and far
 # below any splitting the model makes, at every energy scale.
 DEGENERACY_TOL = 1e-9
+
+
+class BudgetError(ValueError):
+    """A request past a cap on the time and memory of one call."""
+
+
+@dataclass(frozen=True)
+class Budget:
+    """At most ``cap`` ``unit`` per call: every accepted call ends in bounded time and memory.
+
+    Each cap sits beside the function whose cost it bounds, with that cost
+    measured at the cap (one in-process call on a shared 2-vCPU x86-64
+    machine, one BLAS thread).
+    """
+
+    cap: int
+    unit: str
+
+    def check(self, count: float) -> None:
+        """Raise ``BudgetError`` when ``count`` is above the cap."""
+        if count > self.cap:
+            raise BudgetError(f"at most {self.cap} {self.unit}")
 
 
 def max_abs(m: np.ndarray) -> float:

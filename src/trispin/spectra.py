@@ -13,21 +13,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import _SectorTracker, effective_h1
+from .encoding import MAX_GRID_POINTS, _SectorTracker, effective_h1
 from .gates import (
     STEPS_PER_UNIT_TIME,
     PulseSchedule,
+    check_cphase_ramp,
     constant_segment,
     cphase_gate,
     synthesize_cphase,
     two_lq_report,
 )
 from .hamiltonian import SectorOperators, sector_spectrum, single_lq_graph, two_lq_graph
-from .linalg import regula_falsi
+from .linalg import Budget, regula_falsi
 
 MU_B_MICROEV_PER_TESLA = 57.88
 INTRA_COUPLINGS = ("j12", "j13", "j23")
 CROSSING_MAX_PROBES = 100
+# Ramp times of one ``adiabatic_leakage_curve``, each a calibrated and
+# propagated CZ: 32 of ramp 500 at the node and step caps of ``gates`` took
+# 21 s and 36 MB, and 32 of the default 5, 10, 20, 40 took 0.64 s.
+MAX_RAMP_TIMES = Budget(32, "ramp times")
 
 
 def _check_bounds(lo: float, hi: float) -> None:
@@ -111,6 +116,7 @@ def _sweep(name: str, lo: float, hi: float, n_points: int, graph_at, logical_at,
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
+    MAX_GRID_POINTS.check(n_points)
     _check_bounds(lo, hi)
     grid = np.linspace(lo, hi, n_points)
     # bounds closer than n_points steps of a double repeat grid values
@@ -246,9 +252,15 @@ def adiabatic_leakage_curve(phi: float, j14_peak: float, ramp_times,
                             ramp_shape: str = "smooth") -> list[AdiabaticPoint]:
     """Leakage and fidelity of the conditional phase gate vs ramp duration.
 
-    A zero peak coupling is one exact hold at idle: leakage zero to rounding
-    at every ramp time (and no conditional phase, whatever ``phi`` asked).
+    At most ``MAX_RAMP_TIMES`` ramp times, each passing ``gates.check_cphase_ramp``,
+    are checked before any work.  A zero peak coupling is one exact hold at
+    idle, of the same reach: leakage zero to rounding at every ramp time (and
+    no conditional phase, whatever ``phi`` asked).
     """
+    ramp_times = list(ramp_times)
+    MAX_RAMP_TIMES.check(len(ramp_times))
+    for ramp in ramp_times:
+        check_cphase_ramp(ramp, steps_per_unit_time)
     target = cphase_gate(phi)
     out = []
     for ramp in ramp_times:

@@ -1,0 +1,58 @@
+"""The library's request budget: each capped entry point checks its size before any work."""
+
+import numpy as np
+import pytest
+
+from trispin import BudgetError, encoding, gates, hamiltonian, spectra
+
+
+def chain(n_sites: int) -> hamiltonian.CouplingGraph:
+    return hamiltonian.CouplingGraph(n_sites, tuple((i, i + 1, 1.0) for i in range(n_sites - 1)))
+
+
+# library call of a request of size n, and the budget on that size
+BUDGETS = {
+    "sweep_field": (lambda n: spectra.sweep_field(0.0, 1.5, n), encoding.MAX_GRID_POINTS),
+    "sweep_intra": (lambda n: spectra.sweep_intra("j23", 0.1, 1.9, n), encoding.MAX_GRID_POINTS),
+    "sweep_inter": (lambda n: spectra.sweep_inter(0.0, 0.85, n), encoding.MAX_GRID_POINTS),
+    "lambda_curve": (lambda n: encoding.lambda_curve(np.linspace(0.0, 0.7, n)),
+                     encoding.MAX_GRID_POINTS),
+    "synthesize_cphase": (lambda n: gates.synthesize_cphase(np.pi, 0.5, 20.0,
+                                                            n_calibration_steps=n),
+                          gates.MAX_CALIBRATION_NODES),
+    "adiabatic-count": (lambda n: spectra.adiabatic_leakage_curve(np.pi, 0.5, [4.0] * n),
+                        spectra.MAX_RAMP_TIMES),
+    # a ramp of 2 at half the rate: the step count is n
+    "adiabatic-rate": (lambda n: spectra.adiabatic_leakage_curve(
+                           np.pi, 0.5, [0.5, 2.0], steps_per_unit_time=n / 2),
+                       gates.MAX_RAMP_STEPS),
+    "sector_spectrum": (lambda n: hamiltonian.sector_spectrum(chain(n)), hamiltonian.MAX_SITES),
+}
+
+
+def test_a_budget_error_is_a_value_error():
+    assert issubclass(BudgetError, ValueError)
+
+
+class TestLibraryBudget:
+    """One past each cap raises ``BudgetError`` before any eigensolve; the cap itself runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_eigensolves(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigensolver reached")
+
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+
+    @pytest.mark.parametrize("name", list(BUDGETS))
+    def test_one_past_the_cap_raises(self, name):
+        call, budget = BUDGETS[name]
+        with pytest.raises(BudgetError, match=f"^at most {budget.cap} {budget.unit}$"):
+            call(budget.cap + 1)
+
+    @pytest.mark.parametrize("name", list(BUDGETS))
+    def test_the_cap_itself_is_accepted(self, name):
+        call, budget = BUDGETS[name]
+        with pytest.raises(np.linalg.LinAlgError, match="eigensolver reached"):
+            call(budget.cap)

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trispin
-from trispin import cli, gates, hamiltonian
+from trispin import cli, encoding, gates, hamiltonian, spectra
 
 from test_properties import PROPERTY_SETTINGS
 
@@ -314,14 +314,23 @@ class TestAdiabaticCommand:
             return step_propagators(h, dt)
 
         monkeypatch.setattr(gates, "_step_propagators", counted)
-        res = run_main(["adiabatic", "--j14", "0", "--ramp-times", "3,1e10", "--out", "ad.csv"])
+        res = run_main(["adiabatic", "--j14", "0", "--ramp-times", "3,1000", "--out", "ad.csv"])
         assert res.returncode == 0, res.stderr
         # one hold of each of the quartet's four blocks per ramp time
         assert stepped == [1] * 8
         rows = [[float(x) for x in line.split(",")]
                 for line in (tmp_path / "ad.csv").read_text().splitlines()[1:]]
-        assert [row[0] for row in rows] == [3.0, 1e10]
+        assert [row[0] for row in rows] == [3.0, 1000.0]
         assert all(row[1] <= 1e-15 for row in rows)
+
+    @pytest.mark.parametrize("ramp", ["1e10", "1e300", "1e308"])
+    def test_zero_coupling_ramp_out_of_reach_exits_three(self, run_main, tmp_path, ramp):
+        # held to the reach of a j14 > 0 pulse: two ramps within gates.MAX_DURATION
+        res = run_main(["adiabatic", "--j14", "0", "--ramp-times", f"3,{ramp}", "--out", "ad.csv"])
+        assert res.returncode == 3
+        assert res.stderr == ("precondition violated: requested phase unreachable "
+                              "within max_duration\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestUnitsCommand:
@@ -497,22 +506,22 @@ class TestRejectedValues:
 
 # argv of a request of size n, and the cap on that size
 BUDGETS = {
-    "sweep-field": (lambda n: ["sweep-field", "--points", str(n)], cli.MAX_GRID_POINTS),
-    "sweep-intra": (lambda n: ["sweep-intra", "--points", str(n)], cli.MAX_GRID_POINTS),
-    "sweep-inter": (lambda n: ["sweep-inter", "--points", str(n)], cli.MAX_GRID_POINTS),
-    "lambdas": (lambda n: ["lambdas", "--points", str(n)], cli.MAX_GRID_POINTS),
-    "verify-eq7": (lambda n: ["verify-eq7", "--grid", f"0:0.7:{n}"], cli.MAX_GRID_POINTS),
+    "sweep-field": (lambda n: ["sweep-field", "--points", str(n)], encoding.MAX_GRID_POINTS.cap),
+    "sweep-intra": (lambda n: ["sweep-intra", "--points", str(n)], encoding.MAX_GRID_POINTS.cap),
+    "sweep-inter": (lambda n: ["sweep-inter", "--points", str(n)], encoding.MAX_GRID_POINTS.cap),
+    "lambdas": (lambda n: ["lambdas", "--points", str(n)], encoding.MAX_GRID_POINTS.cap),
+    "verify-eq7": (lambda n: ["verify-eq7", "--grid", f"0:0.7:{n}"], encoding.MAX_GRID_POINTS.cap),
     "gate-cal-steps": (lambda n: ["gate", "--type", "cphase", "--cal-steps", str(n)],
-                       cli.MAX_CALIBRATION_NODES),
+                       gates.MAX_CALIBRATION_NODES.cap),
     "adiabatic-cal-steps": (lambda n: ["adiabatic", "--cal-steps", str(n)],
-                            cli.MAX_CALIBRATION_NODES),
+                            gates.MAX_CALIBRATION_NODES.cap),
     "gate-steps": (lambda n: ["gate", "--type", "cphase", "--ramp-time", "1",
-                              "--steps-per-unit", str(n)], cli.MAX_RAMP_STEPS),
+                              "--steps-per-unit", str(n)], gates.MAX_RAMP_STEPS.cap),
     "ramp-times": (lambda n: ["adiabatic", "--ramp-times", ",".join(["4"] * n)],
-                   cli.MAX_RAMP_TIMES),
+                   spectra.MAX_RAMP_TIMES.cap),
     # the longest ramp sets the count
     "adiabatic-steps": (lambda n: ["adiabatic", "--ramp-times", "0.5,2",
-                                   "--steps-per-unit", str(n / 2)], cli.MAX_RAMP_STEPS),
+                                   "--steps-per-unit", str(n / 2)], gates.MAX_RAMP_STEPS.cap),
 }
 
 

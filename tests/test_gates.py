@@ -34,7 +34,7 @@ from trispin.hamiltonian import (
     total_spin,
     two_lq_graph,
 )
-from trispin.linalg import max_abs
+from trispin.linalg import BudgetError, max_abs
 
 from test_hamiltonian import expm, kron_hamiltonian
 
@@ -393,6 +393,22 @@ class TestRampSteps:
     def test_rejects_nonpositive_or_non_finite_rate(self, rate):
         with pytest.raises(ValueError, match="steps per unit time"):
             ramp_steps(1.0, rate)
+
+    @pytest.mark.parametrize("rate", [1e300, 1e308])
+    def test_rejects_counts_past_the_cap(self, rate):
+        # 1e300 x 20 would step for ever, and 1e308 x 20 is infinite
+        with pytest.raises(BudgetError, match="propagation steps per ramp"):
+            ramp_steps(20.0, rate)
+
+    @pytest.mark.parametrize("duration", [20.0, 0.5, 1000.0])
+    def test_accepts_the_cap_exactly(self, duration):
+        cap = gates.MAX_RAMP_STEPS.cap
+        assert ramp_steps(duration, cap / duration) == cap
+
+    def test_library_report_past_the_cap_is_a_budget_error(self):
+        # not an OverflowError from the infinite step count
+        with pytest.raises(BudgetError, match="at most"):
+            two_lq_report(synthesize_cphase(np.pi, 0.5, 20.0), cphase_gate(np.pi), 1e308)
 
 
 class TestRz:

@@ -269,6 +269,14 @@ class TestAdiabaticCurve:
         rows = adiabatic_leakage_curve(np.pi, 0.0, [1.0, 3.0])
         assert all(r.max_leakage <= 1e-12 for r in rows)
 
+    @pytest.mark.parametrize("j14", [0.0, 0.5])
+    @pytest.mark.parametrize("ramp", [1000.5, 1e300, 1e308])
+    def test_ramps_out_of_reach_are_rejected_before_any_work(self, monkeypatch, j14, ramp):
+        # an idle hold has a pulse's reach; every ramp is checked before the first runs
+        monkeypatch.setattr(spectra, "two_lq_report", None)
+        with pytest.raises(ValueError, match="unreachable within max_duration"):
+            adiabatic_leakage_curve(np.pi, j14, [3.0, ramp])
+
 
 class TestUnits:
     def test_reference_working_point(self):
