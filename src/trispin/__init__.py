@@ -45,7 +45,6 @@ from .hamiltonian import (
     build_hamiltonian,
     exchange_term,
     single_lq_graph,
-    spin_operator,
     sz_sectors,
     two_lq_graph,
 )

@@ -561,7 +561,7 @@ COMMANDS: dict[str, dict] = {
         "formats": ("json", "csv"),
         "params": (
             Param("j12", "float", 1.0), Param("j13", "float", 1.0),
-            Param("j23", "float", 1.0), Param("h", "float", 0.75),
+            Param("j23", "float", 1.0), Param("h", "float", hamiltonian.IDLE_FIELD),
             Param("n-sites", "int", 3, "register size; other than 3 only with --edges"),
             Param("edges", "str", None, "general graph as i-j:J,i-j:J"),
         ),
@@ -582,7 +582,7 @@ COMMANDS: dict[str, dict] = {
         "params": (
             Param("which", "choice", "j23", "coupling to vary", spectra.INTRA_COUPLINGS),
             Param("min", "float", 0.1), Param("max", "float", 1.9),
-            Param("points", "int", 301), Param("h", "float", 0.75),
+            Param("points", "int", 301), Param("h", "float", hamiltonian.IDLE_FIELD),
         ),
     },
     "sweep-inter": {
@@ -591,7 +591,7 @@ COMMANDS: dict[str, dict] = {
         "formats": ("csv", "json"),
         "params": (
             Param("min", "float", 0.0), Param("max", "float", 0.85),
-            Param("points", "int", 301), Param("h", "float", 0.75),
+            Param("points", "int", 301), Param("h", "float", hamiltonian.IDLE_FIELD),
         ),
     },
     "lambdas": {
@@ -600,7 +600,7 @@ COMMANDS: dict[str, dict] = {
         "formats": ("csv", "json"),
         "params": (
             Param("min", "float", 0.0), Param("max", "float", 0.7),
-            Param("points", "int", 71), Param("h", "float", 0.75),
+            Param("points", "int", 71), Param("h", "float", hamiltonian.IDLE_FIELD),
         ),
     },
     "verify-eq7": {
@@ -609,7 +609,7 @@ COMMANDS: dict[str, dict] = {
         "formats": ("json",),
         "params": (
             Param("grid", "str", "0:0.7:71", "j14 grid as start:stop:npts"),
-            Param("h", "float", 0.75),
+            Param("h", "float", hamiltonian.IDLE_FIELD),
         ),
     },
     "gate": {
@@ -625,12 +625,13 @@ COMMANDS: dict[str, dict] = {
             Param("phi", "angle", "pi", "conditional phase"),
             Param("j14", "float", 0.5, "peak inter-triple coupling"),
             Param("ramp-time", "float", 20.0),
-            Param("cal-steps", "int", 160, "calibration quadrature nodes per ramp"),
+            Param("cal-steps", "int", gates.CALIBRATION_NODES,
+                  "calibration quadrature nodes per ramp"),
             Param("mode", "choice", "simultaneous", "z cancellation mode", gates.CPHASE_MODES),
             Param("ramp-shape", "choice", "smooth", "pulse ramp profile", gates.RAMP_PROFILES),
             Param("steps-per-unit", "float", gates.STEPS_PER_UNIT_TIME,
                   "propagation steps per 1/J of ramp"),
-            Param("h", "float", 0.75),
+            Param("h", "float", hamiltonian.IDLE_FIELD),
         ),
     },
     "adiabatic": {
@@ -640,11 +641,11 @@ COMMANDS: dict[str, dict] = {
         "params": (
             Param("phi", "angle", "pi"), Param("j14", "float", 0.5),
             Param("ramp-times", "str", "5,10,20,40"),
-            Param("cal-steps", "int", 160),
+            Param("cal-steps", "int", gates.CALIBRATION_NODES),
             Param("ramp-shape", "choice", "smooth", "pulse ramp profile", gates.RAMP_PROFILES),
             Param("steps-per-unit", "float", gates.STEPS_PER_UNIT_TIME,
                   "propagation steps per 1/J of ramp"),
-            Param("h", "float", 0.75),
+            Param("h", "float", hamiltonian.IDLE_FIELD),
         ),
     },
     "units": {
@@ -654,7 +655,7 @@ COMMANDS: dict[str, dict] = {
         "params": (
             Param("j", "float", 7.0, "exchange scale in microeV", aliases=("J",)),
             Param("g", "float", 0.44, "g-factor magnitude"),
-            Param("h", "float", 0.75),
+            Param("h", "float", hamiltonian.IDLE_FIELD),
         ),
     },
 }

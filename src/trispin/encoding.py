@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import (
+    IDLE_FIELD,
     SectorOperators,
     basis_state,
     build_hamiltonian,
@@ -155,7 +156,7 @@ class GroundStateReport:
     splitting: float
 
 
-def initialization_ground(j23_shift: float, h: float = 0.75) -> GroundStateReport:
+def initialization_ground(j23_shift: float, h: float = IDLE_FIELD) -> GroundStateReport:
     """Which logical state becomes the unique ground state when J23 is shifted.
 
     Raising J23 favors the (b, c) singlet, so positive shifts select |0_L>
@@ -227,7 +228,7 @@ class _SectorTracker:
 MAX_GRID_POINTS = Budget(10_000, "points")
 
 
-def lambda_curve(j14_values, h: float = 0.75, j23_shift: float = 0.0) -> np.ndarray:
+def lambda_curve(j14_values, h: float = IDLE_FIELD, j23_shift: float = 0.0) -> np.ndarray:
     """Tracked quartet levels [l00, l01, l11] (l10 = l01), less h, on ascending J14 >= 0."""
     grid = [float(x) for x in j14_values]
     MAX_GRID_POINTS.check(len(grid))
@@ -238,7 +239,7 @@ def lambda_curve(j14_values, h: float = 0.75, j23_shift: float = 0.0) -> np.ndar
     return _SectorTracker().walk([(x, j23_shift) for x in grid]) - h
 
 
-def lambda_spectrum(j14: float, h: float = 0.75, j23_shift: float = 0.0) -> LambdaTriple:
+def lambda_spectrum(j14: float, h: float = IDLE_FIELD, j23_shift: float = 0.0) -> LambdaTriple:
     """Tracked lambda_00, lambda_01, lambda_11 at one inter-LQ coupling value."""
     if j14 < 0:
         raise ValueError("j14 must be nonnegative")
@@ -278,7 +279,7 @@ def reference_cubic(lam: float, j14: float) -> float:
             + 3 * j14**3 - 23 * j14**2 + 37 * j14 - 81)
 
 
-def verify_lambda_polynomials(j14_grid, h: float = 0.75) -> list[dict]:
+def verify_lambda_polynomials(j14_grid, h: float = IDLE_FIELD) -> list[dict]:
     """Residuals of the reference polynomial relations against tracked eigenvalues.
 
     Report-only: each record carries the numeric branches and the residuals of

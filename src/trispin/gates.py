@@ -12,12 +12,15 @@ on [|0_L>, |1_L>] up to a global phase, and likewise for the other axes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .encoding import _SectorTracker, entangling_rate, logical_basis, two_lq_basis
 from .hamiltonian import (
+    IDLE_FIELD,
+    MAX_SITES,
     CouplingGraph,
     SectorGroup,
     SectorOperators,
@@ -31,7 +34,7 @@ from .linalg import Budget, check_unitary, regula_falsi
 COUPLING_WINDOW = (0.25, 1.75)
 CALIBRATION_TOL = 1e-10
 CALIBRATION_MAX_PROBES = 200
-# Default longest conditional-phase gate ``synthesize_cphase`` accepts
+# Longest conditional-phase gate ``synthesize_cphase`` accepts
 MAX_DURATION = 2000.0
 _UNREACHABLE = "requested phase unreachable within max_duration"
 # Default midpoint steps per unit time of a ramp (``ramp_steps``)
@@ -39,8 +42,9 @@ STEPS_PER_UNIT_TIME = 100.0
 # Propagation steps per ramp (``ramp_steps``): a default CZ at the cap took
 # 0.45 s and 33 MB, and 10x the cap took 6.2 s.
 MAX_RAMP_STEPS = Budget(100_000, "propagation steps per ramp")
-# Calibration quadrature nodes per ramp (``synthesize_cphase``): a default CZ
-# at the cap took 0.14 s and 36 MB, and 10x the cap took 1.1 s and 69 MB.
+# Calibration quadrature nodes per ramp (``synthesize_cphase``), by default and at most:
+# a default CZ at the cap took 0.14 s and 36 MB, and 10x the cap took 1.1 s and 69 MB.
+CALIBRATION_NODES = 160
 MAX_CALIBRATION_NODES = Budget(10_000, "nodes")
 # Ramp steps built, diagonalized and multiplied per batch.  The pairwise
 # product takes about log2(_CHUNK) batched matmuls per chunk, so larger chunks
@@ -243,11 +247,11 @@ def ramp_steps(duration: float, steps_per_unit_time: float) -> int:
     return max(1, int(np.ceil(steps)))
 
 
-def _check_ramp_time(ramp_time: float, max_duration: float) -> None:
-    """A conditional-phase ramp is positive and finite, and two of them fit in ``max_duration``."""
+def _check_ramp_time(ramp_time: float) -> None:
+    """A conditional-phase ramp is positive and finite, and two of them fit in ``MAX_DURATION``."""
     if not (np.isfinite(ramp_time) and ramp_time > 0):
         raise ValueError("ramp_time must be positive and finite")
-    if 2 * ramp_time > max_duration:
+    if 2 * ramp_time > MAX_DURATION:
         raise ValueError(_UNREACHABLE)
 
 
@@ -257,7 +261,7 @@ def check_cphase_ramp(ramp_time: float, steps_per_unit_time: float) -> None:
     Two ramps longer than ``MAX_DURATION`` are out of reach (``ValueError``);
     more than ``MAX_RAMP_STEPS`` steps are a ``BudgetError``.
     """
-    _check_ramp_time(ramp_time, MAX_DURATION)
+    _check_ramp_time(ramp_time)
     ramp_steps(ramp_time, steps_per_unit_time)
 
 
@@ -275,7 +279,8 @@ def _evolve_sectors(schedule: PulseSchedule, steps_per_unit_time: float, ops: Se
     f(1 - s) = 1 - f(s), so the reversed ramp takes the same steps in the
     opposite order, and the product of the reversed steps is the transpose of
     the product.  The steps are exchange only: the field, -h m on a sector,
-    commutes with each, so it is one phase e^{i h m T} over the duration T.
+    commutes with each, so it is one phase e^{i h m T} over the duration T,
+    of period 4 pi / T in h (m is a half-integer), which reduces an overflowing h T.
     """
     def built(weights: np.ndarray) -> list[np.ndarray]:
         return [grp.exchange(weights) for grp in groups]
@@ -306,8 +311,10 @@ def _evolve_sectors(schedule: PulseSchedule, steps_per_unit_time: float, ops: Se
                 ramp = _evolve(built(w0 + f[:, None] * (w1 - w0)), dt, ramp)
             ramps[seg.ramp, seg.duration, seg.start, seg.end] = ramp
         u = [r @ prev for r, prev in zip(ramp, u)]
-    phase = schedule.segments[0].start.field_h * schedule.total_duration
-    return [np.exp(1j * phase * grp.m)[:, None, None] * blk for grp, blk in zip(groups, u)]
+    field, duration = schedule.segments[0].start.field_h, float(schedule.total_duration)
+    if not math.isfinite(field * duration):
+        field = math.fmod(field, 4 * math.pi / duration)
+    return [np.exp(1j * (field * duration) * grp.m)[:, None, None] * blk for grp, blk in zip(groups, u)]
 
 
 def propagate(schedule: PulseSchedule,
@@ -323,6 +330,7 @@ def propagate(schedule: PulseSchedule,
     """
     _check_rate(steps_per_unit_time)
     if not schedule.segments:
+        MAX_SITES.check(schedule.n_sites)
         return np.eye(2**schedule.n_sites, dtype=np.complex128)
     first = schedule.segments[0].start
     ops = SectorOperators(first.n_sites, first.pairs)
@@ -384,7 +392,7 @@ def _hold_rotation(theta: float, delta: float, shifts: dict[str, int], rate: flo
                          idle=single_lq_graph(h=h))
 
 
-def synthesize_rz(theta: float, delta: float, h: float = 0.75) -> PulseSchedule:
+def synthesize_rz(theta: float, delta: float, h: float = IDLE_FIELD) -> PulseSchedule:
     """Hold J23 = 1 + delta' for |theta/delta| to realize Rz(theta).
 
     Raising J23 lowers |0_L>, so the excursion sign is set internally to
@@ -395,7 +403,7 @@ def synthesize_rz(theta: float, delta: float, h: float = 0.75) -> PulseSchedule:
 
 
 def synthesize_axis120(theta: float, delta: float, which: str = "j12",
-                       h: float = 0.75) -> PulseSchedule:
+                       h: float = IDLE_FIELD) -> PulseSchedule:
     """Hold J12 (or J13) = 1 + delta' to rotate about the tilted x-z axis.
 
     The generator is (delta/4)(sqrt(3) sigma_x + sigma_z) for J12 (the sigma_x
@@ -407,7 +415,7 @@ def synthesize_axis120(theta: float, delta: float, which: str = "j12",
     return _hold_rotation(theta, delta, {which: 1}, 1.0, h)
 
 
-def synthesize_rx(theta: float, delta: float, h: float = 0.75) -> PulseSchedule:
+def synthesize_rx(theta: float, delta: float, h: float = IDLE_FIELD) -> PulseSchedule:
     """Shift J12 by 2*delta' and J23 by delta' to realize Rx(theta).
 
     The matched shifts cancel the sigma_z part exactly, leaving the generator
@@ -436,14 +444,13 @@ def _wrap_angle(x: float) -> float:
     return float((x + np.pi) % (2 * np.pi) - np.pi)
 
 
-def decompose_su2(target: np.ndarray, delta_z: float = 0.5, delta_x: float = 0.25,
-                  h: float = 0.75) -> PulseSchedule:
+def decompose_su2(target: np.ndarray, h: float = IDLE_FIELD) -> PulseSchedule:
     """z-x-z pulse sequence matching an arbitrary 2x2 unitary up to phase."""
     alpha, beta, gamma = zxz_angles(target)
     schedule = empty_schedule(3)
-    for theta, maker, delta in ((gamma, synthesize_rz, delta_z),
-                                (beta, synthesize_rx, delta_x),
-                                (alpha, synthesize_rz, delta_z)):
+    for theta, maker, delta in ((gamma, synthesize_rz, 0.5),
+                                (beta, synthesize_rx, 0.25),
+                                (alpha, synthesize_rz, 0.5)):
         theta = _wrap_angle(theta)
         if abs(theta) > 1e-12:
             schedule = schedule.then(maker(theta, delta, h=h))
@@ -472,14 +479,15 @@ def _single_qubit(lams: np.ndarray) -> float:
 
 
 def synthesize_cphase(phi: float, j14_peak: float, ramp_time: float,
-                      n_calibration_steps: int = 160, h: float = 0.75,
-                      mode: str = "simultaneous", max_duration: float = MAX_DURATION,
-                      ramp_shape: str = "smooth") -> PulseSchedule:
+                      n_calibration_steps: int = CALIBRATION_NODES, h: float = IDLE_FIELD,
+                      mode: str = "simultaneous", ramp_shape: str = "smooth") -> PulseSchedule:
     """Conditional phase gate from one ramp-hold-ramp J14 pulse.
 
     The pulse accumulates conditional phase at rate lambda_00 + lambda_11 -
     2 lambda_01 (about 4*J14/9 for small J14); the hold time is chosen so
     the total equals -phi modulo 2 pi, with the fewest whole turns added.
+    Gates past ``MAX_DURATION`` (ramps alone: before any walk) or with no
+    conditional rate above rounding at the peak are unreachable (``ValueError``).
 
     In ``simultaneous`` mode the J23 = J56 couplings follow the same pulse
     profile scaled to a shift calibrated by ``linalg.regula_falsi`` from the
@@ -501,16 +509,13 @@ def synthesize_cphase(phi: float, j14_peak: float, ramp_time: float,
     n_calibration_steps : quadrature nodes per ramp for the phase integrals,
         at most ``MAX_CALIBRATION_NODES``.
     mode : z-phase cancellation, one of ``CPHASE_MODES``.
-    max_duration : reject gates longer than this, or with no conditional
-        rate above rounding at the peak (phase unreachable); ramps that
-        alone are longer are rejected before any walk.
     ramp_shape : ramp profile, a key of ``RAMP_PROFILES``.
     """
     if not np.isfinite(phi):
         raise ValueError("phi must be finite")
     if not 0 < j14_peak < 0.75:
         raise ValueError("j14_peak outside the gapped window (0, 0.75)")
-    _check_ramp_time(ramp_time, max_duration)
+    _check_ramp_time(ramp_time)
     if n_calibration_steps < 1:
         raise ValueError("n_calibration_steps must be at least 1")
     MAX_CALIBRATION_NODES.check(n_calibration_steps)
@@ -535,7 +540,7 @@ def synthesize_cphase(phi: float, j14_peak: float, ramp_time: float,
         # the fewest whole turns on the target that leave the hold >= -1e-12
         turns = max(0, int(np.ceil((2 * cc_ramp - 1e-12 * cc_peak - target_cc) / (2 * np.pi))))
         hold = max((target_cc + turns * 2 * np.pi - 2 * cc_ramp) / cc_peak, 0.0)
-        if 2 * ramp_time + hold > max_duration:
+        if 2 * ramp_time + hold > MAX_DURATION:
             raise ValueError(_UNREACHABLE)
         return 2 * _single_qubit(ramp) + _single_qubit(peak) * hold - offset, hold
 

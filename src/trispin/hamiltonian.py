@@ -1,4 +1,4 @@
-"""Spin operators and Heisenberg + Zeeman Hamiltonians on arbitrary coupling graphs.
+"""Heisenberg + Zeeman Hamiltonians on arbitrary coupling graphs, block by block in S_z.
 
 Units: energies in units of the idle exchange J (hbar = 1), time in 1/J.
 Basis convention: site 0 occupies the most significant bit of the product
@@ -16,12 +16,7 @@ import numpy as np
 
 from .linalg import DEGENERACY_TOL, Budget
 
-SX = np.array([[0, 1], [1, 0]], dtype=np.complex128) / 2
-SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128) / 2
-SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128) / 2
-_AXES = {"x": SX, "y": SY, "z": SZ}
-
-IDLE_FIELD = 0.75
+IDLE_FIELD = 0.75  # the working field: the default h of every call and command
 # Largest register ``sz_sectors`` (so every sector builder) accepts: the
 # exchange blocks of one edge hold C(2n, n) doubles (1.5 MB at n = 10, 4.8 GB
 # at n = 16), and the S_z sectors are sorted state by state in Python.
@@ -112,28 +107,12 @@ def two_lq_graph(j14: float = 0.0, j23: float = 1.0, j56: float = 1.0,
     return CouplingGraph(6, edges, h)
 
 
-def spin_operator(n_sites: int, site: int, axis: str) -> np.ndarray:
-    """Single-site spin operator sigma_axis/2 embedded in the 2^n space."""
-    if not 0 <= site < n_sites:
-        raise ValueError(f"site {site} out of range for {n_sites} sites")
-    try:
-        op = _AXES[axis]
-    except KeyError:
-        raise ValueError(f"axis must be one of x, y, z, got {axis!r}") from None
-    return np.kron(np.kron(np.eye(2**site), op), np.eye(2**(n_sites - 1 - site)))
-
-
 def exchange_term(n_sites: int, i: int, j: int) -> np.ndarray:
     """Heisenberg exchange S_i . S_j as a 2^n-dimensional operator.
 
     It is the Hamiltonian of the single edge (i, j) at unit coupling and zero field.
     """
     return build_hamiltonian(CouplingGraph(n_sites, ((min(i, j), max(i, j), 1.0),)))
-
-
-def total_spin(n_sites: int, axis: str) -> np.ndarray:
-    """Sum of single-site spin operators along one axis."""
-    return sum(spin_operator(n_sites, site, axis) for site in range(n_sites))
 
 
 def build_hamiltonian(g: CouplingGraph) -> np.ndarray:
@@ -338,7 +317,8 @@ def sector_spectrum(g: CouplingGraph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def basis_state(n_sites: int, down_sites: tuple[int, ...]) -> np.ndarray:
-    """Product state with the given sites down and all others up."""
+    """Product state with the given sites down and all others up; at most ``MAX_SITES`` sites."""
+    MAX_SITES.check(n_sites)
     idx = 0
     for s in down_sites:
         if not 0 <= s < n_sites:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .encoding import MAX_GRID_POINTS, _SectorTracker, effective_h1
 from .gates import (
+    CALIBRATION_NODES,
     STEPS_PER_UNIT_TIME,
     PulseSchedule,
     check_cphase_ramp,
@@ -23,7 +24,8 @@ from .gates import (
     synthesize_cphase,
     two_lq_report,
 )
-from .hamiltonian import SectorOperators, sector_spectrum, single_lq_graph, two_lq_graph
+from .hamiltonian import (IDLE_FIELD, SectorOperators, sector_spectrum, single_lq_graph,
+                          two_lq_graph)
 from .linalg import Budget, regula_falsi
 
 MU_B_MICROEV_PER_TESLA = 57.88
@@ -210,7 +212,7 @@ def _find_crossings(fn, grid: np.ndarray, gaps: np.ndarray) -> CrossingReport:
 
 
 def sweep_intra(which: str, j_min: float, j_max: float, n_points: int,
-                h: float = 0.75) -> tuple[SweepResult, CrossingReport]:
+                h: float = IDLE_FIELD) -> tuple[SweepResult, CrossingReport]:
     """Spectrum during a single-LQ gate coupling excursion, with crossings."""
     if which not in INTRA_COUPLINGS:
         raise ValueError(f"which must be one of {INTRA_COUPLINGS}")
@@ -221,7 +223,7 @@ def sweep_intra(which: str, j_min: float, j_max: float, n_points: int,
 
 
 def sweep_inter(j_min: float, j_max: float, n_points: int,
-                h: float = 0.75) -> tuple[SweepResult, CrossingReport]:
+                h: float = IDLE_FIELD) -> tuple[SweepResult, CrossingReport]:
     """Two-LQ spectrum against the inter-triple coupling, with the gap closing.
 
     The logical quartet energies are the lowest levels of the quartet's
@@ -246,9 +248,9 @@ class AdiabaticPoint:
 
 
 def adiabatic_leakage_curve(phi: float, j14_peak: float, ramp_times,
-                            n_calibration_steps: int = 160,
+                            n_calibration_steps: int = CALIBRATION_NODES,
                             steps_per_unit_time: float = STEPS_PER_UNIT_TIME,
-                            h: float = 0.75,
+                            h: float = IDLE_FIELD,
                             ramp_shape: str = "smooth") -> list[AdiabaticPoint]:
     """Leakage and fidelity of the conditional phase gate vs ramp duration.
 

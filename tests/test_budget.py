@@ -27,7 +27,13 @@ BUDGETS = {
                            np.pi, 0.5, [0.5, 2.0], steps_per_unit_time=n / 2),
                        gates.MAX_RAMP_STEPS),
     "sector_spectrum": (lambda n: hamiltonian.sector_spectrum(chain(n)), hamiltonian.MAX_SITES),
+    "basis_state": (lambda n: hamiltonian.basis_state(n, ()), hamiltonian.MAX_SITES),
+    "logical_basis": (lambda n: encoding.logical_basis((0, 1, 2), n).columns,
+                      hamiltonian.MAX_SITES),
+    "propagate": (lambda n: gates.propagate(gates.PulseSchedule((), n)), hamiltonian.MAX_SITES),
 }
+# calls that build a 2^n state or operator and solve nothing: at the cap they return it
+NO_EIGENSOLVE = {"basis_state", "logical_basis", "propagate"}
 
 
 def test_a_budget_error_is_a_value_error():
@@ -35,7 +41,7 @@ def test_a_budget_error_is_a_value_error():
 
 
 class TestLibraryBudget:
-    """One past each cap raises ``BudgetError`` before any eigensolve; the cap itself runs."""
+    """One past each cap raises ``BudgetError`` before any eigensolve or 2^n array; the cap runs."""
 
     @pytest.fixture(autouse=True)
     def no_eigensolves(self, monkeypatch):
@@ -54,5 +60,8 @@ class TestLibraryBudget:
     @pytest.mark.parametrize("name", list(BUDGETS))
     def test_the_cap_itself_is_accepted(self, name):
         call, budget = BUDGETS[name]
+        if name in NO_EIGENSOLVE:
+            assert len(call(budget.cap)) == 2**budget.cap
+            return
         with pytest.raises(np.linalg.LinAlgError, match="eigensolver reached"):
             call(budget.cap)

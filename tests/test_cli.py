@@ -257,10 +257,23 @@ class TestGateCommand:
             tr = np.trace(blocks[0].conj().T @ block)
             assert np.max(np.abs(block - tr / abs(tr) * blocks[0])) <= 1e-15
 
+    @pytest.mark.parametrize("kind, h", [("rz", "1e308"), ("rx", "1.7e308"),
+                                         ("axis120", "1.7e308"), ("su2", "1e308")])
+    def test_fields_whose_phase_overflows_run(self, run_main, tmp_path, kind, h):
+        # h T overflowed here, and the command exited 4
+        euler = ["--euler", "pi/2,-pi/3,0.2"] if kind == "su2" else []
+        res = run_main(["gate", "--type", kind, *euler, "--h", h, "--out", "g.json"])
+        assert res.returncode == 0, res.stderr
+        data = json.loads((tmp_path / "g.json").read_text())
+        block = np.array(data["logical_unitary_re"]) + 1j * np.array(data["logical_unitary_im"])
+        assert np.isfinite(block).all()
+        assert np.max(np.abs(block.conj().T @ block - np.eye(2))) <= 1e-14
+
     def test_cphase_at_large_fields(self, run_main, tmp_path):
-        # the calibration used to fail at h = 1e6 (exit 4) and at h = 1e20 (exit 3)
+        # the calibration used to fail at h = 1e6 (exit 4) and at h = 1e20 (exit 3),
+        # and the field phase h T overflowed at the largest double (exit 4)
         reports = []
-        for h in ("0.75", "1e6", "1e20"):
+        for h in ("0.75", "1e6", "1e20", HUGE):
             res = run_main(["gate", "--type", "cphase", "--h", h, "--out", "g.json"])
             assert res.returncode == 0, res.stderr
             data = json.loads((tmp_path / "g.json").read_text())
@@ -715,8 +728,7 @@ HUGE = "1.7976931348623157e308"
 class TestNumericalFailureExit:
     @pytest.mark.parametrize("args", [
         ["verify-eq7", "--h", HUGE], ["lambdas", "--h", HUGE], ["sweep-inter", "--h", HUGE],
-        ["gate", "--type", "cphase", "--h", HUGE],
-    ], ids=["verify-eq7", "lambdas", "sweep-inter", "gate-cphase"])
+    ], ids=["verify-eq7", "lambdas", "sweep-inter"])
     def test_largest_field_ends_with_one_line(self, run_main, tmp_path, args):
         # the field used to overflow the invariant-block closure into an IndexError
         res = run_main(args + ["--out", str(tmp_path / "artifact")])

@@ -19,12 +19,11 @@ from trispin.hamiltonian import (
     SectorOperators,
     build_hamiltonian,
     single_lq_graph,
-    total_spin,
     two_lq_graph,
 )
 from trispin.linalg import max_abs
 
-from test_hamiltonian import swap_matrix
+from test_hamiltonian import swap_matrix, total_spin
 
 
 @pytest.fixture(scope="module")

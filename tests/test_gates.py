@@ -28,15 +28,15 @@ from trispin.gates import (
     zxz_angles,
 )
 from trispin.hamiltonian import (
+    IDLE_FIELD,
     CouplingGraph,
     build_hamiltonian,
     single_lq_graph,
-    total_spin,
     two_lq_graph,
 )
 from trispin.linalg import BudgetError, max_abs
 
-from test_hamiltonian import expm, kron_hamiltonian
+from test_hamiltonian import expm, kron_hamiltonian, total_spin
 
 
 def random_su2(rng) -> np.ndarray:
@@ -548,6 +548,34 @@ class TestDecomposeSu2:
             assert rep.max_leakage <= 1e-10
 
 
+SU2_TARGET = rz_gate(0.4) @ rx_gate(1.1) @ rz_gate(-0.7)
+# gate kind -> (schedule at field h, logical target, a field at which h T overflows)
+HUGE_FIELD_GATES = {
+    "rz": (lambda h: synthesize_rz(np.pi / 2, 0.25, h=h), rz_gate(np.pi / 2), 1e308),
+    "rx": (lambda h: synthesize_rx(np.pi / 2, 0.25, h=h), rx_gate(np.pi / 2), 1.7e308),
+    "axis120": (lambda h: synthesize_axis120(np.pi / 2, 0.25, h=h),
+                axis120_gate(np.pi / 2), 1.7e308),
+    "su2": (lambda h: decompose_su2(SU2_TARGET, h=h), SU2_TARGET, 1e308),
+}
+
+
+class TestHugeFields:
+    """The field phase e^{i h m T} is reduced by its period 4 pi / T in h when h T overflows."""
+
+    @pytest.mark.parametrize("kind", list(HUGE_FIELD_GATES))
+    def test_logical_block_is_the_working_point_block_up_to_phase(self, kind):
+        schedule, target, h = HUGE_FIELD_GATES[kind]
+        assert h * float(schedule(h).total_duration) == np.inf
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            block = single_lq_report(schedule(h), target).logical_unitary
+            full = propagate(schedule(h))
+        assert np.isfinite(block).all() and np.isfinite(full).all()
+        assert max_abs(block.conj().T @ block - np.eye(2)) <= 1e-14
+        working = single_lq_report(schedule(IDLE_FIELD), target).logical_unitary
+        tr = np.trace(working.conj().T @ block)
+        assert max_abs(block - tr / abs(tr) * working) <= 1e-14
+
+
 class TestCphase:
     def test_zero_phase_is_empty(self):
         assert synthesize_cphase(0.0, 0.5, 10.0).segments == ()
@@ -617,9 +645,9 @@ class TestCphase:
             synthesize_cphase(np.pi, j14_peak, ramp_time)
 
     def test_unreachable_phase(self):
+        # a hold of about 7 000 / J at J14 = 1e-3: past MAX_DURATION
         with pytest.raises(ValueError, match="unreachable"):
-            synthesize_cphase(np.pi, 0.05, 1.0, n_calibration_steps=20,
-                              max_duration=30.0)
+            synthesize_cphase(np.pi, 1e-3, 1.0, n_calibration_steps=20)
 
 
 class TestCphaseCalibration:

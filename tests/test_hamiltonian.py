@@ -11,15 +11,24 @@ from trispin.hamiltonian import (
     exchange_term,
     sector_spectrum,
     single_lq_graph,
-    spin_operator,
     sz_sectors,
-    total_spin,
     two_lq_graph,
 )
 from trispin.linalg import max_abs
 
 PAULI_HALF = tuple(np.array(m, dtype=np.complex128) / 2 for m in (
     [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]))
+AXES = dict(zip("xyz", PAULI_HALF))
+
+
+def kron_spin(n_sites: int, k: int, op: np.ndarray) -> np.ndarray:
+    """The one-site operator ``op`` on site ``k`` of ``n_sites``, as a Kronecker product."""
+    return np.kron(np.kron(np.eye(2**k), op), np.eye(2**(n_sites - 1 - k)))
+
+
+def total_spin(n_sites: int, axis: str) -> np.ndarray:
+    """Total spin along ``axis`` ("x", "y" or "z"), summed from Kronecker products."""
+    return sum(kron_spin(n_sites, k, AXES[axis]) for k in range(n_sites))
 
 
 def swap_matrix(n_sites: int, i: int, j: int) -> np.ndarray:
@@ -38,39 +47,16 @@ def swap_matrix(n_sites: int, i: int, j: int) -> np.ndarray:
 
 def kron_hamiltonian(g: CouplingGraph) -> np.ndarray:
     """H of ``g`` from Kronecker products of Pauli matrices / 2: the oracle for the sector builder."""
-    def site(op, k):
-        return np.kron(np.kron(np.eye(2**k), op), np.eye(2**(g.n_sites - 1 - k)))
-
-    exchange = sum(jij * site(s, i) @ site(s, j) for (i, j, jij) in g.edges for s in PAULI_HALF)
-    return exchange - g.field_h * sum(site(PAULI_HALF[2], k) for k in range(g.n_sites))
+    n = g.n_sites
+    exchange = sum(jij * kron_spin(n, i, s) @ kron_spin(n, j, s)
+                   for (i, j, jij) in g.edges for s in PAULI_HALF)
+    return exchange - g.field_h * total_spin(n, "z")
 
 
 def expm(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) of a Hermitian matrix, from its eigendecomposition."""
     vals, vecs = np.linalg.eigh(h)
     return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
-
-
-class TestSpinOperator:
-    def test_single_site_z(self):
-        assert np.allclose(spin_operator(1, 0, "z"), np.diag([0.5, -0.5]))
-
-    def test_tensor_placement(self):
-        assert np.allclose(np.diag(spin_operator(2, 1, "z")).real,
-                           [0.5, -0.5, 0.5, -0.5])
-
-    @pytest.mark.parametrize("site", [0, 1, 2])
-    def test_su2_commutator(self, site):
-        sx = spin_operator(3, site, "x")
-        sy = spin_operator(3, site, "y")
-        sz = spin_operator(3, site, "z")
-        assert max_abs(sx @ sy - sy @ sx - 1j * sz) < 1e-12
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            spin_operator(2, 2, "z")
-        with pytest.raises(ValueError):
-            spin_operator(2, 0, "q")
 
 
 class TestExchangeTerm:

@@ -34,12 +34,11 @@ from trispin.hamiltonian import (
     sector_spectrum,
     single_lq_graph,
     sz_sectors,
-    total_spin,
     two_lq_graph,
 )
 from trispin.linalg import max_abs
 
-from test_hamiltonian import expm, kron_hamiltonian
+from test_hamiltonian import expm, kron_hamiltonian, total_spin
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
