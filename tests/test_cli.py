@@ -270,15 +270,25 @@ class TestGateCommand:
         assert np.max(np.abs(block.conj().T @ block - np.eye(2))) <= 1e-14
 
     def test_cphase_at_large_fields(self, run_main, tmp_path):
-        # the calibration used to fail at h = 1e6 (exit 4) and at h = 1e20 (exit 3),
-        # and the field phase h T overflowed at the largest double (exit 4)
+        # the calibration used to fail at h = 1e6 (exit 4) and at h = 1e20 (exit 3)
         reports = []
-        for h in ("0.75", "1e6", "1e20", HUGE):
+        for h in ("0.75", "1e6", "1e20"):
             res = run_main(["gate", "--type", "cphase", "--h", h, "--out", "g.json"])
             assert res.returncode == 0, res.stderr
             data = json.loads((tmp_path / "g.json").read_text())
             reports.append((data["fidelity"], data["conditional_phase"]))
         assert np.max(np.abs(np.array(reports[1:]) - reports[0])) <= 1e-12
+
+    def test_cphase_at_the_largest_field(self, run_main, tmp_path):
+        # the field phase h T overflowed at the largest double, and the command exited 4
+        reports = []
+        for h in ("0.75", HUGE):
+            res = run_main(["gate", "--type", "cphase", "--h", h, "--out", "g.json"])
+            assert res.returncode == 0, res.stderr
+            assert res.stdout.startswith("cphase: fidelity ") and res.stdout.count("\n") == 1
+            data = json.loads((tmp_path / "g.json").read_text())
+            reports.append((data["fidelity"], data["conditional_phase"]))
+        assert np.max(np.abs(np.array(reports[1]) - reports[0])) <= 1e-12
 
     @pytest.mark.parametrize("args, schedule, target, score", [
         (["--type", "cphase"], lambda: gates.synthesize_cphase(np.pi, 0.5, 20.0),
