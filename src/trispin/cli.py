@@ -420,8 +420,8 @@ def _run_lambdas(p: dict) -> tuple[dict, str]:
         raise ConfigError(f"--points: need at least one point, got {p['points']}")
     _within("points", p["points"], encoding.MAX_GRID_POINTS.check, p["points"])
     grid = _linspace(p["min"], p["max"], p["points"])
-    rows = encoding.lambda_curve(grid, h=p["h"])
-    table = [[x, *r, encoding.entangling_rate(*r)] for x, r in zip(grid, rows)]
+    rows = encoding.lambda_curve(grid, h=0.0)  # the rate of the exchange levels is exact at any h
+    table = [[x, *(r - p["h"]), encoding.entangling_rate(*r)] for x, r in zip(grid, rows)]
     artifacts = {
         "csv": (["j14", "lambda00", "lambda01", "lambda11", "entangling"], table),
         "json": {

@@ -28,10 +28,9 @@ import numpy as np
 
 from .hamiltonian import (
     IDLE_FIELD,
+    CouplingGraph,
     SectorOperators,
     basis_state,
-    build_hamiltonian,
-    exchange_term,
     projected_blocks,
     single_lq_graph,
     two_lq_graph,
@@ -69,34 +68,26 @@ def entangling_rate(lambda_00, lambda_01, lambda_11):
 
 @dataclass(frozen=True)
 class LambdaTriple:
-    """Tracked two-LQ eigenvalues adiabatically connected to |00>, |01>, |11>."""
+    """Tracked two-LQ eigenvalues adiabatically connected to |00>, |01>, |11>.
+
+    ``entangling_rate`` is that of their exchange parts: the field cancels from it.
+    """
 
     j14: float
     lambda_00: float
     lambda_01: float
     lambda_11: float
-
-    @property
-    def entangling_rate(self) -> float:
-        return entangling_rate(self.lambda_00, self.lambda_01, self.lambda_11)
-
-
-def _component_states(triple: tuple[int, int, int]):
-    a, b, c = triple
-    s2 = 1 / np.sqrt(2)
-    s6 = 1 / np.sqrt(6)
-    zero = ((s2, (c,)), (-s2, (b,)))
-    one = ((s6, (c,)), (s6, (b,)), (-2 * s6, (a,)))
-    return zero, one
+    entangling_rate: float
 
 
 def logical_basis(triple: tuple[int, int, int], n_sites: int) -> LogicalBasis:
     """Logical doublet of one triple; all other sites in the all-up reference."""
     if len(set(triple)) != 3 or not all(0 <= s < n_sites for s in triple):
         raise ValueError(f"invalid triple {triple} for {n_sites} sites")
-    zero_parts, one_parts = _component_states(tuple(triple))
-    zero = sum(coef * basis_state(n_sites, downs) for coef, downs in zero_parts)
-    one = sum(coef * basis_state(n_sites, downs) for coef, downs in one_parts)
+    down_a, down_b, down_c = (basis_state(n_sites, (s,)) for s in triple)
+    s2, s6 = 1 / np.sqrt(2), 1 / np.sqrt(6)
+    zero = s2 * down_c - s2 * down_b
+    one = s6 * down_c + s6 * down_b - 2 * s6 * down_a
     return LogicalBasis(tuple(triple), n_sites, zero, one)
 
 
@@ -139,12 +130,16 @@ def project_effective(h: np.ndarray, basis) -> EffectiveHamiltonian:
 
 
 def singlet_probability(state: np.ndarray, pair: tuple[int, int], n_sites: int) -> float:
-    """Expectation of the singlet projector 1/4 - S_i . S_j on one pair."""
-    state = np.asarray(state, dtype=np.complex128)
+    """Expectation of the singlet projector 1/4 - S_i . S_j on one pair, S_z sector by sector."""
     i, j = pair
-    proj = 0.25 * np.eye(2**n_sites) - exchange_term(n_sites, i, j)
-    val = float(np.real(state.conj() @ proj @ state))
-    return min(max(val, 0.0), 1.0)
+    ops = SectorOperators(n_sites, CouplingGraph(n_sites, ((min(i, j), max(i, j), 1.0),)).pairs)
+    state = np.asarray(state, dtype=np.complex128)
+    if state.shape != (2**ops.n_sites,):
+        raise ValueError(f"state must have 2**{ops.n_sites} amplitudes")
+    val = np.vdot(state, state).real / 4 - sum(
+        np.einsum("ka,kab,kb->", state[g.indices].conj(), g.terms[0], state[g.indices]).real
+        for g in ops.groups)
+    return min(max(float(val), 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -162,22 +157,23 @@ def initialization_ground(j23_shift: float, h: float = IDLE_FIELD) -> GroundStat
     Raising J23 favors the (b, c) singlet, so positive shifts select |0_L>
     and negative shifts select |1_L>.  Shifts outside (-0.75, 0.75) cross a
     non-logical level and are rejected, and so is a field whose ground levels
-    hold no state of the m = +1/2 doublet.
+    hold no m = +1/2 level.  The field is constant on a sector, so a unique
+    ground level is the lowest of the m = +1/2 exchange block.
     """
     if not abs(j23_shift) < 0.75:
         raise ValueError("shift outside the crossing-free window (-0.75, 0.75)")
-    hmat = build_hamiltonian(single_lq_graph(j23=1.0 + j23_shift, h=h))
-    basis = logical_basis((0, 1, 2), 3)
-    vals, vecs = np.linalg.eigh(hmat)
-    ground = vecs[:, vals - vals[0] <= degeneracy_tol(vals)]
-    if not np.max(np.linalg.norm(basis.columns.conj().T @ ground, axis=1)) > 0.5:
+    graph = single_lq_graph(j23=1.0 + j23_shift, h=h)
+    ops = SectorOperators(3, graph.pairs)
+    (vals,), (labels,) = ops.spectra([graph])
+    if 0.5 not in labels[vals - vals[0] <= degeneracy_tol(vals)]:
         raise ValueError(f"the ground state at h = {h} is not in the logical doublet")
     splitting = float(vals[1] - vals[0])
     if splitting <= degeneracy_tol(vals):
         return GroundStateReport(None, 0.0, splitting)
-    ground = vecs[:, 0]
-    ov0 = abs(basis.zero_l.conj() @ ground) ** 2
-    ov1 = abs(basis.one_l.conj() @ ground) ** 2
+    sector = next(grp for grp in ops.groups if grp.m[0] == 0.5)  # blocks m = +1/2, -1/2
+    ground = np.linalg.eigh(sector.exchange(ops.weights(graph))[0])[1][:, 0]
+    columns = logical_basis((0, 1, 2), 3).columns[sector.indices[0]]
+    ov0, ov1 = np.abs(columns.conj().T @ ground) ** 2
     if ov0 >= ov1:
         return GroundStateReport("0_L", float(ov0), splitting)
     return GroundStateReport("1_L", float(ov1), splitting)
@@ -228,22 +224,23 @@ class _SectorTracker:
 MAX_GRID_POINTS = Budget(10_000, "points")
 
 
-def lambda_curve(j14_values, h: float = IDLE_FIELD, j23_shift: float = 0.0) -> np.ndarray:
+def lambda_curve(j14_values, h: float = IDLE_FIELD) -> np.ndarray:
     """Tracked quartet levels [l00, l01, l11] (l10 = l01), less h, on ascending J14 >= 0."""
     grid = [float(x) for x in j14_values]
     MAX_GRID_POINTS.check(len(grid))
-    if not np.isfinite(grid + [j23_shift]).all():
-        raise ValueError("j14 grid and j23 shift must be finite")
+    if not np.isfinite(grid).all():
+        raise ValueError("j14 grid must be finite")
     if any(b < a for a, b in zip(grid, grid[1:])) or (grid and grid[0] < 0):
         raise ValueError("j14 grid must be ascending and nonnegative")
-    return _SectorTracker().walk([(x, j23_shift) for x in grid]) - h
+    return _SectorTracker().walk([(x, 0.0) for x in grid]) - h
 
 
-def lambda_spectrum(j14: float, h: float = IDLE_FIELD, j23_shift: float = 0.0) -> LambdaTriple:
+def lambda_spectrum(j14: float, h: float = IDLE_FIELD) -> LambdaTriple:
     """Tracked lambda_00, lambda_01, lambda_11 at one inter-LQ coupling value."""
     if j14 < 0:
         raise ValueError("j14 must be nonnegative")
-    return LambdaTriple(j14, *map(float, lambda_curve([j14], h, j23_shift)[0]))
+    (levels,) = lambda_curve([j14], h=0.0)
+    return LambdaTriple(j14, *map(float, levels - h), float(entangling_rate(*levels)))
 
 
 # ---------------------------------------------------------------------------

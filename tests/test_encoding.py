@@ -195,9 +195,15 @@ class TestLambdaSpectrum:
         with pytest.raises(ValueError):
             lambda_curve([0.2, 0.1])
 
+    @pytest.mark.parametrize("h", [1e300, 1.7976931348623157e308])
+    def test_entangling_rate_holds_at_huge_fields(self, h):
+        # the rate was formed from levels holding -h: 0.0 at h = 1e300
+        lam, idle = lambda_spectrum(0.5, h=h), lambda_spectrum(0.5)
+        assert lam.entangling_rate == idle.entangling_rate > 0.28
+        assert lam.lambda_01 == lambda_curve([0.5], h=h)[0, 1]
+
     def test_rejects_non_finite_values(self):
-        for call in (lambda: lambda_spectrum(np.nan), lambda: lambda_curve([0.1, np.inf]),
-                     lambda: lambda_curve([0.1], j23_shift=np.nan)):
+        for call in (lambda: lambda_spectrum(np.nan), lambda: lambda_curve([0.1, np.inf])):
             with pytest.raises(ValueError, match="must be finite"):
                 call()
 
@@ -232,6 +238,10 @@ class TestReadout:
         assert singlet_probability(basis3.one_l, (1, 2), 3) < 1e-12
         plus = (basis3.zero_l + basis3.one_l) / np.sqrt(2)
         assert abs(singlet_probability(plus, (1, 2), 3) - 0.5) < 1e-12
+
+    def test_probability_scales_with_the_norm(self, basis3):
+        # the expectation of a projector in an unnormalized state: |psi|^2 / 4 - <S_i . S_j>
+        assert abs(singlet_probability(0.5 * basis3.zero_l, (2, 1), 3) - 0.25) < 1e-12
 
 
 class TestInitialization:

@@ -4,10 +4,18 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trispin.encoding import effective_h1, logical_basis, project_effective, two_lq_basis
+from trispin.encoding import (
+    effective_h1,
+    initialization_ground,
+    logical_basis,
+    project_effective,
+    singlet_probability,
+    two_lq_basis,
+)
 from trispin.gates import (
     _CHUNK,
     _step_propagators,
@@ -38,7 +46,7 @@ from trispin.hamiltonian import (
 )
 from trispin.linalg import max_abs
 
-from test_hamiltonian import expm, kron_hamiltonian, total_spin
+from test_hamiltonian import PAULI_HALF, expm, kron_hamiltonian, kron_spin, total_spin
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -412,3 +420,53 @@ def test_logical_block_is_effective_h1(j12, j13, j23, h):
 def test_then_is_associative(data, h):
     a, b, c = (data.draw(single_lq_schedules(h)) for _ in range(3))
     assert a.then(b).then(c) == a.then(b.then(c))
+
+
+def dense_initialization_ground(j23_shift: float, h: float):
+    """Oracle: label, overlap and splitting from the eigenvectors of the 8x8 Kronecker H.
+
+    The ground levels (within the degeneracy tolerance of the lowest) must hold
+    a state of the m = +1/2 doublet: some logical basis state has a projection
+    of norm above 0.5 onto them.
+    """
+    vals, vecs = np.linalg.eigh(kron_hamiltonian(single_lq_graph(j23=1.0 + j23_shift, h=h)))
+    tol = 1e-9 * np.max(np.abs(vals))
+    columns = logical_basis((0, 1, 2), 3).columns
+    if not np.max(np.linalg.norm(columns.conj().T @ vecs[:, vals - vals[0] <= tol], axis=1)) > 0.5:
+        raise ValueError("not in the logical doublet")
+    splitting = vals[1] - vals[0]
+    if splitting <= tol:
+        return None, 0.0, splitting
+    ov0, ov1 = np.abs(columns.conj().T @ vecs[:, 0]) ** 2
+    return ("0_L", ov0, splitting) if ov0 >= ov1 else ("1_L", ov1, splitting)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(st.floats(-0.75, 0.75, exclude_min=True, exclude_max=True), st.floats(-0.5, 2.0))
+@example(0.0, 0.75)  # degenerate doublet
+@example(0.3, 0.0)  # m = +1/2 and -1/2 doublets degenerate
+@example(0.0, 1.5)  # the m = 3/2 level meets the doublet
+@example(0.3, 2.0)  # ground of m = 3/2
+@example(0.3, -0.5)  # ground in the m = -1/2 doublet
+def test_initialization_ground_equals_the_dense_oracle(shift, h):
+    try:
+        label, overlap, splitting = dense_initialization_ground(shift, h)
+    except ValueError:
+        with pytest.raises(ValueError, match="is not in the logical doublet"):
+            initialization_ground(shift, h)
+        return
+    rep = initialization_ground(shift, h)
+    assert rep.label == label
+    assert abs(rep.overlap - overlap) <= 1e-12 and abs(rep.splitting - splitting) <= 1e-12
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(st.integers(2, 6), st.data())
+def test_singlet_probability_equals_the_dense_projector(n_sites, data):
+    i, j = data.draw(st.permutations(range(n_sites)))[:2]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    state = rng.normal(size=2**n_sites) + 1j * rng.normal(size=2**n_sites)
+    state /= np.linalg.norm(state)
+    exchange = sum(kron_spin(n_sites, i, s) @ kron_spin(n_sites, j, s) for s in PAULI_HALF)
+    dense = np.real(state.conj() @ (np.eye(2**n_sites) / 4 - exchange) @ state)
+    assert abs(singlet_probability(state, (i, j), n_sites) - min(max(dense, 0.0), 1.0)) <= 1e-12
