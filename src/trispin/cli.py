@@ -14,7 +14,6 @@ section apply to whichever command runs.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -242,15 +241,6 @@ def _write_text(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
-def _non_finite(obj) -> bool:
-    """Whether an artifact value holds a NaN or an infinity anywhere."""
-    if isinstance(obj, dict):
-        return any(map(_non_finite, obj.values()))
-    if isinstance(obj, (list, tuple)):
-        return any(map(_non_finite, obj))
-    return isinstance(obj, (float, np.floating, np.ndarray)) and not np.isfinite(obj).all()
-
-
 def write_csv(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
     """Write the rows under ``header``; a non-finite number raises ``FloatingPointError``."""
     def cell(v) -> str:
@@ -264,54 +254,41 @@ def write_csv(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _json_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _json_key(key) -> str:
-    # json writes a scalar key as the quoted text of its value
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if key is None or isinstance(key, (bool, int, float)):
-        return f'"{_json_text(key)}"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
 def _json_text(obj, pad: str = "") -> str:
-    """``json.dumps(obj, indent=2)`` for a value whose line is indented by ``pad``.
+    """``json.dumps(obj, indent=2)`` for an artifact value whose line is indented by ``pad``.
 
-    Numpy scalars are their ``item()`` and arrays their nested lists.  Rows of
-    a finite float64 array are joined from ``float.__repr__`` directly, which
-    is what the json encoder writes for each element.
+    An artifact holds dicts with str keys, lists, tuples, str, bool, int,
+    None, finite floats (``np.float64`` among them) and float64 arrays of one
+    or more dimensions, whose rows are joined from ``float.__repr__``, as the
+    json encoder writes each element.  A NaN or an infinity, which strict JSON
+    cannot hold, raises ``FloatingPointError`` and any other value ``TypeError``,
+    before ``write_json`` opens the file.
     """
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
-    if obj is None or isinstance(obj, bool):
-        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, float):
-        return _json_float(obj)
+        if not math.isfinite(obj):
+            raise FloatingPointError("non-finite value in the artifact")
+        return float.__repr__(obj)
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(obj, np.ndarray):
-        if obj.dtype != np.float64 or not np.isfinite(obj).all():
-            # list() keeps a 0-d array an error, as it is for the json module
-            return _json_text(list(obj.tolist()), pad)
+        if obj.dtype != np.float64 or not obj.ndim:
+            raise TypeError(f"a {obj.ndim}-d {obj.dtype} array is not an artifact value")
         if not len(obj):
             return "[]"
-        if obj.ndim == 1:
+        if obj.ndim > 1:
+            items = (_json_text(row, inner) for row in obj)
+        elif np.isfinite(obj).all():
             items = map(float.__repr__, obj.tolist())
         else:
-            items = (_json_text(row, inner) for row in obj)
+            raise FloatingPointError("non-finite value in the artifact")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -319,20 +296,16 @@ def _json_text(obj, pad: str = "") -> str:
     elif isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = (f"{_json_key(k)}: {_json_text(v, inner)}" for k, v in obj.items())
+        # encode_basestring_ascii raises TypeError for a key that is not a str
+        items = (f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in obj.items())
         return "{\n" + inner + sep.join(items) + "\n" + pad + "}"
     else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        raise TypeError(f"a {type(obj).__name__} is not an artifact value")
     return "[\n" + inner + sep.join(items) + "\n" + pad + "]"
 
 
 def write_json(path: str, payload: dict) -> None:
-    """Write ``{"schema": 1, **payload}`` as indented JSON, encoded before the file opens.
-
-    A non-finite number, which strict JSON cannot hold, raises ``FloatingPointError``.
-    """
-    if _non_finite(payload):
-        raise FloatingPointError("non-finite value in the artifact")
+    """Write ``{"schema": 1, **payload}`` as indented JSON, encoded before the file opens."""
     _write_text(path, _json_text({"schema": 1, **payload}) + "\n")
 
 
@@ -420,8 +393,8 @@ def _run_lambdas(p: dict) -> tuple[dict, str]:
         raise ConfigError(f"--points: need at least one point, got {p['points']}")
     _within("points", p["points"], encoding.MAX_GRID_POINTS.check, p["points"])
     grid = _linspace(p["min"], p["max"], p["points"])
-    rows = encoding.lambda_curve(grid, h=0.0)  # the rate of the exchange levels is exact at any h
-    table = [[x, *(r - p["h"]), encoding.entangling_rate(*r)] for x, r in zip(grid, rows)]
+    table = [[t.j14, t.lambda_00, t.lambda_01, t.lambda_11, t.entangling_rate]
+             for t in encoding.lambda_triples(grid, h=p["h"])]
     artifacts = {
         "csv": (["j14", "lambda00", "lambda01", "lambda11", "entangling"], table),
         "json": {

@@ -136,6 +136,8 @@ def singlet_probability(state: np.ndarray, pair: tuple[int, int], n_sites: int) 
     state = np.asarray(state, dtype=np.complex128)
     if state.shape != (2**ops.n_sites,):
         raise ValueError(f"state must have 2**{ops.n_sites} amplitudes")
+    if not np.isfinite(state).all():
+        raise ValueError("state amplitudes must be finite")
     val = np.vdot(state, state).real / 4 - sum(
         np.einsum("ka,kab,kb->", state[g.indices].conj(), g.terms[0], state[g.indices]).real
         for g in ops.groups)
@@ -224,8 +226,15 @@ class _SectorTracker:
 MAX_GRID_POINTS = Budget(10_000, "points")
 
 
+def _check_field(h: float) -> None:
+    # as ``CouplingGraph`` says it: the quartet walk builds no graph with the field
+    if not np.isfinite(h):
+        raise ValueError("field_h must be finite")
+
+
 def lambda_curve(j14_values, h: float = IDLE_FIELD) -> np.ndarray:
     """Tracked quartet levels [l00, l01, l11] (l10 = l01), less h, on ascending J14 >= 0."""
+    _check_field(h)
     grid = [float(x) for x in j14_values]
     MAX_GRID_POINTS.check(len(grid))
     if not np.isfinite(grid).all():
@@ -235,12 +244,22 @@ def lambda_curve(j14_values, h: float = IDLE_FIELD) -> np.ndarray:
     return _SectorTracker().walk([(x, 0.0) for x in grid]) - h
 
 
+def lambda_triples(j14_values, h: float = IDLE_FIELD) -> list[LambdaTriple]:
+    """``lambda_spectrum`` at each point of an ascending J14 >= 0 grid, from one walk.
+
+    The rate is taken from the exchange levels, so it holds at any finite h.
+    """
+    _check_field(h)
+    grid = [float(x) for x in j14_values]
+    return [LambdaTriple(x, *map(float, levels - h), float(entangling_rate(*levels)))
+            for x, levels in zip(grid, lambda_curve(grid, h=0.0))]
+
+
 def lambda_spectrum(j14: float, h: float = IDLE_FIELD) -> LambdaTriple:
     """Tracked lambda_00, lambda_01, lambda_11 at one inter-LQ coupling value."""
     if j14 < 0:
         raise ValueError("j14 must be nonnegative")
-    (levels,) = lambda_curve([j14], h=0.0)
-    return LambdaTriple(j14, *map(float, levels - h), float(entangling_rate(*levels)))
+    return lambda_triples([j14], h)[0]
 
 
 # ---------------------------------------------------------------------------

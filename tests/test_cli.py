@@ -468,7 +468,9 @@ class TestFormats:
         assert [p.name for p in tmp_path.iterdir()] == [f"{command}.{fmt}"]
         text = (tmp_path / f"{command}.{fmt}").read_text()
         if fmt == "json":
-            assert json.loads(text)["schema"] == 1
+            doc = json.loads(text, parse_constant=reject_constant)
+            assert doc["schema"] == 1
+            assert json.dumps(doc, indent=2) + "\n" == text
         else:
             header, *rows = csv.reader(text.splitlines())
             assert rows and all(len(row) == len(header) for row in rows)
@@ -652,6 +654,17 @@ class TestSweepBounds:
         assert res.stderr == "precondition violated: j14 grid must be finite\n"
         assert not (tmp_path / "x.out").exists()
 
+    @pytest.mark.parametrize("command", ["lambdas", "verify-eq7"])
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+    def test_non_finite_field_fails_before_any_eigensolve(self, run_main, tmp_path,
+                                                          monkeypatch, command, field):
+        # these exited 4 from the artifact's own check, after the walk
+        self.forbid_eigensolves(monkeypatch)
+        res = run_main([command, f"--h={field}", "--out", "x.out"])
+        assert res.returncode == 3
+        assert res.stderr == "precondition violated: field_h must be finite\n"
+        assert not res.stdout and list(tmp_path.iterdir()) == []
+
     def test_repeating_inter_grid_fails_before_any_eigensolve(self, tmp_path, capsys,
                                                               monkeypatch):
         self.forbid_eigensolves(monkeypatch)
@@ -680,8 +693,13 @@ def oracle_json(payload) -> str:
     return json.dumps(jsonable({"schema": 1, **payload}), indent=2) + "\n"
 
 
-EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, -1e308, 0.1)
-floats = st.floats() | st.sampled_from(EDGE_FLOATS)
+def reject_constant(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+# what an artifact holds: str keys, finite numbers and finite float64 arrays
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, 1e308, -1e308, 0.1)
+floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
 text = st.text() | st.sampled_from(("", "é", "\u2028", '"quoted"', "back\\slash", "tab\t\n",
                                     "\x00", "\U0001f600", "snowman \u2603"))
 shapes = st.sampled_from(((0,), (3,), (0, 3), (3, 0), (2, 3), (4, 1), (2, 2, 2)))
@@ -691,35 +709,23 @@ shapes = st.sampled_from(((0,), (3,), (0, 3), (3, 0), (2, 3), (4, 1), (2, 2, 2))
 def arrays(draw):
     shape = draw(shapes)
     size = math.prod(shape)
-    kind = draw(st.sampled_from(("finite", "float", "int", "bool", "float32")))
-    if kind == "int":
-        values = draw(st.lists(st.integers(-2**62, 2**62), min_size=size, max_size=size))
-        return np.array(values, dtype=np.int64).reshape(shape)
-    if kind == "bool":
-        return np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)),
-                        dtype=bool).reshape(shape)
-    elements = st.floats(allow_nan=False, allow_infinity=False) if kind == "finite" else floats
-    values = draw(st.lists(elements, min_size=size, max_size=size))
-    dtype = np.float32 if kind == "float32" else np.float64
-    with np.errstate(over="ignore"):
-        return np.array(values, dtype=np.float64).astype(dtype).reshape(shape)
+    values = draw(st.lists(floats, min_size=size, max_size=size))
+    return np.array(values, dtype=np.float64).reshape(shape)
 
 
-numpy_scalars = (floats.map(np.float64) | st.integers(-2**31, 2**31 - 1).map(np.int64)
-                 | st.integers(-100, 100).map(np.int32)
-                 | st.floats(width=32).map(np.float32))
-leaves = (st.none() | st.booleans() | st.integers() | floats | text | numpy_scalars | arrays())
-keys = text | st.integers() | floats | st.booleans() | st.none()
+leaves = (st.none() | st.booleans() | st.integers() | floats | floats.map(np.float64) | text
+          | arrays())
 payloads = st.dictionaries(text, st.recursive(
     leaves, lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
-                           | st.dictionaries(keys, inner, max_size=4)), max_leaves=12))
+                           | st.dictionaries(text, inner, max_size=4)), max_leaves=12))
 
 
 class TestJsonArtifacts:
     @settings(PROPERTY_SETTINGS, max_examples=100)
     @given(payloads)
-    @example({"empty": [], "nothing": {}, "arr": np.zeros((0,)), "ints": np.arange(3),
-              "flags": [True, False, None], "nan": np.array([math.nan, 1.0])})
+    @example({"empty": [], "nothing": {}, "arr": np.zeros((0,)), "rows": np.zeros((3, 0)),
+              "flags": [True, False, None], "cube": np.arange(8.0).reshape(2, 2, 2),
+              "scalar": np.float64(-0.0), "big": 2**70})
     def test_text_equals_the_json_module(self, payload):
         assert cli._json_text({"schema": 1, **payload}) + "\n" == oracle_json(payload)
 
@@ -729,6 +735,23 @@ class TestJsonArtifacts:
         with pytest.raises(TypeError):
             oracle_json({"value": bad})
         with pytest.raises(TypeError):
+            cli.write_json(str(tmp_path / "a.json"), {"grid": np.arange(3.0), "value": bad})
+        assert not (tmp_path / "a.json").exists()
+
+    @pytest.mark.parametrize("bad, error", [
+        ({1: 2.0}, TypeError), ({None: 2.0}, TypeError), (np.int64(3), TypeError),
+        (np.float32(0.5), TypeError), (np.arange(3), TypeError),
+        (np.array([True, False]), TypeError), (np.zeros((2, 2), dtype=np.float32), TypeError),
+        (np.array(0.5), TypeError), (np.float64(math.nan), FloatingPointError),
+        ([1.0, [math.nan]], FloatingPointError), ({"x": {"y": math.inf}}, FloatingPointError),
+        ((0.0, -math.inf), FloatingPointError),
+        (np.array([math.inf]), FloatingPointError),
+        (np.array([[0.0, 1.0], [-math.inf, 1.0]]), FloatingPointError),
+        ([{"rows": np.array([1.0, math.nan])}], FloatingPointError),
+    ])
+    def test_what_no_artifact_holds_is_rejected_before_writing(self, tmp_path, bad, error):
+        # json.dumps would write NaN, "1" keys and the array's items; an artifact holds none
+        with pytest.raises(error):
             cli.write_json(str(tmp_path / "a.json"), {"grid": np.arange(3.0), "value": bad})
         assert not (tmp_path / "a.json").exists()
 

@@ -207,6 +207,25 @@ class TestLambdaSpectrum:
             with pytest.raises(ValueError, match="must be finite"):
                 call()
 
+    @pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", [
+        lambda h: lambda_curve([0.5], h=h), lambda h: lambda_spectrum(0.5, h=h),
+        lambda h: encoding.lambda_triples([0.0, 0.5], h=h),
+        lambda h: verify_lambda_polynomials([0.5], h=h),
+    ], ids=["lambda_curve", "lambda_spectrum", "lambda_triples", "verify"])
+    def test_non_finite_field_fails_before_the_walk(self, monkeypatch, call, h):
+        # lambda_spectrum(0.5, h=nan) returned NaN levels, lambda_curve([0.5], h=inf) -inf
+        def no_solve(*args, **kwargs):
+            raise AssertionError("eigensolve before the field was checked")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+        with pytest.raises(ValueError, match="^field_h must be finite$"):
+            call(h)
+
+    def test_triples_equal_lambda_spectrum(self):
+        grid = [0.0, 0.25, 0.7]
+        assert encoding.lambda_triples(grid, h=0.3) == [lambda_spectrum(x, h=0.3) for x in grid]
+
 
 class TestVerifyPolynomials:
     def test_cubic_exact_at_origin(self):
@@ -242,6 +261,14 @@ class TestReadout:
     def test_probability_scales_with_the_norm(self, basis3):
         # the expectation of a projector in an unnormalized state: |psi|^2 / 4 - <S_i . S_j>
         assert abs(singlet_probability(0.5 * basis3.zero_l, (2, 1), 3) - 0.25) < 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite_amplitudes(self, basis3, bad):
+        # a NaN passed through the clip to [0, 1]: min and max keep a NaN first argument
+        state = basis3.zero_l.astype(complex)
+        state[3] = bad
+        with pytest.raises(ValueError, match="^state amplitudes must be finite$"):
+            singlet_probability(state, (1, 2), 3)
 
 
 class TestInitialization:
