@@ -1,8 +1,10 @@
 """Command-line front end: sweeps, gates, verification, and unit conversion.
 
 Every command writes one artifact, in a format its ``COMMANDS`` entry lists,
-and prints a one-line summary to stdout.  Outputs are byte-reproducible: no
-wall clock, no randomness, fixed 17-significant-digit float formatting.
+and prints a one-line summary to stdout.  A CSV artifact is one float64 table
+with each cell to 17 significant digits; a JSON artifact is the text of
+``json.dumps(..., indent=2)``.  Neither holds a NaN or an infinity, and both
+are byte-reproducible: no wall clock, no randomness.
 Exit codes: 0 ok, 2 configuration error or a request past a library cap
 (``linalg.BudgetError``), 3 precondition violation, 4 numerical failure.
 
@@ -19,7 +21,7 @@ import re
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -241,16 +243,17 @@ def _write_text(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
-def write_csv(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
-    """Write the rows under ``header``; a non-finite number raises ``FloatingPointError``."""
-    def cell(v) -> str:
-        if isinstance(v, (float, np.floating)):
-            if not math.isfinite(v):
-                raise FloatingPointError(f"non-finite value {v} in the artifact")
-            return fmt_float(v)
-        return str(v)
+def write_csv(path: str, header: list[str], table) -> None:
+    """Write the 2-D float64 ``table`` under ``header``, each cell to 17 significant digits.
 
-    lines = [",".join(header)] + [",".join(map(cell, row)) for row in rows]
+    A NaN or an infinity raises ``FloatingPointError`` before the file opens.
+    """
+    table = np.asarray(table, dtype=np.float64)
+    finite = np.isfinite(table)
+    if not finite.all():
+        raise FloatingPointError(f"non-finite value {table[~finite][0]} in the artifact")
+    row = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header)] + [row % tuple(r) for r in table.tolist()]
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -312,8 +315,8 @@ def write_json(path: str, payload: dict) -> None:
 def _sweep_artifacts(result: spectra.SweepResult, extra: dict) -> dict:
     dim = result.spectra.shape[1]
     header = [result.parameter_name] + [f"e{k + 1}" for k in range(dim)] + ["gap"]
-    rows = ([x, *vals, g] for x, vals, g in zip(result.grid, result.spectra, result.gap))
-    return {"csv": (header, rows), "json": {
+    table = np.column_stack((result.grid, result.spectra, result.gap))
+    return {"csv": (header, table), "json": {
         "parameter": result.parameter_name,
         "grid": result.grid,
         "spectra": result.spectra,
@@ -331,7 +334,7 @@ def _linspace(lo: float, hi: float, n: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Command implementations: parameters -> ({format: artifact}, summary), with a
-# CSV artifact as (header, rows) and a JSON one as its payload
+# CSV artifact as (header, table) and a JSON one as its payload
 # ---------------------------------------------------------------------------
 
 def _run_spectrum(p: dict) -> tuple[dict, str]:
@@ -348,8 +351,7 @@ def _run_spectrum(p: dict) -> tuple[dict, str]:
     degeneracy = int(np.sum(np.abs(vals - vals[0]) <= degeneracy_tol(vals)))
     gap = float(vals[degeneracy] - vals[0]) if degeneracy < len(vals) else 0.0
     artifacts = {
-        "csv": (["level", "energy", "sz"],
-                ([k, v, s] for k, (v, s) in enumerate(zip(vals, sz)))),
+        "csv": (["level", "energy", "sz"], np.column_stack((np.arange(len(vals)), vals, sz))),
         "json": {
             "edges": [[i, j, jij] for (i, j, jij) in graph.edges],
             "field_h": graph.field_h,
@@ -393,18 +395,11 @@ def _run_lambdas(p: dict) -> tuple[dict, str]:
         raise ConfigError(f"--points: need at least one point, got {p['points']}")
     _within("points", p["points"], encoding.MAX_GRID_POINTS.check, p["points"])
     grid = _linspace(p["min"], p["max"], p["points"])
-    table = [[t.j14, t.lambda_00, t.lambda_01, t.lambda_11, t.entangling_rate]
-             for t in encoding.lambda_triples(grid, h=p["h"])]
-    artifacts = {
-        "csv": (["j14", "lambda00", "lambda01", "lambda11", "entangling"], table),
-        "json": {
-            "grid": grid,
-            "lambda00": [r[1] for r in table],
-            "lambda01": [r[2] for r in table],
-            "lambda11": [r[3] for r in table],
-            "entangling": [r[4] for r in table],
-        },
-    }
+    header = ["j14", "lambda00", "lambda01", "lambda11", "entangling"]
+    table = np.array([[t.j14, t.lambda_00, t.lambda_01, t.lambda_11, t.entangling_rate]
+                      for t in encoding.lambda_triples(grid, h=p["h"])])
+    artifacts = {"csv": (header, table),
+                 "json": {"grid": grid, **dict(zip(header[1:], table[:, 1:].T))}}
     last = table[-1]
     return artifacts, (f"at j14 = {fmt_float(last[0])}: lambda00 = {fmt_float(last[1])}, "
                        f"lambda01 = {fmt_float(last[2])}, lambda11 = {fmt_float(last[3])}")
@@ -504,7 +499,7 @@ def _run_adiabatic(p: dict) -> tuple[dict, str]:
         ramp_shape=p["ramp_shape"])
     artifacts = {
         "csv": (["ramp_time", "max_leakage", "fidelity"],
-                ([r.ramp_time, r.max_leakage, r.fidelity] for r in rows)),
+                np.array([[r.ramp_time, r.max_leakage, r.fidelity] for r in rows])),
         "json": {"rows": [
             {"ramp_time": r.ramp_time, "max_leakage": r.max_leakage,
              "fidelity": r.fidelity, "conditional_phase": r.conditional_phase}

@@ -1,4 +1,6 @@
 import csv
+import importlib.util
+import io
 import json
 import math
 import os
@@ -475,6 +477,9 @@ class TestFormats:
             header, *rows = csv.reader(text.splitlines())
             assert rows and all(len(row) == len(header) for row in rows)
             assert all(np.isfinite([float(v) for v in row]).all() for row in rows)
+            assert all(format(float(v), ".17g") == v for row in rows for v in row)
+            if command == "spectrum":
+                assert [row[0] for row in rows] == [str(k) for k in range(len(rows))]
 
     @pytest.mark.parametrize("command, fmt", UNWRITTEN)
     def test_unlisted_format_is_rejected_before_running(self, run_main, tmp_path,
@@ -491,6 +496,20 @@ class TestFormats:
     def test_every_command_has_quick_args(self):
         assert QUICK_ARGS.keys() == cli.COMMANDS.keys()
         assert UNWRITTEN
+
+    def test_bytecheck_runs_every_command_in_every_format(self):
+        path = Path(__file__).resolve().parents[1] / "tools" / "bytecheck.py"
+        spec = importlib.util.spec_from_file_location("bytecheck", path)
+        bytecheck = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bytecheck)
+        written = set()
+        for argv in bytecheck.COMMANDS:
+            try:
+                cfg = cli.parse_config(argv)
+            except cli.ConfigError:
+                continue
+            written.add((cfg.command, cfg.fmt))
+        assert written == set(WRITTEN)
 
 
 class TestRejectedValues:
@@ -693,6 +712,26 @@ def oracle_json(payload) -> str:
     return json.dumps(jsonable({"schema": 1, **payload}), indent=2) + "\n"
 
 
+def oracle_csv(header, table) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([format(float(v), ".17g") for v in row] for row in table)
+    return buf.getvalue()
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """``got == want``, failing with the first line that differs.
+
+    pytest's own diff of two long texts can run for minutes.
+    """
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    if got_lines != want_lines:
+        k = next(k for k in range(max(len(got_lines), len(want_lines)))
+                 if got_lines[k:k + 1] != want_lines[k:k + 1])
+        pytest.fail(f"line {k + 1}: got {got_lines[k:k + 1]}, want {want_lines[k:k + 1]}")
+
+
 def reject_constant(constant):
     raise ValueError(f"{constant} is not strict JSON")
 
@@ -727,7 +766,7 @@ class TestJsonArtifacts:
               "flags": [True, False, None], "cube": np.arange(8.0).reshape(2, 2, 2),
               "scalar": np.float64(-0.0), "big": 2**70})
     def test_text_equals_the_json_module(self, payload):
-        assert cli._json_text({"schema": 1, **payload}) + "\n" == oracle_json(payload)
+        assert_same_text(cli._json_text({"schema": 1, **payload}) + "\n", oracle_json(payload))
 
     @pytest.mark.parametrize("bad", [np.bool_(True), 1j, object(), np.array(0.5),
                                      {np.int64(1): 2.0}, [1.0, {"x": np.array([1j])}]])
@@ -763,10 +802,39 @@ class TestJsonArtifacts:
                    "sz_labels": result.sz_labels, "logical": result.logical,
                    "crossings": list(crossings.crossings)}
         cli.write_json(str(tmp_path / "s.json"), payload)
-        assert (tmp_path / "s.json").read_text(encoding="utf-8") == oracle_json(payload)
+        assert_same_text((tmp_path / "s.json").read_text(encoding="utf-8"), oracle_json(payload))
+
+
+# a CSV table: 1-5 columns of finite floats, integer-valued ones among them
+cells = floats | st.integers(-2**64, 2**64).map(float)
+
+
+@st.composite
+def csv_tables(draw):
+    n_cols = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(cells, min_size=n_cols, max_size=n_cols), max_size=6))
+    return [f"c{k}" for k in range(n_cols)], np.array(rows, dtype=np.float64).reshape(-1, n_cols)
+
+
+class TestCsvArtifacts:
+    @settings(PROPERTY_SETTINGS, max_examples=100)
+    @given(csv_tables())
+    @example((["level", "energy"], np.array([[0.0, -0.0], [1.0, 5e-324], [2.0, 1e308]])))
+    def test_text_equals_the_csv_module(self, tmp_path_factory, header_table):
+        path = tmp_path_factory.mktemp("csv") / "a.csv"
+        cli.write_csv(str(path), *header_table)
+        assert_same_text(path.read_text(encoding="utf-8"), oracle_csv(*header_table))
 
 
 HUGE = "1.7976931348623157e308"
+
+
+def table_with(value: float, at: tuple[int, int]) -> np.ndarray:
+    """A 5x3 table whose first non-finite value, in row order, is ``value`` at ``at``."""
+    table = np.arange(15.0).reshape(5, 3)
+    table[-1, -1] = math.inf if math.isnan(value) else math.nan
+    table[at] = value
+    return table
 
 
 class TestNumericalFailureExit:
@@ -801,9 +869,16 @@ class TestNumericalFailureExit:
             cli.write_json(str(tmp_path / "a.json"), payload)
         assert not (tmp_path / "a.json").exists()
 
-    def test_non_finite_csv_is_not_written(self, tmp_path):
-        with pytest.raises(FloatingPointError):
-            cli.write_csv(str(tmp_path / "a.csv"), ["x"], [[1.0], [np.float64(math.inf)]])
+    @pytest.mark.parametrize("table, bad", [
+        pytest.param([[1.0], [np.float64(math.inf)]], math.inf, id="list-of-rows"),
+        *(pytest.param(table_with(bad, at), bad, id=f"{where}-{bad}")
+          for bad in (math.nan, math.inf, -math.inf)
+          for where, at in (("first-row", (0, 1)), ("middle-row", (2, 0)),
+                            ("last-column", (1, 2)))),
+    ])
+    def test_non_finite_csv_is_not_written(self, tmp_path, table, bad):
+        with pytest.raises(FloatingPointError, match=f"^non-finite value {bad} in the artifact$"):
+            cli.write_csv(str(tmp_path / "a.csv"), ["x", "y", "z"][:len(table[0])], table)
         assert not (tmp_path / "a.csv").exists()
 
     def test_linalg_error_maps_to_exit_four(self, run_main, tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted(path for folder in ("src/trispin", "tests", "perfbench")
+SOURCES = sorted(path for folder in ("src/trispin", "tests", "perfbench", "tools")
                  for path in (ROOT / folder).rglob("*.py"))
 
 
