@@ -41,6 +41,16 @@ class ConfigError(Exception):
     """Bad flags, config file, or parameter values (exit code 2)."""
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Argument parser whose errors are ``ConfigError``s, so ``main`` reports them in one line.
+
+    Its subparsers are of this class too.
+    """
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def parse_angle(token: str) -> float:
     """Radians from a decimal literal or a pi token like 'pi', '-pi/4', '2pi'."""
     text = str(token).strip().lower().replace(" ", "")
@@ -189,18 +199,31 @@ def read_config_file(path: str) -> dict[str, dict[str, str]]:
 
 def parse_config(argv: list[str]) -> RunConfig:
     """Flags plus optional config file, flags winning; unknown keys rejected."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="trispin",
         description="Exact-diagonalization toolkit for triangle-encoded "
                     "exchange-only spin qubits.")
     sub = parser.add_subparsers(dest="command", required=True)
+    known = set()
     for name, meta in COMMANDS.items():
         p = sub.add_parser(name, help=meta["help"])
         for param in meta["params"] + COMMON:
             flags = [f"--{param.name}"] + [f"--{a}" for a in param.aliases]
             p.add_argument(*flags, dest=param.name.replace("-", "_"),
                            default=None, help=param.help, metavar=param.kind.upper())
-    ns = parser.parse_args(argv)
+            known.update(flags)
+    # Every flag takes one value, so the token after a flag is its value even
+    # when it starts with "-", as -pi/4 and -1e-3 do, which argparse would read
+    # as an option: "--flag -v" goes to argparse as "--flag=-v".  "-h" and
+    # tokens starting with "--" stay flags.
+    joined: list[str] = []
+    for token in argv:
+        if (joined and joined[-1] in known and token.startswith("-")
+                and not token.startswith("--") and token != "-h"):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    ns = parser.parse_args(joined)
     command = ns.command
     registry = {p.name.replace("-", "_"): p for p in COMMANDS[command]["params"] + COMMON}
 

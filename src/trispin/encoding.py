@@ -139,8 +139,8 @@ def singlet_probability(state: np.ndarray, pair: tuple[int, int], n_sites: int) 
     if not np.isfinite(state).all():
         raise ValueError("state amplitudes must be finite")
     val = np.vdot(state, state).real / 4 - sum(
-        np.einsum("ka,kab,kb->", state[g.indices].conj(), g.terms[0], state[g.indices]).real
-        for g in ops.groups)
+        np.einsum("a,ab,b->", state[s.indices].conj(), s.terms[0], state[s.indices]).real
+        for s in ops.sectors)
     return min(max(float(val), 0.0), 1.0)
 
 
@@ -172,9 +172,9 @@ def initialization_ground(j23_shift: float, h: float = IDLE_FIELD) -> GroundStat
     splitting = float(vals[1] - vals[0])
     if splitting <= degeneracy_tol(vals):
         return GroundStateReport(None, 0.0, splitting)
-    sector = next(grp for grp in ops.groups if grp.m[0] == 0.5)  # blocks m = +1/2, -1/2
-    ground = np.linalg.eigh(sector.exchange(ops.weights(graph))[0])[1][:, 0]
-    columns = logical_basis((0, 1, 2), 3).columns[sector.indices[0]]
+    sector = next(s for s in ops.sectors if s.m == 0.5)
+    ground = np.linalg.eigh(sector.exchange(ops.weights(graph)))[1][:, 0]
+    columns = logical_basis((0, 1, 2), 3).columns[sector.indices]
     ov0, ov1 = np.abs(columns.conj().T @ ground) ** 2
     if ov0 >= ov1:
         return GroundStateReport("0_L", float(ov0), splitting)
@@ -207,8 +207,8 @@ class _SectorTracker:
         self.directions = np.array(
             [ops.weights(idle), [p == (0, 3) for p in idle.pairs],
              [p in ((1, 2), (4, 5)) for p in idle.pairs]], dtype=float)
-        columns = two_lq_basis()[ops.groups[0].indices[0]][:, [0, 1, 3]].real
-        self.blocks = [grp for (_,), grp, _ in projected_blocks(ops, self.directions, columns)]
+        columns = two_lq_basis()[ops.sectors[0].indices][:, [0, 1, 3]].real
+        self.blocks = [blk for (_,), blk, _ in projected_blocks(ops, self.directions, columns)]
 
     def walk(self, path: list[tuple[float, float]]) -> np.ndarray:
         """Exchange quartet levels [l00, l01, l11] at each (j14, j23_shift) point of ``path``.
@@ -217,8 +217,8 @@ class _SectorTracker:
         levels are independent of the rest of the path.
         """
         weights = np.insert(np.reshape(path, (-1, 2)), 0, 1.0, axis=1) @ self.directions
-        return np.stack([np.linalg.eigvalsh(grp.exchange(weights)[:, 0])[:, 0]
-                         for grp in self.blocks], axis=1)
+        return np.stack([np.linalg.eigvalsh(blk.exchange(weights))[:, 0]
+                         for blk in self.blocks], axis=1)
 
 
 # Grid points of ``lambda_curve`` and of the sweeps in ``spectra``: at the

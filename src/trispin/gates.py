@@ -22,7 +22,7 @@ from .hamiltonian import (
     IDLE_FIELD,
     MAX_SITES,
     CouplingGraph,
-    SectorGroup,
+    SectorBlock,
     SectorOperators,
     projected_blocks,
     single_lq_graph,
@@ -221,9 +221,9 @@ def _step_propagators(h: np.ndarray, dt: float) -> np.ndarray:
 def _evolve(blocks: list[np.ndarray], dt: float, u: list[np.ndarray]) -> list[np.ndarray]:
     """Apply the step propagators exp(-i H_k dt) of a chunk of steps to ``u`` in time order.
 
-    ``blocks`` holds one stack per sector group with the steps on its leading
-    axis; each stack's step propagators come from one ``_step_propagators``
-    call and are multiplied pairwise, not one at a time.
+    ``blocks`` holds one stack of step Hamiltonians per block of ``u``, the steps
+    on its leading axis; each stack's step propagators come from one
+    ``_step_propagators`` call and are multiplied pairwise, not one at a time.
     """
     return [_time_ordered_product(_step_propagators(h, dt)) @ prev
             for h, prev in zip(blocks, u)]
@@ -266,10 +266,10 @@ def check_cphase_ramp(ramp_time: float, steps_per_unit_time: float) -> None:
 
 
 def _evolve_sectors(schedule: PulseSchedule, steps_per_unit_time: float, ops: SectorOperators,
-                    groups: list[SectorGroup]) -> list[np.ndarray]:
-    """Time-ordered propagator blocks of a non-empty schedule, one stack per group.
+                    blocks: list[SectorBlock]) -> list[np.ndarray]:
+    """Time-ordered propagator of a non-empty schedule on each block, one ``(d, d)`` matrix each.
 
-    ``groups`` are the sector groups of ``ops``, or invariant blocks projected
+    ``blocks`` are the sectors of ``ops``, or invariant blocks projected
     from one of its sectors; ``ops`` gives the edge weights of each segment.
 
     A ramp that runs an earlier ramp of the schedule backwards (same kind and
@@ -283,11 +283,10 @@ def _evolve_sectors(schedule: PulseSchedule, steps_per_unit_time: float, ops: Se
     of period 4 pi / T in h (m is a half-integer), which reduces an overflowing h T.
     """
     def built(weights: np.ndarray) -> list[np.ndarray]:
-        return [grp.exchange(weights) for grp in groups]
+        return [blk.exchange(weights) for blk in blocks]
 
     def identity() -> list[np.ndarray]:
-        return [np.broadcast_to(np.eye(grp.terms.shape[-1], dtype=np.complex128),
-                                grp.terms.shape[1:]).copy() for grp in groups]
+        return [np.eye(blk.terms.shape[-1], dtype=np.complex128) for blk in blocks]
 
     u = identity()
     ramps = {}
@@ -314,7 +313,7 @@ def _evolve_sectors(schedule: PulseSchedule, steps_per_unit_time: float, ops: Se
     field, duration = schedule.segments[0].start.field_h, float(schedule.total_duration)
     if not math.isfinite(field * duration):
         field = math.fmod(field, 4 * math.pi / duration)
-    return [np.exp(1j * (field * duration) * grp.m)[:, None, None] * blk for grp, blk in zip(groups, u)]
+    return [np.exp(1j * (field * duration) * blk.m) * prop for blk, prop in zip(blocks, u)]
 
 
 def propagate(schedule: PulseSchedule,
@@ -334,7 +333,7 @@ def propagate(schedule: PulseSchedule,
         return np.eye(2**schedule.n_sites, dtype=np.complex128)
     first = schedule.segments[0].start
     ops = SectorOperators(first.n_sites, first.pairs)
-    u = _evolve_sectors(schedule, steps_per_unit_time, ops, ops.groups)
+    u = _evolve_sectors(schedule, steps_per_unit_time, ops, ops.sectors)
     return check_unitary(ops.embed(u))
 
 
@@ -632,8 +631,12 @@ def _sector_report(schedule: PulseSchedule, target: np.ndarray, cols: np.ndarray
     Only the invariant blocks of the columns under the segment endpoints are
     evolved (``projected_blocks``).  Every midpoint step is a combination of
     its segment's endpoints, so it leaves the blocks invariant.
-    Raises ``ValueError`` when the columns have nonzero rows in several sectors.
+    Raises ``ValueError`` when the schedule acts on another register than the
+    columns, or when the columns have nonzero rows in several sectors.
     """
+    n_sites = len(cols).bit_length() - 1
+    if schedule.n_sites != n_sites:
+        raise ValueError(f"schedule acts on {schedule.n_sites} sites, the basis on {n_sites}")
     _check_rate(steps_per_unit_time)
     rows = np.flatnonzero(np.any(cols != 0, axis=1))
     sector = next((s for s in sz_sectors(schedule.n_sites) if np.isin(rows, s.indices).all()),
@@ -646,9 +649,9 @@ def _sector_report(schedule: PulseSchedule, target: np.ndarray, cols: np.ndarray
     first = schedule.segments[0].start
     ops = SectorOperators(first.n_sites, first.pairs, ms=(sector.m,))
     ends = [ops.weights(g) for seg in schedule.segments for g in (seg.start, seg.end)]
-    _, groups, bases = zip(*projected_blocks(ops, ends, cols.real))
-    u = _evolve_sectors(schedule, steps_per_unit_time, ops, list(groups))
-    u_blocks = sum(basis @ check_unitary(step[0]) @ basis.T for basis, step in zip(bases, u))
+    _, blocks, bases = zip(*projected_blocks(ops, ends, cols.real))
+    u = _evolve_sectors(schedule, steps_per_unit_time, ops, list(blocks))
+    u_blocks = sum(basis @ check_unitary(step) @ basis.T for basis, step in zip(bases, u))
     return gate_report(u_blocks, target, cols)
 
 

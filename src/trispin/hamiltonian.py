@@ -1,4 +1,4 @@
-"""Heisenberg + Zeeman Hamiltonians on arbitrary coupling graphs, block by block in S_z.
+"""Heisenberg + Zeeman Hamiltonians on arbitrary coupling graphs, one block per S_z sector.
 
 Units: energies in units of the idle exchange J (hbar = 1), time in 1/J.
 Basis convention: site 0 occupies the most significant bit of the product
@@ -136,71 +136,70 @@ def sz_sectors(n_sites: int) -> list[SectorBasis]:
 
 
 @dataclass(frozen=True)
-class SectorGroup:
-    """Exchange blocks of equal size, stacked for batched eigensolves.
+class SectorBlock:
+    """Exchange operators of one S_z sector, or of one invariant block projected from one.
 
-    ``terms[e, k]`` is the exchange operator of edge ``e`` on block ``k`` (real
-    symmetric), and ``m[k]`` the magnetization of the sector holding the block.
-    For whole sectors ``indices[k]`` are the sector's product-basis indices;
-    groups of projected invariant blocks carry ``None``.  No block holds the field.
+    ``terms[e]`` is the exchange operator of edge ``e`` on the block (real
+    symmetric), and ``m`` the magnetization of the sector holding the block.
+    For a whole sector ``indices`` are its product-basis indices; projected
+    blocks carry ``None``.  No block holds the field.
     """
 
-    m: np.ndarray
+    m: float
     indices: np.ndarray | None
     terms: np.ndarray
 
     def exchange(self, weights: np.ndarray) -> np.ndarray:
-        """Exchange blocks at edge ``weights`` (linear in them), after their leading batch axes.
+        """Exchange block at edge ``weights`` (linear in them), after their leading batch axes.
 
         Each row is its own matrix-vector product, so it equals its unbatched block.
         """
         weights = np.asarray(weights, dtype=float)
+        n_edges, d = len(self.terms), self.terms.shape[-1]
         # an explicit row length, not -1, so that an empty edge set reshapes too
-        terms = self.terms.reshape(len(self.terms), math.prod(self.terms.shape[1:]))
-        return (weights[..., None, :] @ terms).reshape(weights.shape[:-1] + self.terms.shape[1:])
+        return (weights[..., None, :] @ self.terms.reshape(n_edges, d * d)
+                ).reshape(weights.shape[:-1] + (d, d))
 
 
 class SectorOperators:
-    """Exchange operators of a fixed edge set, block by block in total S_z.
+    """Exchange operators of a fixed edge set, one ``SectorBlock`` per total-S_z sector.
 
     Every Hamiltonian built from exchange and a uniform field conserves total
     S_z, so it is the direct sum of its sector blocks, and the Zeeman term is
     the constant -h m on the sector of magnetization m, which ``spectra`` adds
     to the exchange levels.  The blocks come from bit operations on the product
-    index.  They are the one builder of exchange operators here
+    index, each sector on its own, so a block does not depend on which other
+    sectors are built.  They are the one builder of exchange operators here
     (``build_hamiltonian`` and ``exchange_term`` embed them); the tests check
     them against Kronecker products of Pauli matrices
-    (``kron_hamiltonian`` in ``tests/test_hamiltonian.py``).  ``ms`` keeps
-    only the listed sectors.
+    (``kron_hamiltonian`` in ``tests/test_hamiltonian.py``).  ``sectors``
+    lists them highest m first, as ``sz_sectors`` does; ``ms`` keeps only
+    the listed sectors.
     """
 
     def __init__(self, n_sites: int, pairs, ms=None):
         self.n_sites = int(n_sites)
         self.pairs = tuple((int(i), int(j)) for (i, j) in pairs)
-        by_size: dict[int, list[SectorBasis]] = {}
+        self.sectors = []
         for s in sz_sectors(self.n_sites):
             if ms is None or s.m in ms:
-                by_size.setdefault(len(s.indices), []).append(s)
-        self.groups = []
-        for group in by_size.values():
-            idx = np.array([s.indices for s in group])
-            self.groups.append(
-                SectorGroup(np.array([s.m for s in group]), idx, self._exchange_blocks(idx)))
+                idx = np.array(s.indices)
+                self.sectors.append(SectorBlock(s.m, idx, self._exchange_blocks(idx)))
 
     def _exchange_blocks(self, idx: np.ndarray) -> np.ndarray:
         # S_i . S_j is +1/4 on parallel spins and -1/4 on antiparallel ones,
         # plus 1/2 between a state and its (i, j) flip-flop partner.
-        n_sec, size = idx.shape
+        size = len(idx)
         pos = np.empty(2**self.n_sites, dtype=np.intp)
         pos[idx] = np.arange(size)
-        out = np.zeros((len(self.pairs), n_sec, size, size))
+        # every edge at once: bit i and bit j of each state, one row per edge
+        bi, bj = (1 << (self.n_sites - 1 - np.array(self.pairs, dtype=np.intp).reshape(-1, 2))).T
+        differ = ((idx & bi[:, None]) != 0) != ((idx & bj[:, None]) != 0)
+        out = np.zeros((len(self.pairs), size, size))
         diag = np.arange(size)
-        for e, (i, j) in enumerate(self.pairs):
-            bi, bj = 1 << (self.n_sites - 1 - i), 1 << (self.n_sites - 1 - j)
-            differ = ((idx & bi) != 0) != ((idx & bj) != 0)
-            out[e][:, diag, diag] = np.where(differ, -0.25, 0.25)
-            sec, col = np.nonzero(differ)
-            out[e, sec, pos[idx[sec, col] ^ (bi | bj)], col] = 0.5
+        out[:, diag, diag] = np.where(differ, -0.25, 0.25)
+        edge, col = np.nonzero(differ)
+        out[edge, pos[idx[col] ^ (bi | bj)[edge]], col] = 0.5
         return out
 
     def weights(self, g: CouplingGraph) -> np.ndarray:
@@ -210,23 +209,21 @@ class SectorOperators:
         return np.array([jij for (_, _, jij) in g.edges])
 
     def blocks(self, weights: np.ndarray) -> list[np.ndarray]:
-        """Exchange blocks, one stack per group (see ``SectorGroup.exchange``)."""
-        return [grp.exchange(weights) for grp in self.groups]
+        """Exchange blocks, one per sector (see ``SectorBlock.exchange``)."""
+        return [s.exchange(weights) for s in self.sectors]
 
     def levels(self, graphs: list[CouplingGraph]) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues of H, sector by sector, one row per graph, and the S_z of each column.
 
         The graphs have this site count and edge set (in order); each sector
-        size takes one ``eigvalsh`` call for the whole batch.  Each level
-        keeps the magnetization of the sector it was solved in.
+        takes one ``eigvalsh`` call for the whole batch.  Each level keeps
+        the magnetization of the sector it was solved in.
         """
         weights = np.array([self.weights(g) for g in graphs])
         fields = np.array([g.field_h for g in graphs])
-        vals, labels = [], []
-        for grp, stack in zip(self.groups, self.blocks(weights)):
-            ev = np.linalg.eigvalsh(stack) - fields[:, None, None] * grp.m[:, None]
-            vals.append(ev.reshape(len(graphs), -1))
-            labels.append(np.repeat(grp.m, ev.shape[-1]))
+        vals = [np.linalg.eigvalsh(stack) - fields[:, None] * s.m
+                for s, stack in zip(self.sectors, self.blocks(weights))]
+        labels = [np.full(v.shape[1], s.m) for s, v in zip(self.sectors, vals)]
         return np.concatenate(vals, axis=1), np.concatenate(labels)
 
     def spectra(self, graphs: list[CouplingGraph]) -> tuple[np.ndarray, np.ndarray]:
@@ -249,9 +246,8 @@ class SectorOperators:
         """Full 2^n matrix with the given sector blocks on its diagonal."""
         dim = 2**self.n_sites
         full = np.zeros((dim, dim), dtype=np.result_type(*blocks))
-        for grp, stack in zip(self.groups, blocks):
-            for idx, blk in zip(grp.indices, stack):
-                full[np.ix_(idx, idx)] = blk
+        for s, blk in zip(self.sectors, blocks):
+            full[np.ix_(s.indices, s.indices)] = blk
         return full
 
 
@@ -297,17 +293,16 @@ def invariant_blocks(generators, columns) -> list[tuple[tuple[int, ...], np.ndar
 
 
 def projected_blocks(ops: SectorOperators, weights, columns
-                     ) -> list[tuple[tuple[int, ...], SectorGroup, np.ndarray]]:
-    """(column indices, projected group, basis) of each invariant block of real ``columns``.
+                     ) -> list[tuple[tuple[int, ...], SectorBlock, np.ndarray]]:
+    """(column indices, projected block, basis) of each invariant block of real ``columns``.
 
     ``ops`` holds one S_z sector, whose rows the columns are on.  The blocks
     are closed under the exchange blocks of the edge ``weights`` (one row
     each); the field is -h m I inside the sector, so they hold at every h.
     """
-    (grp,) = ops.groups
-    generators = grp.exchange(weights)[:, 0]
-    return [(cols, SectorGroup(grp.m, None, (basis.T @ grp.terms[:, 0] @ basis)[:, None]), basis)
-            for cols, basis in invariant_blocks(generators, columns)]
+    (sector,) = ops.sectors
+    return [(cols, SectorBlock(sector.m, None, basis.T @ sector.terms @ basis), basis)
+            for cols, basis in invariant_blocks(sector.exchange(weights), columns)]
 
 
 def sector_spectrum(g: CouplingGraph) -> tuple[np.ndarray, np.ndarray]:

@@ -103,10 +103,8 @@ class TestSweepCommands:
     @pytest.mark.parametrize("command", ["sweep-field", "sweep-intra"])
     def test_workers_is_an_unknown_flag(self, tmp_path, monkeypatch, capsys, command):
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            cli.main([command, "--points", "21", "--workers", "2", "--out", "s.csv"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        assert cli.main([command, "--points", "21", "--workers", "2", "--out", "s.csv"]) == 2
+        assert capsys.readouterr().err == "error: unrecognized arguments: --workers 2\n"
         assert not (tmp_path / "s.csv").exists()
 
 
@@ -444,6 +442,70 @@ class TestConfigFile:
         res = run_main(["units", "--config", "run.cfg"])
         assert res.returncode == 2
         assert "uints" in res.stderr
+
+
+def equals_form(argv: list[str]) -> list[str]:
+    """``argv`` with each value that starts with a single "-" joined to its flag by "="."""
+    joined: list[str] = []
+    for token in argv:
+        if token.startswith("-") and not token.startswith("--"):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
+class TestFlagValues:
+    # values that start with "-", each with the exit code of its command
+    @pytest.mark.parametrize("argv,code", [
+        (["gate", "--type", "rx", "--theta", "-pi/4"], 0),
+        (["gate", "--type", "rz", "--theta", "-1e-3"], 0),
+        (["gate", "--type", "axis120", "--theta", "-3pi/4", "--h", "-0.5"], 0),
+        (["gate", "--type", "su2", "--euler", "-pi/2,pi/3,-pi/4"], 0),
+        (["gate", "--type", "cphase", "--phi", "-pi/2", "--ramp-time", "5"], 0),
+        (["lambdas", "--h", "-1e-3", "--points", "3"], 0),
+        (["sweep-field", "--min", "-1e-3", "--max", "1", "--points", "5"], 0),
+        (["spectrum", "--h", "-.5", "--format", "csv"], 0),
+        (["lambdas", "--points", "-2"], 2),
+        (["gate", "--type", "rx", "--theta", "-inf"], 2),
+        (["sweep-inter", "--min", "-0.1", "--points", "5"], 3),
+        (["units", "--h", "-1"], 3),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+    def test_space_form_equals_equals_form(self, tmp_path, monkeypatch, capsys, argv, code):
+        results = []
+        for k, form in enumerate((argv, equals_form(argv))):
+            where = tmp_path / str(k)
+            where.mkdir()
+            monkeypatch.chdir(where)
+            returned = cli.main(form)
+            out, err = capsys.readouterr()
+            results.append((returned, out, err,
+                            {p.name: p.read_bytes() for p in sorted(where.iterdir())}))
+        assert results[0] == results[1]
+        assert results[0][0] == code
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep-field", "--points", "--format", "json"], "argument --points: expected one"),
+        (["sweep-field", "--points"], "argument --points: expected one argument"),
+        (["gate", "--theta", "-h"], "argument --theta: expected one argument"),
+        (["units", "--h", "0.5", "--workers", "2"], "unrecognized arguments: --workers 2"),
+        (["uints"], "argument command: invalid choice: 'uints'"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_argument_errors_are_one_stderr_line(self, run_main, tmp_path, argv, message):
+        res = run_main(argv)
+        assert res.returncode == 2 and not res.stdout
+        assert res.stderr.startswith(f"error: {message}") and res.stderr.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [["--help"], ["gate", "-h"], ["units", "--help"]])
+    def test_help_exits_0(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: trispin")
+        assert not any(tmp_path.iterdir())
 
 
 # small runs of every command

@@ -341,9 +341,9 @@ def _overlap_walk(path, h=0.75, step=1e-3):
         w = np.ones(7)
         w[2] = w[5] = 1.0 + pt[1]
         w[6] = pt[0]
-        return _loop_advance(ops.blocks(w)[0][0] - h * np.eye(15), pt, refs)
+        return _loop_advance(ops.blocks(w)[0] - h * np.eye(15), pt, refs)
 
-    refs = two_lq_basis()[ops.groups[0].indices[0], :]
+    refs = two_lq_basis()[ops.sectors[0].indices, :]
     out = np.empty((len(path), 4))
     out[0] = advance(path[0])
     for p, (prev, cur) in enumerate(zip(path[:-1], path[1:]), start=1):

@@ -143,12 +143,14 @@ class TestBatchedPropagation:
         monkeypatch.setattr(np.linalg, "eigh", counted)
         propagate(schedule, n_steps / 2.0)
         chunks = -(-n_steps // _CHUNK)
-        # block sizes 1, 6, 15 and 20: the 1x1 blocks take a closed form, the
-        # others one call per chunk of the up-ramp and one for the hold; the
-        # down-ramp is the up-ramp's transpose
+        # sectors of sizes 1, 6, 15, 20, 15, 6 and 1: the 1x1 blocks take a
+        # closed form, the others one call each per chunk of the up-ramp and
+        # one for the hold; the down-ramp is the up-ramp's transpose
         assert calls.count(1) == 0
-        for size in (6, 15, 20):
-            assert calls.count(size) == chunks + 1
+        for size in (6, 15):
+            assert calls.count(size) == 2 * (chunks + 1)
+        assert calls.count(20) == chunks + 1
+        assert len(calls) == 5 * (chunks + 1)
 
     @pytest.mark.parametrize("n_steps", [1, 2, 3, 5, 16, 255, 256, 257])
     def test_pairwise_product_keeps_time_order_exactly(self, n_steps):
@@ -238,6 +240,21 @@ class TestSectorScoring:
         monkeypatch.setattr(gates, "two_lq_basis", lambda: mixed)
         with pytest.raises(ValueError, match="more than one S_z sector"):
             two_lq_report(self._ramp_hold_ramp(), cphase_gate(np.pi))
+
+    @pytest.mark.parametrize("schedule,score", [
+        (empty_schedule(6), single_lq_report),
+        (synthesize_cphase(np.pi, 0.5, 2.0, n_calibration_steps=8), single_lq_report),
+        (empty_schedule(3), two_lq_report),
+        (synthesize_rz(np.pi / 2, 0.5), two_lq_report),
+    ], ids=["6-site empty", "6-site cphase", "3-site empty", "3-site rz"])
+    def test_schedule_of_another_register_is_rejected(self, monkeypatch, schedule, score):
+        # before any work: no operators are built
+        monkeypatch.setattr(gates, "SectorOperators", None)
+        sites = (6, 3) if score is single_lq_report else (3, 6)
+        target = np.eye(2 if score is single_lq_report else 4)
+        with pytest.raises(ValueError, match="schedule acts on {} sites, the basis on {}$"
+                           .format(*sites)):
+            score(schedule, target)
 
     def test_empty_schedule_scores_as_identity(self):
         two = two_lq_report(PulseSchedule((), 6, idle=two_lq_graph()), np.eye(4))

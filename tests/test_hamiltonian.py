@@ -204,14 +204,16 @@ class TestSectorOperators:
         pairs = list(itertools.combinations(range(n_sites), 2))
         ops = SectorOperators(n_sites, pairs)
         oracle = [kron_hamiltonian(CouplingGraph(n_sites, ((i, j, 1.0),))) for (i, j) in pairs]
+        # one block per sector, in the order of ``sz_sectors``
+        assert [s.m for s in ops.sectors] == [s.m for s in sz_sectors(n_sites)]
         seen = 0
-        for grp in ops.groups:
-            for k, idx in enumerate(grp.indices):
-                seen += len(idx)
-                for e, term in enumerate(oracle):
-                    block = term[np.ix_(idx, idx)]
-                    assert np.array_equal(grp.terms[e, k], block.real)
-                    assert not np.any(block.imag)
+        for sector in ops.sectors:
+            idx = sector.indices
+            seen += len(idx)
+            for e, term in enumerate(oracle):
+                block = term[np.ix_(idx, idx)]
+                assert np.array_equal(sector.terms[e], block.real)
+                assert not np.any(block.imag)
         assert seen == 2**n_sites
 
     def test_embedded_blocks_rebuild_the_hamiltonian(self):
@@ -223,9 +225,9 @@ class TestSectorOperators:
 
     def test_selected_sectors_only(self):
         ops = SectorOperators(6, [(0, 1)], ms=(1.0,))
-        assert len(ops.groups) == 1
-        assert ops.groups[0].m.tolist() == [1.0]
-        assert ops.groups[0].indices.shape == (1, 15)
+        assert [s.m for s in ops.sectors] == [1.0]
+        assert ops.sectors[0].indices.shape == (15,)
+        assert ops.sectors[0].terms.shape == (1, 15, 15)
 
     @pytest.mark.parametrize("g", [
         CouplingGraph(3, ((0, 1, 1.0), (1, 2, 1.0))),

@@ -187,10 +187,10 @@ def _quartet_sector_closures(schedule):
     """Invariant blocks of the quartet columns under one schedule's segment endpoints."""
     ops = SectorOperators(6, [(i, j) for (i, j, _) in schedule.segments[0].start.edges],
                           ms=(1.0,))
-    (grp,) = ops.groups
+    (sector,) = ops.sectors
     ends = [ops.weights(g) for seg in schedule.segments for g in (seg.start, seg.end)]
-    generators = grp.exchange(ends)[:, 0]
-    columns = two_lq_basis()[grp.indices[0]].real
+    generators = sector.exchange(ends)
+    columns = two_lq_basis()[sector.indices].real
     return generators, invariant_blocks(generators, columns)
 
 
@@ -263,8 +263,7 @@ def stepwise_propagator(schedule: PulseSchedule, rate: float) -> np.ndarray:
     """
     first = schedule.segments[0].start
     ops = SectorOperators(first.n_sites, [(i, j) for (i, j, _) in first.edges])
-    u = [np.broadcast_to(np.eye(grp.indices.shape[1], dtype=np.complex128),
-                         grp.terms.shape[1:]).copy() for grp in ops.groups]
+    u = [np.eye(len(sector.indices), dtype=np.complex128) for sector in ops.sectors]
 
     def steps(weights, dt, u):
         # the step propagators of all rows of ``weights`` at once, applied one at a time
@@ -283,8 +282,8 @@ def stepwise_propagator(schedule: PulseSchedule, rate: float) -> np.ndarray:
         f = profile((np.arange(n_steps) + 0.5) / n_steps)
         u = steps(w0 + f[:, None] * (w1 - w0), seg.duration / n_steps, u)
     phase = first.field_h * schedule.total_duration
-    return ops.embed([np.exp(1j * phase * grp.m)[:, None, None] * blk
-                      for grp, blk in zip(ops.groups, u)])
+    return ops.embed([np.exp(1j * phase * sector.m) * blk
+                      for sector, blk in zip(ops.sectors, u)])
 
 
 @PROPERTY_SETTINGS
@@ -383,6 +382,36 @@ def test_batched_sector_spectra_equal_single_graph_rows(batch):
         one_vals, one_labels = sector_spectrum(g)
         assert np.array_equal(row_vals, one_vals)
         assert np.array_equal(row_labels, one_labels)
+
+
+@st.composite
+def generic_graphs(draw):
+    """Graphs on 3 to 7 sites with generic (not round) couplings and fields."""
+    n, pairs = draw(edge_sets(3, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return CouplingGraph(n, tuple((i, j, rng.uniform(-1.5, 1.5)) for (i, j) in pairs),
+                         rng.uniform(-1.0, 1.0))
+
+
+# the general 6-site graph of tools/bytecheck.py: stacked with the m = -1 block
+# of the same size, its m = +1 block once differed from the block alone by 1.1e-16
+BYTECHECK_GRAPH = CouplingGraph(6, ((0, 1, 1.0), (1, 2, 0.7), (2, 3, 1.2), (3, 4, 0.4),
+                                    (4, 5, 1.0), (0, 5, 0.3), (1, 4, 0.9), (2, 5, 0.6)), 0.5)
+
+
+@PROPERTY_SETTINGS
+@given(generic_graphs())
+@example(BYTECHECK_GRAPH)
+def test_sector_blocks_do_not_depend_on_the_other_sectors(g):
+    ops = SectorOperators(g.n_sites, g.pairs)
+    weights = ops.weights(g)
+    vals, labels = ops.levels([g])
+    for sector in ops.sectors:
+        alone = SectorOperators(g.n_sites, g.pairs, ms=(sector.m,))
+        block, (alone_block,) = sector.exchange(weights), alone.blocks(weights)
+        assert np.array_equal(block, alone_block)
+        # the eigvalsh of each, less h m
+        assert np.array_equal(vals[:, labels == sector.m], alone.levels([g])[0])
 
 
 @PROPERTY_SETTINGS

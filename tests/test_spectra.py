@@ -326,13 +326,16 @@ class TestExactSzLabels:
 
 
 class TestBatchedSweeps:
+    # each sweep, with the sizes of its grid-sized solves beside the sectors':
+    # none for the field sweep, the exact 2x2 logical block of the intra-triple
+    # sweep, and the three quartet blocks of the inter-triple sweep's tracker
     @pytest.mark.parametrize("run", [
-        lambda: spectra.sweep_field(0.0, 1.5, 31),
-        lambda: spectra.sweep_intra("j12", 0.1, 1.9, 31)[0],
-        lambda: spectra.sweep_inter(0.0, 0.85, 31)[0],
+        lambda: (spectra.sweep_field(0.0, 1.5, 31), []),
+        lambda: (spectra.sweep_intra("j12", 0.1, 1.9, 31)[0], [2]),
+        lambda: (spectra.sweep_inter(0.0, 0.85, 31)[0], [1, 2, 3]),
     ])
     def test_one_sector_spectra_call_per_grid(self, monkeypatch, run):
-        # the whole 31-point grid is one batched eigvalsh per sector size
+        # the whole 31-point grid is one batched eigvalsh per sector
         shapes = []
         original = np.linalg.eigvalsh
 
@@ -341,9 +344,11 @@ class TestBatchedSweeps:
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        n_sites = int(np.log2(run().spectra.shape[1]))
-        grid_solves = [s[-1] for s in shapes if len(s) == 4 and s[0] == 31]
-        assert sorted(grid_solves) == sorted({len(s.indices) for s in sz_sectors(n_sites)})
+        result, logical = run()
+        n_sites = int(np.log2(result.spectra.shape[1]))
+        grid_solves = [s[-1] for s in shapes if len(s) == 3 and s[0] == 31]
+        assert sorted(grid_solves) == sorted([len(s.indices) for s in sz_sectors(n_sites)]
+                                             + logical)
 
 
 def _count_builds(monkeypatch):

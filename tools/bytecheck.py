@@ -26,7 +26,8 @@ REPO = Path(__file__).resolve().parents[1]
 HUGE = "1.7976931348623157e308"
 
 # every command in every format it writes, then the edge cases: general
-# graphs, huge and non-finite fields, requests past a cap, bad input and the
+# graphs, values that start with "-" after a space, huge and non-finite
+# fields, requests past a cap, bad input, a flag without its value and the
 # empty schedule
 COMMANDS = [
     ["spectrum"], ["spectrum", "--format", "csv"],
@@ -43,6 +44,7 @@ COMMANDS = [
     ["lambdas", "--h", "1e300", "--points", "3"],
     ["verify-eq7"], ["verify-eq7", "--grid", "0:0.5:3", "--h", "0.3"],
     ["gate"], ["gate", "--type", "rx", "--theta=-pi/4"],
+    ["gate", "--type", "rx", "--theta", "-pi/4"], ["lambdas", "--h", "-1e-3", "--points", "3"],
     ["gate", "--type", "axis120", "--which", "j13"],
     ["gate", "--type", "su2", "--euler", "pi/2,pi/3,-pi/4"],
     ["gate", "--type", "cphase"], ["gate", "--type", "cphase", "--mode", "sequential"],
@@ -55,7 +57,7 @@ COMMANDS = [
     ["units"], ["units", "--J", "7", "--g", "0.44", "--h", "0.75"],
     # exit 2, 3 and 4
     ["sweep-field", "--points", "10001"], ["spectrum", "--n-sites", "99", "--edges", "0-1:1"],
-    ["units", "--format", "csv"], ["gate", "--type", "su2"],
+    ["units", "--format", "csv"], ["gate", "--type", "su2"], ["sweep-field", "--points"],
     ["lambdas", "--h", "nan"], ["verify-eq7", "--h", "inf"], ["sweep-inter", "--h", HUGE],
     ["sweep-field", "--max", HUGE, "--points", "3"], ["lambdas", "--max", HUGE, "--points", "3"],
     ["units", "--h", HUGE], ["units", "--h", "1e300", "--j", "1e10"],
