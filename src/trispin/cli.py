@@ -44,8 +44,12 @@ class ConfigError(Exception):
 class _ArgumentParser(argparse.ArgumentParser):
     """Argument parser whose errors are ``ConfigError``s, so ``main`` reports them in one line.
 
-    Its subparsers are of this class too.
+    Its subparsers are of this class too.  A flag is its exact name or a
+    declared alias, never a prefix: config-file keys take no prefix either.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ConfigError(message)
@@ -362,14 +366,20 @@ def _linspace(lo: float, hi: float, n: int) -> np.ndarray:
 
 def _run_spectrum(p: dict) -> tuple[dict, str]:
     _within("n-sites", p["n_sites"], hamiltonian.MAX_SITES.check, p["n_sites"])
+    # the triangle's couplings, as given; the unset ones keep single_lq_graph's 1
+    triangle = {k: p[k] for k in ("j12", "j13", "j23") if p[k] is not None}
     if p["edges"] is not None:
+        if triangle:
+            flags = ", ".join(f"--{k}" for k in triangle)
+            raise ConfigError(f"{flags}: a triangle coupling cannot go with --edges, "
+                              "which gives every coupling")
         parsed = parse_edges(p["edges"], p["n_sites"])
         graph = CouplingGraph(parsed.n_sites, parsed.edges, p["h"])
     elif p["n_sites"] != 3:
         raise ConfigError(f"--n-sites {p['n_sites']}: a register other than the "
                           "3-site triangle needs --edges")
     else:
-        graph = single_lq_graph(p["j12"], p["j13"], p["j23"], p["h"])
+        graph = single_lq_graph(**triangle, h=p["h"])
     vals, sz = sector_spectrum(graph)
     degeneracy = int(np.sum(np.abs(vals - vals[0]) <= degeneracy_tol(vals)))
     gap = float(vals[degeneracy] - vals[0]) if degeneracy < len(vals) else 0.0
@@ -551,8 +561,10 @@ COMMANDS: dict[str, dict] = {
         "run": _run_spectrum,
         "formats": ("json", "csv"),
         "params": (
-            Param("j12", "float", 1.0), Param("j13", "float", 1.0),
-            Param("j23", "float", 1.0), Param("h", "float", hamiltonian.IDLE_FIELD),
+            Param("j12", "float", None, "triangle coupling (default 1); not with --edges"),
+            Param("j13", "float", None, "triangle coupling (default 1); not with --edges"),
+            Param("j23", "float", None, "triangle coupling (default 1); not with --edges"),
+            Param("h", "float", hamiltonian.IDLE_FIELD),
             Param("n-sites", "int", 3, "register size; other than 3 only with --edges"),
             Param("edges", "str", None, "general graph as i-j:J,i-j:J"),
         ),

@@ -210,8 +210,8 @@ class _SectorTracker:
         columns = two_lq_basis()[ops.sectors[0].indices][:, [0, 1, 3]].real
         self.blocks = [blk for (_,), blk, _ in projected_blocks(ops, self.directions, columns)]
 
-    def walk(self, path: list[tuple[float, float]]) -> np.ndarray:
-        """Exchange quartet levels [l00, l01, l11] at each (j14, j23_shift) point of ``path``.
+    def walk(self, path) -> np.ndarray:
+        """Exchange quartet levels [l00, l01, l11] at each (j14, j23_shift) row of ``path``.
 
         One batched ``eigvalsh`` call per block covers every point; each point's
         levels are independent of the rest of the path.

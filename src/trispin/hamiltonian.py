@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEGENERACY_TOL, Budget
+from .linalg import DEGENERACY_TOL, Budget, is_integer
 
 IDLE_FIELD = 0.75  # the working field: the default h of every call and command
 # Largest register ``sz_sectors`` (so every sector builder) accepts: the
@@ -28,6 +28,7 @@ class CouplingGraph:
     """Exchange-coupled spin-1/2 sites in a global Zeeman field.
 
     ``edges`` holds (i, j, J_ij) with 0 <= i < j < n_sites and no duplicates.
+    The site count and the site indices are integers (``linalg.is_integer``).
     """
 
     n_sites: int
@@ -35,6 +36,8 @@ class CouplingGraph:
     field_h: float = 0.0
 
     def __post_init__(self):
+        if not is_integer(self.n_sites):
+            raise ValueError(f"n_sites must be an integer, got {self.n_sites!r}")
         if self.n_sites < 1:
             raise ValueError("n_sites must be positive")
         if not math.isfinite(self.field_h):
@@ -42,6 +45,8 @@ class CouplingGraph:
         norm = []
         seen = set()
         for (i, j, jij) in self.edges:
+            if not (is_integer(i) and is_integer(j)):
+                raise ValueError(f"edge ({i!r},{j!r}) needs integer sites")
             if not (0 <= i < j < self.n_sites):
                 raise ValueError(f"edge ({i},{j}) violates 0 <= i < j < n_sites")
             if (i, j) in seen:

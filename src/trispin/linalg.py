@@ -5,11 +5,13 @@ The helpers validate such matrices and measure how far a propagator is
 from unitary; eigensolves are plain ``numpy.linalg`` calls at their sites.
 ``regula_falsi`` is the one bracketed root-finder, shared by the CZ shift
 calibration and the level-crossing search.  ``Budget`` is the one kind of cap
-on a request: each module keeps its caps beside the work they bound.
+on a request: each module keeps its caps beside the work they bound, and
+``is_integer`` the one test that a count or a site index is an integer.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +43,11 @@ class Budget:
         """Raise ``BudgetError`` when ``count`` is above the cap."""
         if count > self.cap:
             raise BudgetError(f"at most {self.cap} {self.unit}")
+
+
+def is_integer(x) -> bool:
+    """True for a Python or numpy integer; a bool or a float of integral value is not one."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def max_abs(m: np.ndarray) -> float:

@@ -153,6 +153,29 @@ class TestSpectrumCommand:
         assert "--edges" in res.stderr
         assert not (tmp_path / "s.json").exists()
 
+    @pytest.mark.parametrize("flags", [["--j12", "5"], ["--j13", "1"], ["--j23", "0.5"]])
+    def test_triangle_coupling_with_edges_is_rejected(self, run_main, tmp_path, flags):
+        res = run_main(["spectrum", "--n-sites", "3", "--edges", "0-1:1", *flags,
+                        "--out", "s.json"])
+        assert res.returncode == 2
+        assert res.stderr == (f"error: {flags[0]}: a triangle coupling cannot go with "
+                              "--edges, which gives every coupling\n")
+        assert not (tmp_path / "s.json").exists()
+
+    def test_triangle_coupling_from_the_config_with_edges_is_rejected(self, run_main,
+                                                                      tmp_path):
+        (tmp_path / "run.cfg").write_text("[spectrum]\nj12 = 5\nj23 = 1\n")
+        res = run_main(["spectrum", "--config", "run.cfg", "--n-sites", "3",
+                        "--edges", "0-1:1", "--out", "s.json"])
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: --j12, --j23: a triangle coupling cannot go")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    def test_unset_triangle_couplings_are_one(self, run_main, tmp_path):
+        for k, argv in enumerate((["spectrum"], ["spectrum", "--j13", "1"])):
+            assert run_main([*argv, "--out", f"{k}.json"]).returncode == 0
+        assert (tmp_path / "0.json").read_bytes() == (tmp_path / "1.json").read_bytes()
+
     def test_oversized_register_is_rejected_before_any_operator(self, tmp_path, capsys,
                                                                 monkeypatch):
         def no_operators(*args, **kwargs):
@@ -496,6 +519,19 @@ class TestFlagValues:
         res = run_main(argv)
         assert res.returncode == 2 and not res.stdout
         assert res.stderr.startswith(f"error: {message}") and res.stderr.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
+    # a flag is its exact name or a declared alias (TestUnitsCommand runs
+    # --J), never a prefix of one
+    @pytest.mark.parametrize("argv,rest", [
+        (["sweep-field", "--poin", "5"], "--poin 5"),
+        (["gate", "--type", "rx", "--the=-pi/4"], "--the=-pi/4"),
+        (["gate", "--type", "rx", "--thet", "-pi/4"], "--thet -pi/4"),
+    ])
+    def test_flag_prefixes_are_unrecognized(self, run_main, tmp_path, argv, rest):
+        res = run_main(argv)
+        assert res.returncode == 2 and not res.stdout
+        assert res.stderr == f"error: unrecognized arguments: {rest}\n"
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [["--help"], ["gate", "-h"], ["units", "--help"]])

@@ -668,6 +668,27 @@ class TestCphase:
 
 
 class TestCphaseCalibration:
+    @pytest.mark.parametrize("n_nodes", [160.5, 160.0])
+    def test_non_integral_node_count_is_rejected_before_any_walk(self, monkeypatch, n_nodes):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(_SectorTracker, "walk", no_walk)
+        with pytest.raises(ValueError, match="^n_calibration_steps must be an integer$"):
+            synthesize_cphase(np.pi, 0.5, 20.0, n_calibration_steps=n_nodes)
+
+    def test_numpy_integer_node_count_gives_the_int_schedule(self):
+        schedules = [synthesize_cphase(np.pi, 0.5, 20.0, n_calibration_steps=n).to_dict()
+                     for n in (np.int64(160), 160)]
+        assert cli._json_text(schedules[0]) == cli._json_text(schedules[1])
+
+    @pytest.mark.parametrize("name", sorted(RAMP_PROFILES))
+    @pytest.mark.parametrize("n", [1, 7, 160, _CHUNK + 1])
+    def test_midpoints_are_the_profile_at_each_step_midpoint(self, name, n):
+        # the nodes of both the propagation and the calibration quadrature
+        nodes = [RAMP_PROFILES[name]((k + 0.5) / n) for k in range(n)]
+        assert np.array_equal(gates._midpoints(name, n), nodes)
+
     def test_schedule_does_not_depend_on_the_field(self):
         # the field shifts every quartet level by -h, which no rate sees
         def schedule(h):

@@ -181,6 +181,20 @@ class TestCouplingGraph:
         with pytest.raises(ValueError):
             CouplingGraph(2, ((0, 1, np.inf),))
 
+    # a float or a bool is not read as the integer it rounds or converts to
+    @pytest.mark.parametrize("n_sites,edges", [
+        (2.5, ((0, 1, 1.0),)), (3.0, ((0, 1, 1.0),)), (True, ()),
+        (3, ((0.5, 2, 1.0),)), (3, ((0, 2.0, 1.0),)), (3, ((False, 1, 1.0),)),
+    ])
+    def test_rejects_non_integral_sites(self, n_sites, edges):
+        with pytest.raises(ValueError, match="integer"):
+            CouplingGraph(n_sites, edges)
+
+    def test_numpy_integers_give_the_int_graph(self):
+        g = CouplingGraph(np.int64(3), ((np.int64(0), np.int32(2), 1.0),), 0.5)
+        assert g == CouplingGraph(3, ((0, 2, 1.0),), 0.5)
+        assert {type(x) for x in (g.n_sites, *g.edges[0][:2])} == {int}
+
     def test_with_couplings(self):
         g = two_lq_graph()
         g2 = g.with_couplings({(0, 3): 0.4, (1, 2): 1.1})

@@ -27,8 +27,8 @@ HUGE = "1.7976931348623157e308"
 
 # every command in every format it writes, then the edge cases: general
 # graphs, values that start with "-" after a space, huge and non-finite
-# fields, requests past a cap, bad input, a flag without its value and the
-# empty schedule
+# fields, requests past a cap, bad input, a flag without its value, a prefix
+# of a flag, a triangle coupling beside --edges and the empty schedule
 COMMANDS = [
     ["spectrum"], ["spectrum", "--format", "csv"],
     ["spectrum", "--n-sites", "4", "--edges", "0-1:1,1-2:0.5,2-3:1,0-3:0.25", "--h", "0.3"],
@@ -61,6 +61,8 @@ COMMANDS = [
     ["lambdas", "--h", "nan"], ["verify-eq7", "--h", "inf"], ["sweep-inter", "--h", HUGE],
     ["sweep-field", "--max", HUGE, "--points", "3"], ["lambdas", "--max", HUGE, "--points", "3"],
     ["units", "--h", HUGE], ["units", "--h", "1e300", "--j", "1e10"],
+    ["sweep-field", "--poin", "5"],
+    ["spectrum", "--n-sites", "3", "--edges", "0-1:1", "--j12", "5"],
 ]
 
 # run in the child: argv lists on stdin, one result per argv on stdout
