@@ -98,20 +98,21 @@ def two_lq_basis() -> np.ndarray:
     return np.kron(one, one) + 0.0
 
 
-def effective_h1(j12: float, j13: float, j23: float, h: float = 0.0) -> EffectiveHamiltonian:
+def effective_h1(j12, j13, j23, h=0.0) -> EffectiveHamiltonian:
     """Exact 2x2 logical Hamiltonian of one triple, split as traceless + offset.
 
     The offset collects the exchange trace -(J12+J13+J23)/4 and, when a field
-    is given, the Zeeman energy -h/2 common to the S_z=+1/2 doublet.
+    is given, the Zeeman energy -h/2 common to the S_z=+1/2 doublet.  Arrays
+    broadcast to ``(..., 2, 2)`` matrices and offsets equal to the scalar calls.
     """
-    for v in (j12, j13, j23, h):
-        if not np.isfinite(v):
-            raise ValueError("couplings and field must be finite")
+    j12, j13, j23, h = np.broadcast_arrays(j12, j13, j23, h)
+    if not np.isfinite([j12, j13, j23, h]).all():
+        raise ValueError("couplings and field must be finite")
     diag = (j12 + j13 - 2 * j23) / 4
     off = np.sqrt(3) * (j12 - j13) / 4
-    matrix = np.array([[diag, off], [off, -diag]], dtype=np.complex128)
+    matrix = np.moveaxis(np.array([[diag, off], [off, -diag]], dtype=complex), (0, 1), (-2, -1))
     offset = -(j12 + j13 + j23) / 4 - h / 2
-    return EffectiveHamiltonian(matrix, offset)
+    return EffectiveHamiltonian(matrix, offset if np.ndim(offset) else float(offset))
 
 
 def project_effective(h: np.ndarray, basis) -> EffectiveHamiltonian:
@@ -166,7 +167,7 @@ def initialization_ground(j23_shift: float, h: float = IDLE_FIELD) -> GroundStat
         raise ValueError("shift outside the crossing-free window (-0.75, 0.75)")
     graph = single_lq_graph(j23=1.0 + j23_shift, h=h)
     ops = SectorOperators(3, graph.pairs)
-    (vals,), (labels,) = ops.spectra([graph])
+    (vals,), (labels,) = ops.spectra(ops.weights(graph)[None], [graph.field_h])
     if 0.5 not in labels[vals - vals[0] <= degeneracy_tol(vals)]:
         raise ValueError(f"the ground state at h = {h} is not in the logical doublet")
     splitting = float(vals[1] - vals[0])
@@ -241,7 +242,7 @@ def lambda_curve(j14_values, h: float = IDLE_FIELD) -> np.ndarray:
         raise ValueError("j14 grid must be finite")
     if any(b < a for a, b in zip(grid, grid[1:])) or (grid and grid[0] < 0):
         raise ValueError("j14 grid must be ascending and nonnegative")
-    return _SectorTracker().walk([(x, 0.0) for x in grid]) - h
+    return _SectorTracker().walk(np.column_stack((grid, np.zeros(len(grid))))) - h
 
 
 def lambda_triples(j14_values, h: float = IDLE_FIELD) -> list[LambdaTriple]:

@@ -263,6 +263,17 @@ def check_cphase_ramp(ramp_time: float, steps_per_unit_time: float) -> None:
     ramp_steps(ramp_time, steps_per_unit_time)
 
 
+def check_calibration(n_calibration_steps: int, ramp_shape: str) -> None:
+    """Check the node count and ramp shape of a CZ calibration (see ``synthesize_cphase``)."""
+    if not is_integer(n_calibration_steps):
+        raise ValueError("n_calibration_steps must be an integer")
+    if n_calibration_steps < 1:
+        raise ValueError("n_calibration_steps must be at least 1")
+    MAX_CALIBRATION_NODES.check(n_calibration_steps)
+    if ramp_shape not in RAMP_PROFILES:
+        raise ValueError(f"ramp_shape must be one of {tuple(RAMP_PROFILES)}")
+
+
 def _evolve_sectors(schedule: PulseSchedule, steps_per_unit_time: float,
                     blocks: list[SectorBlock]) -> list[np.ndarray]:
     """Time-ordered propagator of a non-empty schedule on each block, one ``(d, d)`` matrix each.
@@ -508,15 +519,9 @@ def synthesize_cphase(phi: float, j14_peak: float, ramp_time: float,
     if not 0 < j14_peak < 0.75:
         raise ValueError("j14_peak outside the gapped window (0, 0.75)")
     _check_ramp_time(ramp_time)
-    if not is_integer(n_calibration_steps):
-        raise ValueError("n_calibration_steps must be an integer")
-    if n_calibration_steps < 1:
-        raise ValueError("n_calibration_steps must be at least 1")
-    MAX_CALIBRATION_NODES.check(n_calibration_steps)
+    check_calibration(n_calibration_steps, ramp_shape)
     if mode not in CPHASE_MODES:
         raise ValueError(f"mode must be one of {CPHASE_MODES}")
-    if ramp_shape not in RAMP_PROFILES:
-        raise ValueError(f"ramp_shape must be one of {tuple(RAMP_PROFILES)}")
     idle = two_lq_graph(h=h)
     target_cc = float(np.mod(-phi, 2 * np.pi))
     if target_cc == 0.0:

@@ -208,7 +208,7 @@ class SectorOperators:
         return out
 
     def weights(self, g: CouplingGraph) -> np.ndarray:
-        """Couplings of ``g``, a graph on this site count and edge set (in order)."""
+        """Couplings of ``g``, a graph on this site count and edge set: a row of ``levels``."""
         if g.n_sites != self.n_sites or g.pairs != self.pairs:
             raise ValueError("need graphs sharing one site count and one edge set")
         return np.array([jij for (_, _, jij) in g.edges])
@@ -217,22 +217,21 @@ class SectorOperators:
         """Exchange blocks, one per sector (see ``SectorBlock.exchange``)."""
         return [s.exchange(weights) for s in self.sectors]
 
-    def levels(self, graphs: list[CouplingGraph]) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues of H, sector by sector, one row per graph, and the S_z of each column.
+    def levels(self, weights, fields) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues of H, sector by sector, one row per point, and the S_z of each column.
 
-        The graphs have this site count and edge set (in order); each sector
-        takes one ``eigvalsh`` call for the whole batch.  Each level keeps
-        the magnetization of the sector it was solved in.
+        Point p has the couplings ``weights[p]``, in ``pairs`` order, and the
+        field ``fields[p]``; each sector takes one ``eigvalsh`` call for the
+        whole batch.  Each level keeps the sector magnetization it was solved in.
         """
-        weights = np.array([self.weights(g) for g in graphs])
-        fields = np.array([g.field_h for g in graphs])
+        fields = np.asarray(fields, dtype=float)
         vals = [np.linalg.eigvalsh(stack) - fields[:, None] * s.m
                 for s, stack in zip(self.sectors, self.blocks(weights))]
         labels = [np.full(v.shape[1], s.m) for s, v in zip(self.sectors, vals)]
         return np.concatenate(vals, axis=1), np.concatenate(labels)
 
-    def spectra(self, graphs: list[CouplingGraph]) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending ``levels`` and exact total-S_z labels, one row per graph.
+    def spectra(self, weights, fields) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending ``levels`` and exact total-S_z labels, one row per point.
 
         Every level carries a sector's magnetization, also inside degeneracies
         across sectors: in a run of levels each within the degeneracy
@@ -240,7 +239,7 @@ class SectorOperators:
         magnitude), the labels go highest m first, as ``sz_sectors`` lists
         them, so that rounding does not order them.
         """
-        vals, labels = self.levels(graphs)
+        vals, labels = self.levels(weights, fields)
         order = np.argsort(vals, axis=1, kind="stable")
         vals, labels = np.take_along_axis(vals, order, axis=1), labels[order]
         tol = DEGENERACY_TOL * np.max(np.abs(vals), axis=1, keepdims=True)
@@ -312,7 +311,8 @@ def projected_blocks(ops: SectorOperators, weights, columns
 
 def sector_spectrum(g: CouplingGraph) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues of H and the exact total S_z of each level."""
-    vals, labels = SectorOperators(g.n_sites, g.pairs).spectra([g])
+    ops = SectorOperators(g.n_sites, g.pairs)
+    vals, labels = ops.spectra(ops.weights(g)[None], [g.field_h])
     return vals[0], labels[0]
 
 

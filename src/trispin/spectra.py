@@ -18,6 +18,7 @@ from .gates import (
     CALIBRATION_NODES,
     STEPS_PER_UNIT_TIME,
     PulseSchedule,
+    check_calibration,
     check_cphase_ramp,
     constant_segment,
     cphase_gate,
@@ -29,7 +30,7 @@ from .hamiltonian import (IDLE_FIELD, SectorOperators, sector_spectrum, single_l
 from .linalg import Budget, regula_falsi
 
 MU_B_MICROEV_PER_TESLA = 57.88
-INTRA_COUPLINGS = ("j12", "j13", "j23")
+INTRA_COUPLINGS = ("j12", "j13", "j23")  # the edge order of single_lq_graph
 CROSSING_MAX_PROBES = 100
 # Ramp times of one ``adiabatic_leakage_curve``, each a calibrated and
 # propagated CZ: 32 of ramp 500 at the node and step caps of ``gates`` took
@@ -108,13 +109,13 @@ def _gap_above(spectra: np.ndarray, logical) -> np.ndarray:
     return np.min(rest, axis=1) - np.max(logical, axis=1)
 
 
-def _sweep(name: str, lo: float, hi: float, n_points: int, graph_at, logical_at, gap_fn):
+def _sweep(name: str, lo: float, hi: float, n_points: int, base, edge, logical_at, gap_fn):
     """Spectra, logical levels and gaps on a uniform grid, plus ``gap_at(x)`` off it.
 
-    ``graph_at(x)`` gives the graph at one value and ``logical_at(xs)`` the
-    logical levels at an array of values, one row each; ``gap_fn(spectra,
-    logical)`` is the gap of each row.  The graphs share an edge set, so one
-    ``SectorOperators`` serves the grid (one batched solve) and every probe.
+    Value x is one row: the couplings and field of ``base`` with x in place of
+    coupling ``edge`` (an index into its edges; ``None``: the field), solved in
+    one batch for the grid.  ``logical_at(xs)`` gives the logical levels at an
+    array of values, one row each; ``gap_fn(spectra, logical)`` each row's gap.
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
@@ -123,16 +124,20 @@ def _sweep(name: str, lo: float, hi: float, n_points: int, graph_at, logical_at,
     grid = np.linspace(lo, hi, n_points)
     # bounds closer than n_points steps of a double repeat grid values
     _check_grid(grid)
-    graphs = [graph_at(x) for x in grid]
-    ops = SectorOperators(graphs[0].n_sites, graphs[0].pairs)
-    spectra, sz = ops.spectra(graphs)
-    logical = logical_at(grid)
+    ops = SectorOperators(base.n_sites, base.pairs)
+    row = np.append(ops.weights(base), base.field_h)  # the field is the last column
+    swept = np.arange(len(row)) == (len(row) - 1 if edge is None else edge)
+
+    def solve(xs: np.ndarray):  # the spectra, gap, sz_labels and logical of SweepResult
+        table = np.where(swept, xs[:, None], row)
+        spectra, sz = ops.spectra(table[:, :-1], table[:, -1])
+        logical = logical_at(xs)
+        return spectra, gap_fn(spectra, logical), sz, logical
 
     def gap_at(x: float) -> float:
-        vals, _ = ops.spectra([graph_at(x)])
-        return float(gap_fn(vals, logical_at(np.array([x])))[0])
+        return float(solve(np.array([x]))[1][0])
 
-    return SweepResult(name, grid, spectra, gap_fn(spectra, logical), sz, logical), gap_at
+    return SweepResult(name, grid, *solve(grid)), gap_at
 
 
 def idle_logical_energy(h: float) -> float:
@@ -157,7 +162,7 @@ def field_gap(h: float) -> float:
 
 def sweep_field(h_min: float, h_max: float, n_points: int) -> SweepResult:
     """Idle single-LQ spectrum and protection gap across the Zeeman field."""
-    return _sweep("h", h_min, h_max, n_points, lambda h: single_lq_graph(h=h),
+    return _sweep("h", h_min, h_max, n_points, single_lq_graph(), None,
                   lambda hs: idle_logical_energy(hs)[:, None], _doublet_gap)[0]
 
 
@@ -173,7 +178,8 @@ def optimal_field(h_lo: float, h_hi: float) -> float:
     """
     _check_bounds(h_lo, h_hi)
     idle = single_lq_graph(h=0.0)
-    eps, m = SectorOperators(3, idle.pairs).levels([idle])
+    ops = SectorOperators(3, idle.pairs)
+    eps, m = ops.levels(ops.weights(idle)[None], [idle.field_h])
     # at h = 0 the doublet (m = +1/2) is degenerate with the m = -1/2 pair,
     # so it is picked by the sector it was solved in as well as by energy
     rest = _unmatched(np.where(m == 0.5, eps, np.inf), [[-0.75, -0.75]])[0]
@@ -182,13 +188,6 @@ def optimal_field(h_lo: float, h_hi: float) -> float:
     cross = (a[j] - a[i]) / (b[i] - b[j])
     hs = np.concatenate(([h_lo, h_hi], cross[(h_lo < cross) & (cross < h_hi)]))
     return float(hs[np.argmax(np.min(a + b * hs[:, None], axis=1))])
-
-
-def _logical_pairs(which: str, xs, h: float) -> np.ndarray:
-    """Exact logical levels at each coupling value, from one batched ``eigvalsh``."""
-    effs = [effective_h1(**{"j12": 1.0, "j13": 1.0, "j23": 1.0, which: x}, h=h) for x in xs]
-    offsets = np.array([eff.trace_offset for eff in effs])
-    return np.linalg.eigvalsh(np.stack([eff.matrix for eff in effs])) + offsets[:, None]
 
 
 def _find_crossings(fn, grid: np.ndarray, gaps: np.ndarray) -> CrossingReport:
@@ -216,9 +215,13 @@ def sweep_intra(which: str, j_min: float, j_max: float, n_points: int,
     """Spectrum during a single-LQ gate coupling excursion, with crossings."""
     if which not in INTRA_COUPLINGS:
         raise ValueError(f"which must be one of {INTRA_COUPLINGS}")
-    result, gap_at = _sweep(
-        which, j_min, j_max, n_points, lambda x: single_lq_graph(**{which: x}, h=h),
-        lambda xs: _logical_pairs(which, xs, h), _gap_above)
+
+    def logical_at(xs: np.ndarray) -> np.ndarray:  # exact, from one batched eigvalsh
+        eff = effective_h1(**{"j12": 1.0, "j13": 1.0, "j23": 1.0, which: xs}, h=h)
+        return np.linalg.eigvalsh(eff.matrix) + eff.trace_offset[:, None]
+
+    result, gap_at = _sweep(which, j_min, j_max, n_points, single_lq_graph(h=h),
+                            INTRA_COUPLINGS.index(which), logical_at, _gap_above)
     return result, _find_crossings(gap_at, result.grid, result.gap)
 
 
@@ -232,10 +235,11 @@ def sweep_inter(j_min: float, j_max: float, n_points: int,
     """
     if j_min < 0:
         raise ValueError("j_min must be nonnegative")
-    tracker = _SectorTracker()
-    result, gap_at = _sweep("j14", j_min, j_max, n_points, lambda x: two_lq_graph(j14=x, h=h),
-                            lambda xs: tracker.walk([(x, 0.0) for x in xs])[:, [0, 1, 1, 2]] - h,
-                            _gap_above)
+    tracker, base = _SectorTracker(), two_lq_graph(h=h)
+    result, gap_at = _sweep(
+        "j14", j_min, j_max, n_points, base, base.pairs.index((0, 3)),
+        lambda xs: tracker.walk(np.column_stack((xs, np.zeros(len(xs)))))[:, [0, 1, 1, 2]] - h,
+        _gap_above)
     return result, _find_crossings(gap_at, result.grid, result.gap)
 
 
@@ -255,14 +259,15 @@ def adiabatic_leakage_curve(phi: float, j14_peak: float, ramp_times,
     """Leakage and fidelity of the conditional phase gate vs ramp duration.
 
     At most ``MAX_RAMP_TIMES`` ramp times, each passing ``gates.check_cphase_ramp``,
-    are checked before any work.  A zero peak coupling is one exact hold at
-    idle, of the same reach: leakage zero to rounding at every ramp time (and
-    no conditional phase, whatever ``phi`` asked).
+    and ``gates.check_calibration`` are checked before any work, at every peak.
+    A zero peak coupling is one exact hold at idle, of the same reach: leakage
+    zero to rounding at every ramp time (and no conditional phase, whatever ``phi`` asked).
     """
     ramp_times = list(ramp_times)
     MAX_RAMP_TIMES.check(len(ramp_times))
     for ramp in ramp_times:
         check_cphase_ramp(ramp, steps_per_unit_time)
+    check_calibration(n_calibration_steps, ramp_shape)
     target = cphase_gate(phi)
     out = []
     for ramp in ramp_times:

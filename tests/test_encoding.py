@@ -102,6 +102,39 @@ class TestEffectiveH1:
         with pytest.raises(ValueError):
             effective_h1(np.nan, 1.0, 1.0)
 
+    def test_scalar_call_keeps_its_shape_and_a_float_offset(self):
+        j12, j13, j23, h = 1.2, 0.9, 1.1, 0.3
+        eff = effective_h1(j12, j13, j23, h)
+        diag, off = (j12 + j13 - 2 * j23) / 4, np.sqrt(3) * (j12 - j13) / 4
+        assert eff.matrix.dtype == np.complex128
+        assert np.array_equal(eff.matrix, np.array([[diag, off], [off, -diag]]))
+        assert type(eff.trace_offset) is float
+        assert eff.trace_offset == -(j12 + j13 + j23) / 4 - h / 2
+
+    def test_arrays_equal_the_stacked_scalar_calls(self):
+        j12, j13, j23, h = np.random.default_rng(5).uniform(-1.5, 1.5, (4, 2, 3))
+        batch = effective_h1(j12, j13, j23, h)
+        assert batch.matrix.shape == (2, 3, 2, 2) and batch.trace_offset.shape == (2, 3)
+        singles = [effective_h1(*map(float, args))
+                   for args in zip(j12.ravel(), j13.ravel(), j23.ravel(), h.ravel())]
+        assert np.array_equal(batch.matrix.reshape(-1, 2, 2), [e.matrix for e in singles])
+        assert np.array_equal(batch.trace_offset.ravel(), [e.trace_offset for e in singles])
+
+    def test_scalars_broadcast_against_an_array(self):
+        xs = np.linspace(0.25, 1.75, 7)
+        batch = effective_h1(1.0, xs, 1.0, h=0.75)
+        for x, matrix, offset in zip(xs, batch.matrix, batch.trace_offset):
+            one = effective_h1(1.0, float(x), 1.0, h=0.75)
+            assert np.array_equal(matrix, one.matrix) and offset == one.trace_offset
+
+    @pytest.mark.parametrize("arg", range(4))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_entry_anywhere_raises(self, arg, bad):
+        args = [np.ones(5) for _ in range(4)]
+        args[arg][3] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            effective_h1(*args)
+
 
 class TestProjectEffective:
     def test_idle_projection(self, basis3):

@@ -90,13 +90,13 @@ def graphs(draw):
 
 
 @st.composite
-def graph_batches(draw):
-    """Two to six graphs on one edge set, with generic (not round) couplings and fields."""
-    n, pairs = draw(edge_sets())
+def weight_rows(draw):
+    """An edge set on 3 to 6 sites, and two to six rows of generic (not round)
+    couplings on it, each with a field: ``(n_sites, pairs, weights, fields)``."""
+    n, pairs = draw(edge_sets(3, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return [CouplingGraph(n, tuple((i, j, rng.uniform(-1.5, 1.5)) for (i, j) in pairs),
-                          rng.uniform(-1.0, 1.0))
-            for _ in range(draw(st.integers(2, 6)))]
+    n_rows = draw(st.integers(2, 6))
+    return n, pairs, rng.uniform(-1.5, 1.5, (n_rows, len(pairs))), rng.uniform(-1.0, 1.0, n_rows)
 
 
 @st.composite
@@ -373,12 +373,14 @@ def test_sector_spectrum_matches_dense_with_exact_labels(g):
 
 
 @PROPERTY_SETTINGS
-@given(graph_batches())
-@example([EDGELESS, CouplingGraph(3, (), -0.7)])
+@given(weight_rows())
+@example((3, [], np.zeros((2, 0)), np.array([0.4, -0.7])))
 def test_batched_sector_spectra_equal_single_graph_rows(batch):
-    vals, labels = SectorOperators(batch[0].n_sites, batch[0].pairs).spectra(batch)
-    assert vals.shape == labels.shape == (len(batch), 2**batch[0].n_sites)
-    for g, row_vals, row_labels in zip(batch, vals, labels):
+    n, pairs, weights, fields = batch
+    vals, labels = SectorOperators(n, pairs).spectra(weights, fields)
+    assert vals.shape == labels.shape == (len(weights), 2**n)
+    for row, h, row_vals, row_labels in zip(weights, fields, vals, labels):
+        g = CouplingGraph(n, tuple((i, j, w) for (i, j), w in zip(pairs, row)), h)
         one_vals, one_labels = sector_spectrum(g)
         assert np.array_equal(row_vals, one_vals)
         assert np.array_equal(row_labels, one_labels)
@@ -405,13 +407,14 @@ BYTECHECK_GRAPH = CouplingGraph(6, ((0, 1, 1.0), (1, 2, 0.7), (2, 3, 1.2), (3, 4
 def test_sector_blocks_do_not_depend_on_the_other_sectors(g):
     ops = SectorOperators(g.n_sites, g.pairs)
     weights = ops.weights(g)
-    vals, labels = ops.levels([g])
+    vals, labels = ops.levels(weights[None], [g.field_h])
     for sector in ops.sectors:
         alone = SectorOperators(g.n_sites, g.pairs, ms=(sector.m,))
         block, (alone_block,) = sector.exchange(weights), alone.blocks(weights)
         assert np.array_equal(block, alone_block)
         # the eigvalsh of each, less h m
-        assert np.array_equal(vals[:, labels == sector.m], alone.levels([g])[0])
+        assert np.array_equal(vals[:, labels == sector.m],
+                              alone.levels(weights[None], [g.field_h])[0])
 
 
 @PROPERTY_SETTINGS

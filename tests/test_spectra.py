@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trispin import spectra
+from trispin import encoding, spectra
 from trispin.encoding import _SectorTracker, lambda_spectrum
 from trispin.hamiltonian import (
+    CouplingGraph,
     SectorOperators,
     build_hamiltonian,
     sector_spectrum,
@@ -26,6 +27,8 @@ from trispin.spectra import (
     sweep_intra,
     to_physical,
 )
+
+from trispin.linalg import BudgetError
 
 from test_encoding import _overlap_walk
 from test_properties import PROPERTY_SETTINGS
@@ -277,6 +280,24 @@ class TestAdiabaticCurve:
         with pytest.raises(ValueError, match="unreachable within max_duration"):
             adiabatic_leakage_curve(np.pi, j14, [3.0, ramp])
 
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"n_calibration_steps": 160.5}, ValueError),
+        ({"n_calibration_steps": 10**9}, BudgetError),
+        ({"ramp_shape": "bogus"}, ValueError),
+    ], ids=["fractional-nodes", "nodes-past-the-cap", "unknown-shape"])
+    def test_calibration_is_checked_at_every_peak(self, monkeypatch, kwargs, error):
+        # an idle hold calibrates nothing, yet takes the checks of a pulse, before any work
+        def fail(*args, **kwargs):
+            raise AssertionError("a gate was scored before the checks")
+
+        monkeypatch.setattr(spectra, "two_lq_report", fail)
+        raised = []
+        for j14 in (0.0, 0.3):
+            with pytest.raises(error) as info:
+                adiabatic_leakage_curve(np.pi, j14, [4.0], **kwargs)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1] and raised[0][0] is error
+
 
 class TestUnits:
     def test_reference_working_point(self):
@@ -375,6 +396,39 @@ def _count_builds(monkeypatch):
     monkeypatch.setattr(_SectorTracker, "__init__", counted("trackers", tracker_init))
     monkeypatch.setattr(_SectorTracker, "walk", counted("walks", walk))
     return seen
+
+
+class TestNoObjectPerGridPoint:
+    # a grid point is one row of edge weights: a sweep builds as many coupling
+    # graphs on 301 points as on 31, crossing probes included, and the
+    # intra-triple sweep one exact logical block per solve (the grid, or a probe)
+    @pytest.mark.parametrize("run, blocks", [
+        (lambda n: sweep_field(-0.5, 2.0, n), False),
+        (lambda n: sweep_intra("j23", 0.25, 1.75, n), True),
+        (lambda n: sweep_intra("j12", 0.1, 1.9, n), True),
+        (lambda n: sweep_inter(0.0, 0.85, n), False),
+    ], ids=["field", "intra-j23", "intra-j12", "inter"])
+    def test_as_many_graphs_on_301_points_as_on_31(self, monkeypatch, run, blocks):
+        built = {"graphs": 0, "blocks": 0, "solves": 0}
+        post_init, block, levels = (CouplingGraph.__post_init__, encoding.EffectiveHamiltonian,
+                                    SectorOperators.levels)
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                built[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(CouplingGraph, "__post_init__", counted("graphs", post_init))
+        monkeypatch.setattr(encoding, "EffectiveHamiltonian", counted("blocks", block))
+        monkeypatch.setattr(SectorOperators, "levels", counted("solves", levels))
+        graphs = []
+        for n_points in (31, 301):
+            built.update(graphs=0, blocks=0, solves=0)
+            run(n_points)
+            graphs.append(built["graphs"])
+            assert built["blocks"] == (built["solves"] if blocks else 0)
+        assert graphs[0] == graphs[1] >= 1
 
 
 class TestOperatorsBuiltOncePerSweep:

@@ -7,7 +7,9 @@ the tree's ``src/`` first on the path, sets ``OPENBLAS_NUM_THREADS=1`` and
 runs ``trispin.cli.main`` in process on every argv of ``COMMANDS``, each in a
 fresh temporary directory.  Each command
 whose exit code, stdout, stderr or artifact bytes differ is printed with its
-first differing line.  The exit status is 1 if any differs, else 0.
+first differing line.  The exit status is 1 if any differs, else 0.  With
+``.`` as BASE_TREE the checkout runs against itself, which checks that every
+command gives the same bytes in two processes.
 
 This is a tool, not a test: artifact bytes differ across numpy versions and
 BLAS builds, so only two trees run on one machine can be compared.
@@ -40,6 +42,15 @@ COMMANDS = [
     ["sweep-intra"], ["sweep-intra", "--which", "j12", "--format", "json"],
     ["sweep-intra", "--which", "j13", "--points", "41"],
     ["sweep-inter"], ["sweep-inter", "--format", "json"],
+    # sweeps off their defaults: other fields, a crossing on a grid point
+    # (j23 = 0.25), a field grid with a negative gap at both ends
+    ["sweep-intra", "--h", "0.5"],
+    ["sweep-intra", "--which", "j12", "--h", "1.2", "--format", "json"],
+    ["sweep-intra", "--which", "j23", "--min", "0.25", "--max", "1.75", "--points", "3",
+     "--format", "json"],
+    ["sweep-field", "--min", "-0.5", "--max", "2.0", "--points", "51", "--format", "json"],
+    ["sweep-inter", "--h", "0.6", "--min", "0.5", "--max", "1.0", "--points", "41",
+     "--format", "json"],
     ["lambdas"], ["lambdas", "--format", "json"], ["lambdas", "--points", "1"],
     ["lambdas", "--h", "1e300", "--points", "3"],
     ["verify-eq7"], ["verify-eq7", "--grid", "0:0.5:3", "--h", "0.3"],
