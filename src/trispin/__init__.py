@@ -41,11 +41,9 @@ from .gates import (
 )
 from .hamiltonian import (
     CouplingGraph,
-    SectorBasis,
     build_hamiltonian,
     exchange_term,
     single_lq_graph,
-    sz_sectors,
     two_lq_graph,
 )
 from .linalg import BudgetError

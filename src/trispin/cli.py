@@ -26,7 +26,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import encoding, gates, hamiltonian, spectra
-from .hamiltonian import CouplingGraph, sector_spectrum, single_lq_graph, sz_sectors
+from .hamiltonian import CouplingGraph, sector_spectrum, single_lq_graph
 from .linalg import BudgetError, degeneracy_tol
 
 EXIT_OK = 0
@@ -390,8 +390,8 @@ def _run_spectrum(p: dict) -> tuple[dict, str]:
             "field_h": graph.field_h,
             "energies": vals, "sz": sz,
             "ground_degeneracy": degeneracy, "gap": gap,
-            "sector_sizes": {str(s.m): len(s.indices)
-                             for s in sz_sectors(graph.n_sites)},
+            "sector_sizes": {str(graph.n_sites / 2 - k): math.comb(graph.n_sites, k)
+                             for k in range(graph.n_sites + 1)},
         },
     }
     return artifacts, (f"ground energy {fmt_float(vals[0])} (degeneracy {degeneracy}), "

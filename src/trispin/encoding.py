@@ -28,7 +28,6 @@ import numpy as np
 
 from .hamiltonian import (
     IDLE_FIELD,
-    CouplingGraph,
     SectorOperators,
     basis_state,
     projected_blocks,
@@ -133,7 +132,7 @@ def project_effective(h: np.ndarray, basis) -> EffectiveHamiltonian:
 def singlet_probability(state: np.ndarray, pair: tuple[int, int], n_sites: int) -> float:
     """Expectation of the singlet projector 1/4 - S_i . S_j on one pair, S_z sector by sector."""
     i, j = pair
-    ops = SectorOperators(n_sites, CouplingGraph(n_sites, ((min(i, j), max(i, j), 1.0),)).pairs)
+    ops = SectorOperators(n_sites, [(min(i, j), max(i, j))])
     state = np.asarray(state, dtype=np.complex128)
     if state.shape != (2**ops.n_sites,):
         raise ValueError(f"state must have 2**{ops.n_sites} amplitudes")

@@ -26,7 +26,6 @@ from .hamiltonian import (
     SectorOperators,
     projected_blocks,
     single_lq_graph,
-    sz_sectors,
     two_lq_graph,
 )
 from .linalg import Budget, check_unitary, is_integer, regula_falsi
@@ -624,30 +623,28 @@ def gate_report(u_full: np.ndarray, target: np.ndarray, basis) -> GateReport:
                       float(np.mean(leaks)), phase)
 
 
-def _sector_report(schedule: PulseSchedule, target: np.ndarray, cols: np.ndarray,
+def _sector_report(schedule: PulseSchedule, target: np.ndarray, cols: np.ndarray, m: float,
                    steps_per_unit_time: float) -> GateReport:
-    """Score a schedule on real basis columns that lie in one S_z sector.
+    """Score a schedule on real basis columns that lie in the S_z sector of magnetization m.
 
     Only the invariant blocks of the columns under the segment endpoints are
     evolved (``projected_blocks``).  Every midpoint step is a combination of
     its segment's endpoints, so it leaves the blocks invariant.
     Raises ``ValueError`` when the schedule acts on another register than the
-    columns, or when the columns have nonzero rows in several sectors.
+    columns, or when the columns have nonzero rows outside the sector.
     """
     n_sites = len(cols).bit_length() - 1
     if schedule.n_sites != n_sites:
         raise ValueError(f"schedule acts on {schedule.n_sites} sites, the basis on {n_sites}")
     _check_rate(steps_per_unit_time)
-    rows = np.flatnonzero(np.any(cols != 0, axis=1))
-    sector = next((s for s in sz_sectors(schedule.n_sites) if np.isin(rows, s.indices).all()),
-                  None)
-    if sector is None:
+    pairs = schedule.segments[0].start.pairs if schedule.segments else ()
+    ops = SectorOperators(n_sites, pairs, ms=(m,))
+    (sector,) = ops.sectors
+    if np.any(np.delete(cols, sector.indices, axis=0)):
         raise ValueError("basis columns span more than one S_z sector")
-    cols = cols[np.asarray(sector.indices)]
+    cols = cols[sector.indices]
     if not schedule.segments:
         return gate_report(np.eye(len(cols), dtype=np.complex128), target, cols)
-    first = schedule.segments[0].start
-    ops = SectorOperators(first.n_sites, first.pairs, ms=(sector.m,))
     ends = [ops.weights(g) for seg in schedule.segments for g in (seg.start, seg.end)]
     _, blocks, bases = zip(*projected_blocks(ops, ends, cols.real))
     u = _evolve_sectors(schedule, steps_per_unit_time, list(blocks))
@@ -661,7 +658,7 @@ def single_lq_report(schedule: PulseSchedule, target: np.ndarray,
 
     Only the invariant blocks of the doublet in the m = +1/2 sector are evolved.
     """
-    return _sector_report(schedule, target, logical_basis((0, 1, 2), 3).columns,
+    return _sector_report(schedule, target, logical_basis((0, 1, 2), 3).columns, 0.5,
                           steps_per_unit_time)
 
 
@@ -671,4 +668,4 @@ def two_lq_report(schedule: PulseSchedule, target: np.ndarray,
 
     Only the invariant blocks of the quartet in the m = +1 sector are evolved.
     """
-    return _sector_report(schedule, target, two_lq_basis(), steps_per_unit_time)
+    return _sector_report(schedule, target, two_lq_basis(), 1.0, steps_per_unit_time)

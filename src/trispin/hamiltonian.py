@@ -10,16 +10,16 @@ ground sector for h > 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import DEGENERACY_TOL, Budget, is_integer
 
 IDLE_FIELD = 0.75  # the working field: the default h of every call and command
-# Largest register ``sz_sectors`` (so every sector builder) accepts: the
+# Largest register ``SectorOperators`` (so every sector builder) accepts: the
 # exchange blocks of one edge hold C(2n, n) doubles (1.5 MB at n = 10, 4.8 GB
-# at n = 16), and the S_z sectors are sorted state by state in Python.
+# at n = 16).
 MAX_SITES = Budget(10, "sites")
 
 
@@ -83,14 +83,6 @@ class CouplingGraph:
         return CouplingGraph(self.n_sites, new_edges, self.field_h)
 
 
-@dataclass(frozen=True)
-class SectorBasis:
-    """Product-basis indices with a fixed total magnetization m."""
-
-    m: float
-    indices: tuple[int, ...] = field(default_factory=tuple)
-
-
 def single_lq_graph(j12: float = 1.0, j13: float = 1.0, j23: float = 1.0,
                     h: float = IDLE_FIELD) -> CouplingGraph:
     """One logical qubit on sites (0,1,2); idle mode is all couplings 1."""
@@ -123,21 +115,10 @@ def exchange_term(n_sites: int, i: int, j: int) -> np.ndarray:
 def build_hamiltonian(g: CouplingGraph) -> np.ndarray:
     """H = sum_ij J_ij S_i . S_j  -  h sum_i S_z^i: exchange sector blocks, then the field."""
     ops = SectorOperators(g.n_sites, g.pairs)
-    sz = np.diag([g.n_sites / 2 - bin(idx).count("1") for idx in range(2**g.n_sites)])
-    return ops.embed(ops.blocks(ops.weights(g))).astype(np.complex128) - g.field_h * sz
-
-
-def sz_sectors(n_sites: int) -> list[SectorBasis]:
-    """Partition the product basis by total S_z, highest m first; at most ``MAX_SITES`` sites."""
-    MAX_SITES.check(n_sites)
-    buckets: dict[int, list[int]] = {}
-    for idx in range(2**n_sites):
-        ups = n_sites - bin(idx).count("1")
-        buckets.setdefault(ups, []).append(idx)
-    return [
-        SectorBasis(m=ups - n_sites / 2, indices=tuple(buckets[ups]))
-        for ups in sorted(buckets, reverse=True)
-    ]
+    sz = np.zeros(2**g.n_sites)
+    for s in ops.sectors:
+        sz[s.indices] = s.m
+    return ops.embed(ops.blocks(ops.weights(g))).astype(np.complex128) - g.field_h * np.diag(sz)
 
 
 @dataclass(frozen=True)
@@ -178,18 +159,22 @@ class SectorOperators:
     (``build_hamiltonian`` and ``exchange_term`` embed them); the tests check
     them against Kronecker products of Pauli matrices
     (``kron_hamiltonian`` in ``tests/test_hamiltonian.py``).  ``sectors``
-    lists them highest m first, as ``sz_sectors`` does; ``ms`` keeps only
-    the listed sectors.
+    lists them highest m first: sector k holds the product states with k
+    spins down, indices ascending, at m = n/2 - k.  ``ms`` keeps only the
+    listed sectors; ``pairs`` are checked as the edges of a ``CouplingGraph``.
     """
 
     def __init__(self, n_sites: int, pairs, ms=None):
-        self.n_sites = int(n_sites)
-        self.pairs = tuple((int(i), int(j)) for (i, j) in pairs)
+        MAX_SITES.check(n_sites)
+        register = CouplingGraph(n_sites, tuple((i, j, 0.0) for (i, j) in pairs))
+        self.n_sites, self.pairs = register.n_sites, register.pairs
+        downs = sum((np.arange(2**self.n_sites) >> b) & 1 for b in range(self.n_sites))
         self.sectors = []
-        for s in sz_sectors(self.n_sites):
-            if ms is None or s.m in ms:
-                idx = np.array(s.indices)
-                self.sectors.append(SectorBlock(s.m, idx, self._exchange_blocks(idx)))
+        for k in range(self.n_sites + 1):
+            m = self.n_sites / 2 - k
+            if ms is None or m in ms:
+                idx = np.flatnonzero(downs == k)
+                self.sectors.append(SectorBlock(m, idx, self._exchange_blocks(idx)))
 
     def _exchange_blocks(self, idx: np.ndarray) -> np.ndarray:
         # S_i . S_j is +1/4 on parallel spins and -1/4 on antiparallel ones,
@@ -223,8 +208,15 @@ class SectorOperators:
         Point p has the couplings ``weights[p]``, in ``pairs`` order, and the
         field ``fields[p]``; each sector takes one ``eigvalsh`` call for the
         whole batch.  Each level keeps the sector magnetization it was solved in.
+        Raises ``ValueError`` unless ``weights`` is 2-D with one column per
+        pair, ``fields`` holds one value per row, and every value is finite.
         """
-        fields = np.asarray(fields, dtype=float)
+        weights, fields = np.asarray(weights, dtype=float), np.asarray(fields, dtype=float)
+        if fields.ndim != 1 or weights.shape != (len(fields), len(self.pairs)):
+            raise ValueError(f"need a (points, {len(self.pairs)}) array of couplings "
+                             "and one field per row")
+        if not (np.isfinite(weights).all() and np.isfinite(fields).all()):
+            raise ValueError("couplings and fields must be finite")
         vals = [np.linalg.eigvalsh(stack) - fields[:, None] * s.m
                 for s, stack in zip(self.sectors, self.blocks(weights))]
         labels = [np.full(v.shape[1], s.m) for s, v in zip(self.sectors, vals)]
@@ -236,7 +228,7 @@ class SectorOperators:
         Every level carries a sector's magnetization, also inside degeneracies
         across sectors: in a run of levels each within the degeneracy
         tolerance of the next (``linalg.DEGENERACY_TOL`` of the row's largest
-        magnitude), the labels go highest m first, as ``sz_sectors`` lists
+        magnitude), the labels go highest m first, as ``sectors`` lists
         them, so that rounding does not order them.
         """
         vals, labels = self.levels(weights, fields)
@@ -318,6 +310,9 @@ def sector_spectrum(g: CouplingGraph) -> tuple[np.ndarray, np.ndarray]:
 
 def basis_state(n_sites: int, down_sites: tuple[int, ...]) -> np.ndarray:
     """Product state with the given sites down and all others up; at most ``MAX_SITES`` sites."""
+    if not (is_integer(n_sites) and all(is_integer(s) for s in down_sites)):
+        raise ValueError(f"n_sites and down sites must be integers, got {n_sites!r}, "
+                         f"{down_sites!r}")
     MAX_SITES.check(n_sites)
     idx = 0
     for s in down_sites:

@@ -27,7 +27,7 @@ from .gates import (
 )
 from .hamiltonian import (IDLE_FIELD, SectorOperators, sector_spectrum, single_lq_graph,
                           two_lq_graph)
-from .linalg import Budget, regula_falsi
+from .linalg import Budget, is_integer, regula_falsi
 
 MU_B_MICROEV_PER_TESLA = 57.88
 INTRA_COUPLINGS = ("j12", "j13", "j23")  # the edge order of single_lq_graph
@@ -117,6 +117,8 @@ def _sweep(name: str, lo: float, hi: float, n_points: int, base, edge, logical_a
     one batch for the grid.  ``logical_at(xs)`` gives the logical levels at an
     array of values, one row each; ``gap_fn(spectra, logical)`` each row's gap.
     """
+    if not is_integer(n_points):
+        raise ValueError(f"n_points must be an integer, got {n_points!r}")
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     MAX_GRID_POINTS.check(n_points)

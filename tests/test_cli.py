@@ -182,13 +182,21 @@ class TestSpectrumCommand:
             raise AssertionError("operators built for an oversized register")
 
         monkeypatch.setattr(hamiltonian.SectorOperators, "__init__", no_operators)
-        monkeypatch.setattr(hamiltonian, "sz_sectors", no_operators)
-        monkeypatch.setattr(cli, "sz_sectors", no_operators)
         monkeypatch.chdir(tmp_path)
         assert cli.main(["spectrum", "--n-sites", "11", "--edges", "0-1:1",
                          "--out", "s.json"]) == cli.EXIT_CONFIG
         assert "--n-sites 11: at most 10 sites" in capsys.readouterr().err
         assert not (tmp_path / "s.json").exists()
+
+    def test_sector_sizes_are_the_operator_sectors(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for n_sites in range(1, 11):
+            assert cli.main(["spectrum", "--n-sites", str(n_sites), "--edges", "",
+                             "--out", "s.json"]) == cli.EXIT_OK
+            sizes = json.loads((tmp_path / "s.json").read_text())["sector_sizes"]
+            assert list(sizes.items()) == [
+                (str(s.m), len(s.indices))
+                for s in hamiltonian.SectorOperators(n_sites, ()).sectors]
 
     def test_largest_register_runs(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

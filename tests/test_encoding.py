@@ -73,6 +73,10 @@ class TestLogicalBasis:
         with pytest.raises(ValueError):
             logical_basis((0, 1, 1), 3)
 
+    def test_rejects_a_non_integral_site(self):
+        with pytest.raises(ValueError, match="integer"):
+            logical_basis((0, 1, 2.5), 3)
+
 
 class TestEffectiveH1:
     def test_idle_is_pure_identity(self):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,10 +12,9 @@ from trispin.hamiltonian import (
     exchange_term,
     sector_spectrum,
     single_lq_graph,
-    sz_sectors,
     two_lq_graph,
 )
-from trispin.linalg import max_abs
+from trispin.linalg import BudgetError, max_abs
 
 PAULI_HALF = tuple(np.array(m, dtype=np.complex128) / 2 for m in (
     [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]))
@@ -152,23 +152,24 @@ class TestBuildHamiltonian:
 
 
 class TestSectors:
-    def test_three_site_sizes(self):
-        sizes = {s.m: len(s.indices) for s in sz_sectors(3)}
-        assert sizes == {1.5: 1, 0.5: 3, -0.5: 3, -1.5: 1}
-
-    def test_six_site_m_plus_one(self):
-        sector = next(s for s in sz_sectors(6) if s.m == 1.0)
-        assert len(sector.indices) == 15
-
-    def test_sector_sizes_sum(self):
-        assert sum(len(s.indices) for s in sz_sectors(5)) == 32
+    def test_sectors_partition_the_product_basis(self):
+        for n_sites in range(1, 11):
+            sectors = SectorOperators(n_sites, ()).sectors
+            ks = range(n_sites + 1)
+            assert [len(s.indices) for s in sectors] == [math.comb(n_sites, k) for k in ks]
+            # highest m first
+            assert [s.m for s in sectors] == [n_sites / 2 - k for k in ks]
+            for k, s in zip(ks, sectors):
+                assert np.all(np.diff(s.indices) > 0)
+                # a set bit is a down spin
+                assert all(bin(i).count("1") == k for i in s.indices)
+            assert sorted(np.concatenate([s.indices for s in sectors])) == list(range(2**n_sites))
 
     def test_no_cross_sector_elements(self):
         h = build_hamiltonian(single_lq_graph(h=0.75))
         mask = np.zeros_like(h, dtype=bool)
-        for s in sz_sectors(3):
-            idx = np.asarray(s.indices)
-            mask[np.ix_(idx, idx)] = True
+        for s in SectorOperators(3, ()).sectors:
+            mask[np.ix_(s.indices, s.indices)] = True
         assert max_abs(h[~mask]) <= 1e-15
 
 
@@ -204,6 +205,11 @@ class TestCouplingGraph:
         with pytest.raises(ValueError):
             g.with_couplings({(0, 4): 1.0})
 
+    @pytest.mark.parametrize("n_sites,down", [(3, (2.5,)), (2.5, (0,)), (3, (True,))])
+    def test_basis_state_rejects_non_integral_sites(self, n_sites, down):
+        with pytest.raises(ValueError, match="integer"):
+            basis_state(n_sites, down)
+
     def test_basis_state_indexing(self):
         # site 0 is the most significant bit; bit set means spin down
         v = basis_state(3, (2,))
@@ -218,8 +224,8 @@ class TestSectorOperators:
         pairs = list(itertools.combinations(range(n_sites), 2))
         ops = SectorOperators(n_sites, pairs)
         oracle = [kron_hamiltonian(CouplingGraph(n_sites, ((i, j, 1.0),))) for (i, j) in pairs]
-        # one block per sector, in the order of ``sz_sectors``
-        assert [s.m for s in ops.sectors] == [s.m for s in sz_sectors(n_sites)]
+        # one block per sector, highest m first
+        assert [s.m for s in ops.sectors] == [n_sites / 2 - k for k in range(n_sites + 1)]
         seen = 0
         for sector in ops.sectors:
             idx = sector.indices
@@ -253,6 +259,27 @@ class TestSectorOperators:
         ops = SectorOperators(3, single_lq_graph().pairs)
         with pytest.raises(ValueError, match="edge set"):
             ops.weights(g)
+
+    # a site off the register, a self-loop, a float site, a negative site, no
+    # sites, a float site count, a reversed pair
+    @pytest.mark.parametrize("n_sites,pairs", [
+        (3, [(0, 3)]), (3, [(1, 1)]), (3, [(0, 2.5)]), (3, [(0, -1)]),
+        (0, []), (2.5, []), (3, [(1, 0)]),
+    ])
+    def test_bad_registers_are_rejected_before_any_operator(self, monkeypatch, n_sites, pairs):
+        monkeypatch.setattr(SectorOperators, "_exchange_blocks", _no_operators)
+        with pytest.raises(ValueError) as err:
+            SectorOperators(n_sites, pairs)
+        assert not isinstance(err.value, BudgetError)
+
+    def test_oversized_register_is_rejected_before_any_operator(self, monkeypatch):
+        monkeypatch.setattr(SectorOperators, "_exchange_blocks", _no_operators)
+        with pytest.raises(BudgetError, match="at most 10 sites"):
+            SectorOperators(11, [(0, 1)])
+
+
+def _no_operators(*args, **kwargs):
+    raise AssertionError("operators built for a register that is rejected")
 
 
 def rows(graphs):
@@ -292,3 +319,25 @@ class TestSectorSpectra:
         monkeypatch.setattr(np.linalg, "eigvalsh", nudged)
         for _ in range(10):
             assert np.array_equal(ops.spectra(weights, fields)[1], labels)
+
+    # one field for several rows, a row of 2 couplings on 3 edges, one row
+    # not in a batch, fields not in a row, a NaN coupling, an infinite field
+    @pytest.mark.parametrize("weights,fields", [
+        (np.ones((3, 3)), [0.75]), (np.ones((1, 2)), [0.75]), (np.ones(3), [0.75]),
+        (np.ones((1, 3)), [[0.75]]), ([[1.0, np.nan, 1.0]], [0.75]), (np.ones((1, 3)), [np.inf]),
+    ])
+    def test_levels_reject_rows_they_cannot_solve(self, weights, fields):
+        ops = SectorOperators(3, single_lq_graph().pairs)
+        for solve in (ops.levels, ops.spectra):
+            with pytest.raises(ValueError, match="field per row|finite"):
+                solve(weights, fields)
+
+    def test_levels_of_valid_rows_are_the_sector_eigenvalues(self):
+        batch = [two_lq_graph(j14=x, h=h) for x, h in ((0.2, 0.75), (0.5, 0.0))]
+        ops, weights, fields = rows(batch)
+        vals, labels = ops.levels(weights, fields)
+        for p, (w, h) in enumerate(zip(weights, fields)):
+            assert np.array_equal(vals[p], np.concatenate(
+                [np.linalg.eigvalsh(s.exchange(w)) - h * s.m for s in ops.sectors]))
+        assert np.array_equal(labels, np.concatenate(
+            [np.full(len(s.indices), s.m) for s in ops.sectors]))

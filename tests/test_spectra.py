@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,7 +13,6 @@ from trispin.hamiltonian import (
     build_hamiltonian,
     sector_spectrum,
     single_lq_graph,
-    sz_sectors,
     two_lq_graph,
 )
 from trispin.spectra import (
@@ -260,6 +261,16 @@ class TestSweepInter:
             sweep_inter(-0.1, 0.5, 11)
 
 
+@pytest.mark.parametrize("run", [
+    lambda: sweep_field(0.0, 1.0, 2.5),
+    lambda: sweep_intra("j12", 0.5, 1.5, 3.0),
+    lambda: sweep_inter(0.0, 0.5, 3.0),
+], ids=["field", "intra", "inter"])
+def test_sweeps_reject_a_non_integral_point_count(run):
+    with pytest.raises(ValueError, match="n_points must be an integer"):
+        run()
+
+
 class TestAdiabaticCurve:
     def test_leakage_decreases_with_ramp_time(self):
         rows = adiabatic_leakage_curve(np.pi, 0.4, [2.0, 4.0],
@@ -368,7 +379,7 @@ class TestBatchedSweeps:
         result, logical = run()
         n_sites = int(np.log2(result.spectra.shape[1]))
         grid_solves = [s[-1] for s in shapes if len(s) == 3 and s[0] == 31]
-        assert sorted(grid_solves) == sorted([len(s.indices) for s in sz_sectors(n_sites)]
+        assert sorted(grid_solves) == sorted([math.comb(n_sites, k) for k in range(n_sites + 1)]
                                              + logical)
 
 

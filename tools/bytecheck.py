@@ -38,6 +38,10 @@ COMMANDS = [
     ["spectrum", "--n-sites", "6", "--h", "0.5",
      "--edges", "0-1:1,1-2:0.7,2-3:1.2,3-4:0.4,4-5:1,0-5:0.3,1-4:0.9,2-5:0.6"],
     ["spectrum", "--n-sites", "2", "--edges", ""],
+    # one site, half-integer m, and the largest register with 11 sectors
+    ["spectrum", "--n-sites", "1", "--edges", ""],
+    ["spectrum", "--n-sites", "5", "--edges", "0-1:1,1-2:1,2-3:1,3-4:1"],
+    ["spectrum", "--n-sites", "10", "--edges", "0-1:1,2-3:0.5,8-9:2"],
     ["sweep-field"], ["sweep-field", "--format", "json"],
     ["sweep-intra"], ["sweep-intra", "--which", "j12", "--format", "json"],
     ["sweep-intra", "--which", "j13", "--points", "41"],
@@ -62,6 +66,9 @@ COMMANDS = [
     ["gate", "--type", "cphase", "--ramp-shape", "linear", "--j14", "0.3"],
     ["gate", "--type", "cphase", "--j14", "0.1", "--ramp-time", "10", "--steps-per-unit", "20"],
     ["gate", "--type", "cphase", "--phi", "0"],
+    ["gate", "--type", "cphase", "--ramp-time", "5"],
+    ["gate", "--type", "cphase", "--ramp-shape", "linear"],
+    ["adiabatic"], ["adiabatic", "--format", "json"],
     ["gate", "--type", "rx", "--h", "1.7e308"],
     ["adiabatic", "--j14", "0.3", "--ramp-times", "2,4"],
     ["adiabatic", "--j14", "0.3", "--ramp-times", "2,4", "--format", "json"],
