@@ -152,6 +152,17 @@ class TestBuildHamiltonian:
 
 
 class TestSectors:
+    def test_three_site_sizes(self):
+        sizes = {s.m: len(s.indices) for s in SectorOperators(3, ()).sectors}
+        assert sizes == {1.5: 1, 0.5: 3, -0.5: 3, -1.5: 1}
+
+    def test_six_site_m_plus_one(self):
+        sector = next(s for s in SectorOperators(6, ()).sectors if s.m == 1.0)
+        assert len(sector.indices) == 15
+
+    def test_sector_sizes_sum(self):
+        assert sum(len(s.indices) for s in SectorOperators(5, ()).sectors) == 32
+
     def test_sectors_partition_the_product_basis(self):
         for n_sites in range(1, 11):
             sectors = SectorOperators(n_sites, ()).sectors
