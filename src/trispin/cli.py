@@ -76,27 +76,12 @@ def parse_angle(token: str) -> float:
     return angle
 
 
-def _within(flag: str, value, check: Callable, *args) -> None:
-    """Run a library budget check before any work, naming the flag of a request past its cap."""
+def _within(flag: str, value, check: Callable, *args):
+    """``check(*args)`` before any work, naming the flag of a request past a library cap."""
     try:
-        check(*args)
+        return check(*args)
     except BudgetError as exc:
         raise BudgetError(f"--{flag} {value}: {exc}") from None
-
-
-def parse_grid(token: str) -> tuple[float, float, int]:
-    """'start:stop:npts' grid specification."""
-    parts = str(token).split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"invalid grid {token!r}: expected start:stop:npts")
-    try:
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise ConfigError(f"invalid grid {token!r}: non-numeric field") from None
-    if n < 1:
-        raise ConfigError(f"invalid grid {token!r}: need at least one point")
-    _within("grid", token, encoding.MAX_GRID_POINTS.check, n)
-    return lo, hi, n
 
 
 def parse_edges(token: str, n_sites: int) -> CouplingGraph:
@@ -211,6 +196,8 @@ def parse_config(argv: list[str]) -> RunConfig:
     known = set()
     for name, meta in COMMANDS.items():
         p = sub.add_parser(name, help=meta["help"])
+        if argv[:1] != [name]:  # only the named command's flags are parsed
+            continue
         for param in meta["params"] + COMMON:
             flags = [f"--{param.name}"] + [f"--{a}" for a in param.aliases]
             p.add_argument(*flags, dest=param.name.replace("-", "_"),
@@ -354,11 +341,6 @@ def _sweep_artifacts(result: spectra.SweepResult, extra: dict) -> dict:
     }}
 
 
-def _linspace(lo: float, hi: float, n: int) -> np.ndarray:
-    with np.errstate(all="ignore"):  # lambda_curve rejects a non-finite grid
-        return np.linspace(lo, hi, n)
-
-
 # ---------------------------------------------------------------------------
 # Command implementations: parameters -> ({format: artifact}, summary), with a
 # CSV artifact as (header, table) and a JSON one as its payload
@@ -424,10 +406,7 @@ def _run_sweep_inter(p: dict) -> tuple[dict, str]:
 
 
 def _run_lambdas(p: dict) -> tuple[dict, str]:
-    if p["points"] < 1:
-        raise ConfigError(f"--points: need at least one point, got {p['points']}")
-    _within("points", p["points"], encoding.MAX_GRID_POINTS.check, p["points"])
-    grid = _linspace(p["min"], p["max"], p["points"])
+    grid = _within("points", p["points"], encoding.uniform_grid, p["min"], p["max"], p["points"])
     header = ["j14", "lambda00", "lambda01", "lambda11", "entangling"]
     table = np.array([[t.j14, t.lambda_00, t.lambda_01, t.lambda_11, t.entangling_rate]
                       for t in encoding.lambda_triples(grid, h=p["h"])])
@@ -439,7 +418,8 @@ def _run_lambdas(p: dict) -> tuple[dict, str]:
 
 
 def _run_verify(p: dict) -> tuple[dict, str]:
-    report = encoding.verify_lambda_polynomials(_linspace(*parse_grid(p["grid"])), h=p["h"])
+    grid = _within("points", p["points"], encoding.uniform_grid, p["min"], p["max"], p["points"])
+    report = encoding.verify_lambda_polynomials(grid, h=p["h"])
     summary = {
         "max_cubic_residual_on_11": max(r["cubic_residual_on_11"] for r in report),
         "min_cubic_residual_on_01": min(r["cubic_residual_on_01"] for r in report),
@@ -553,6 +533,11 @@ def _run_units(p: dict) -> tuple[dict, str]:
                                f"gap = {fmt_float(units.gap_microev)} microeV")
 
 
+# the parameters of lambdas and verify-eq7: a j14 grid and the field
+J14_GRID = (
+    Param("min", "float", 0.0), Param("max", "float", 0.7),
+    Param("points", "int", 71), Param("h", "float", hamiltonian.IDLE_FIELD),
+)
 # command -> help, runner, the formats it writes (the first is the default)
 # and its parameters
 COMMANDS: dict[str, dict] = {
@@ -601,19 +586,13 @@ COMMANDS: dict[str, dict] = {
         "help": "tracked logical quartet eigenvalues vs the inter-triple coupling",
         "run": _run_lambdas,
         "formats": ("csv", "json"),
-        "params": (
-            Param("min", "float", 0.0), Param("max", "float", 0.7),
-            Param("points", "int", 71), Param("h", "float", hamiltonian.IDLE_FIELD),
-        ),
+        "params": J14_GRID,
     },
     "verify-eq7": {
         "help": "residuals of the reference eigenvalue polynomials",
         "run": _run_verify,
         "formats": ("json",),
-        "params": (
-            Param("grid", "str", "0:0.7:71", "j14 grid as start:stop:npts"),
-            Param("h", "float", hamiltonian.IDLE_FIELD),
-        ),
+        "params": J14_GRID,
     },
     "gate": {
         "help": "synthesize a gate schedule, propagate it, and score it",

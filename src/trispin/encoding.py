@@ -34,10 +34,10 @@ from .hamiltonian import (
     single_lq_graph,
     two_lq_graph,
 )
-from .linalg import Budget, degeneracy_tol, max_abs
+from .linalg import Budget, degeneracy_tol, is_integer, max_abs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogicalBasis:
     """|0_L>, |1_L> of one triple embedded in the full 2^n space."""
 
@@ -51,7 +51,7 @@ class LogicalBasis:
         return np.stack([self.zero_l, self.one_l], axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffectiveHamiltonian:
     """Traceless logical-block matrix plus the discarded identity part."""
 
@@ -224,6 +224,40 @@ class _SectorTracker:
 # Grid points of ``lambda_curve`` and of the sweeps in ``spectra``: at the
 # cap the largest, ``spectra.sweep_inter``, took 1.6 s and 133 MB.
 MAX_GRID_POINTS = Budget(10_000, "points")
+
+
+def _check_bounds(lo: float, hi: float) -> None:
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("sweep bounds must be finite")
+    if not lo < hi:
+        raise ValueError("sweep needs its lower bound below its upper bound")
+
+
+def _check_grid(grid) -> None:
+    g = np.asarray(grid, dtype=float)
+    if g.ndim != 1 or len(g) < 2 or np.any(np.diff(g) <= 0):
+        raise ValueError("grid must be strictly increasing with >= 2 points")
+
+
+def uniform_grid(lo: float, hi: float, n_points: int) -> np.ndarray:
+    """``np.linspace(lo, hi, n_points)`` once each rule holds, else ``ValueError``.
+
+    The count is an integer from 1 to ``MAX_GRID_POINTS`` (past it, ``BudgetError``),
+    the bounds are finite with ``lo < hi`` and ``hi - lo`` finite, and no value repeats.
+    """
+    if not is_integer(n_points):
+        raise ValueError(f"n_points must be an integer, got {n_points!r}")
+    if n_points < 1:
+        raise ValueError("n_points must be at least 1")
+    MAX_GRID_POINTS.check(n_points)
+    _check_bounds(lo, hi)
+    if not np.isfinite(float(hi) - float(lo)):  # np.linspace would overflow
+        raise ValueError("sweep bounds must lie less than the largest double apart")
+    grid = np.linspace(lo, hi, n_points)
+    # bounds closer than n_points steps of a double repeat grid values
+    if n_points > 1:
+        _check_grid(grid)
+    return grid
 
 
 def _check_field(h: float) -> None:

@@ -582,7 +582,7 @@ def synthesize_cphase(phi: float, j14_peak: float, ramp_time: float,
 # Gate scoring
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GateReport:
     """Fidelity, leakage, and phase diagnostics of a propagated gate."""
 

@@ -121,7 +121,7 @@ def build_hamiltonian(g: CouplingGraph) -> np.ndarray:
     return ops.embed(ops.blocks(ops.weights(g))).astype(np.complex128) - g.field_h * np.diag(sz)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectorBlock:
     """Exchange operators of one S_z sector, or of one invariant block projected from one.
 
@@ -165,8 +165,8 @@ class SectorOperators:
     """
 
     def __init__(self, n_sites: int, pairs, ms=None):
-        MAX_SITES.check(n_sites)
         register = CouplingGraph(n_sites, tuple((i, j, 0.0) for (i, j) in pairs))
+        MAX_SITES.check(register.n_sites)
         self.n_sites, self.pairs = register.n_sites, register.pairs
         downs = sum((np.arange(2**self.n_sites) >> b) & 1 for b in range(self.n_sites))
         self.sectors = []

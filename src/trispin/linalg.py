@@ -40,7 +40,9 @@ class Budget:
     unit: str
 
     def check(self, count: float) -> None:
-        """Raise ``BudgetError`` when ``count`` is above the cap."""
+        """Raise ``BudgetError`` above the cap, ``ValueError`` for a count that is no number."""
+        if not isinstance(count, numbers.Real):
+            raise ValueError(f"a count of {self.unit} must be a real number, got {count!r}")
         if count > self.cap:
             raise BudgetError(f"at most {self.cap} {self.unit}")
 

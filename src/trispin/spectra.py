@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import MAX_GRID_POINTS, _SectorTracker, effective_h1
+from .encoding import _check_bounds, _check_grid, _SectorTracker, effective_h1, uniform_grid
 from .gates import (
     CALIBRATION_NODES,
     STEPS_PER_UNIT_TIME,
@@ -38,20 +38,7 @@ CROSSING_MAX_PROBES = 100
 MAX_RAMP_TIMES = Budget(32, "ramp times")
 
 
-def _check_bounds(lo: float, hi: float) -> None:
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ValueError("sweep bounds must be finite")
-    if not lo < hi:
-        raise ValueError("sweep needs its lower bound below its upper bound")
-
-
-def _check_grid(grid) -> None:
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or len(g) < 2 or np.any(np.diff(g) <= 0):
-        raise ValueError("grid must be strictly increasing with >= 2 points")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     """Spectra tabulated over one swept parameter.
 
@@ -117,15 +104,9 @@ def _sweep(name: str, lo: float, hi: float, n_points: int, base, edge, logical_a
     one batch for the grid.  ``logical_at(xs)`` gives the logical levels at an
     array of values, one row each; ``gap_fn(spectra, logical)`` each row's gap.
     """
-    if not is_integer(n_points):
-        raise ValueError(f"n_points must be an integer, got {n_points!r}")
-    if n_points < 2:
+    if is_integer(n_points) and n_points < 2:  # any other count fails in uniform_grid
         raise ValueError("n_points must be at least 2")
-    MAX_GRID_POINTS.check(n_points)
-    _check_bounds(lo, hi)
-    grid = np.linspace(lo, hi, n_points)
-    # bounds closer than n_points steps of a double repeat grid values
-    _check_grid(grid)
+    grid = uniform_grid(lo, hi, n_points)
     ops = SectorOperators(base.n_sites, base.pairs)
     row = np.append(ops.weights(base), base.field_h)  # the field is the last column
     swept = np.arange(len(row)) == (len(row) - 1 if edge is None else edge)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trispin import BudgetError, encoding, gates, hamiltonian, spectra
+from trispin.linalg import Budget
 
 
 def chain(n_sites: int) -> hamiltonian.CouplingGraph:
@@ -49,6 +50,14 @@ TO_ONE = {"singlet_probability"}
 
 def test_a_budget_error_is_a_value_error():
     assert issubclass(BudgetError, ValueError)
+
+
+@pytest.mark.parametrize("count", ["5", None, 5j, [5]])
+def test_a_count_that_is_no_number_is_a_value_error(count):
+    # a str or None raised TypeError from the comparison with the cap
+    with pytest.raises(ValueError, match="^a count of x must be a real number, got ") as err:
+        Budget(10, "x").check(count)
+    assert not isinstance(err.value, BudgetError)
 
 
 class TestLibraryBudget:

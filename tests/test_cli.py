@@ -207,7 +207,8 @@ class TestSpectrumCommand:
 
 class TestVerifyCommand:
     def test_report(self, run_main, tmp_path):
-        res = run_main(["verify-eq7", "--grid", "0:0.5:6", "--out", "v.json"])
+        res = run_main(["verify-eq7", "--min", "0", "--max", "0.5", "--points", "6",
+                        "--out", "v.json"])
         assert res.returncode == 0
         data = json.loads((tmp_path / "v.json").read_text())
         assert data["max_cubic_residual_on_11"] <= 1e-9
@@ -217,10 +218,22 @@ class TestVerifyCommand:
         assert data["quadratic_real_anywhere"] is False
         assert len(data["points"]) == 6
 
-    def test_bad_grid(self, run_main):
-        res = run_main(["verify-eq7", "--grid", "0-0.5-6"])
-        assert res.returncode == 2
-        assert "grid" in res.stderr
+    def test_bad_grid(self, run_main, tmp_path):
+        res = run_main(["verify-eq7", "--min", "0.5", "--max", "0"])
+        assert res.returncode == 3
+        assert res.stderr == ("precondition violated: sweep needs its lower bound below "
+                              "its upper bound\n")
+        assert not any(tmp_path.iterdir())
+
+    def test_grid_is_no_flag_or_config_key(self, run_main, tmp_path):
+        res = run_main(["verify-eq7", "--grid", "0:0.5:6"])
+        assert (res.returncode, res.stderr) == (2, "error: unrecognized arguments: --grid "
+                                                   "0:0.5:6\n")
+        (tmp_path / "v.cfg").write_text("grid = 0:0.5:6\n")
+        res = run_main(["verify-eq7", "--config", "v.cfg"])
+        assert (res.returncode, res.stderr) == (2, "error: unknown config key 'grid' for "
+                                                   "command verify-eq7\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["v.cfg"]
 
 
 class TestGateCommand:
@@ -497,7 +510,7 @@ class TestFlagValues:
         (["lambdas", "--h", "-1e-3", "--points", "3"], 0),
         (["sweep-field", "--min", "-1e-3", "--max", "1", "--points", "5"], 0),
         (["spectrum", "--h", "-.5", "--format", "csv"], 0),
-        (["lambdas", "--points", "-2"], 2),
+        (["lambdas", "--points", "-2"], 3),
         (["gate", "--type", "rx", "--theta", "-inf"], 2),
         (["sweep-inter", "--min", "-0.1", "--points", "5"], 3),
         (["units", "--h", "-1"], 3),
@@ -530,17 +543,26 @@ class TestFlagValues:
         assert not any(tmp_path.iterdir())
 
     # a flag is its exact name or a declared alias (TestUnitsCommand runs
-    # --J), never a prefix of one
+    # --J), never a prefix of one; another command's flag reads as typed,
+    # since only the named command's flags take a value after a space
     @pytest.mark.parametrize("argv,rest", [
         (["sweep-field", "--poin", "5"], "--poin 5"),
         (["gate", "--type", "rx", "--the=-pi/4"], "--the=-pi/4"),
         (["gate", "--type", "rx", "--thet", "-pi/4"], "--thet -pi/4"),
+        (["units", "--euler", "-1"], "--euler -1"),
+        (["spectrum", "--theta", "-pi/4"], "--theta -pi/4"),
     ])
     def test_flag_prefixes_are_unrecognized(self, run_main, tmp_path, argv, rest):
         res = run_main(argv)
         assert res.returncode == 2 and not res.stdout
         assert res.stderr == f"error: unrecognized arguments: {rest}\n"
         assert not any(tmp_path.iterdir())
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        out = capsys.readouterr().out
+        assert all(f"    {name} " in out for name in cli.COMMANDS)
 
     @pytest.mark.parametrize("argv", [["--help"], ["gate", "-h"], ["units", "--help"]])
     def test_help_exits_0(self, tmp_path, monkeypatch, capsys, argv):
@@ -556,7 +578,7 @@ class TestFlagValues:
 QUICK_ARGS = {
     "spectrum": [], "sweep-field": ["--points", "5"], "sweep-intra": ["--points", "5"],
     "sweep-inter": ["--points", "5"], "lambdas": ["--points", "3"],
-    "verify-eq7": ["--grid", "0:0.5:3"], "gate": [],
+    "verify-eq7": ["--max", "0.5", "--points", "3"], "gate": [],
     "adiabatic": ["--j14", "0.3", "--ramp-times", "2", "--cal-steps", "40",
                   "--steps-per-unit", "20"],
     "units": [],
@@ -612,7 +634,7 @@ class TestFormats:
         for argv in bytecheck.COMMANDS:
             try:
                 cfg = cli.parse_config(argv)
-            except cli.ConfigError:
+            except (cli.ConfigError, SystemExit):  # a bad argv, or --help
                 continue
             written.add((cfg.command, cfg.fmt))
         assert written == set(WRITTEN)
@@ -622,8 +644,8 @@ class TestRejectedValues:
     @pytest.mark.parametrize("points", ["0", "-2"])
     def test_lambdas_needs_a_point(self, run_main, tmp_path, points):
         res = run_main(["lambdas", "--points", points, "--out", "lam.csv"])
-        assert res.returncode == 2
-        assert "--points" in res.stderr and "Traceback" not in res.stderr
+        assert res.returncode == 3
+        assert res.stderr == "precondition violated: n_points must be at least 1\n"
         assert not (tmp_path / "lam.csv").exists()
 
     @pytest.mark.parametrize("command", [
@@ -671,7 +693,7 @@ BUDGETS = {
     "sweep-intra": (lambda n: ["sweep-intra", "--points", str(n)], encoding.MAX_GRID_POINTS.cap),
     "sweep-inter": (lambda n: ["sweep-inter", "--points", str(n)], encoding.MAX_GRID_POINTS.cap),
     "lambdas": (lambda n: ["lambdas", "--points", str(n)], encoding.MAX_GRID_POINTS.cap),
-    "verify-eq7": (lambda n: ["verify-eq7", "--grid", f"0:0.7:{n}"], encoding.MAX_GRID_POINTS.cap),
+    "verify-eq7": (lambda n: ["verify-eq7", "--points", str(n)], encoding.MAX_GRID_POINTS.cap),
     "gate-cal-steps": (lambda n: ["gate", "--type", "cphase", "--cal-steps", str(n)],
                        gates.MAX_CALIBRATION_NODES.cap),
     "adiabatic-cal-steps": (lambda n: ["adiabatic", "--cal-steps", str(n)],
@@ -769,14 +791,14 @@ class TestSweepBounds:
     @pytest.mark.parametrize("command", [
         ["lambdas", "--max", "inf"],
         ["lambdas", "--min", "nan"],
-        ["verify-eq7", "--grid", "nan:0.5:3"],
+        ["verify-eq7", "--min", "nan", "--max", "0.5", "--points", "3"],
     ])
     def test_non_finite_j14_grid_fails_before_any_eigensolve(self, run_main, tmp_path,
                                                              monkeypatch, command):
         self.forbid_eigensolves(monkeypatch)
         res = run_main([*command, "--out", "x.out"])
         assert res.returncode == 3
-        assert res.stderr == "precondition violated: j14 grid must be finite\n"
+        assert res.stderr == "precondition violated: sweep bounds must be finite\n"
         assert not (tmp_path / "x.out").exists()
 
     @pytest.mark.parametrize("command", ["lambdas", "verify-eq7"])
@@ -799,6 +821,44 @@ class TestSweepBounds:
                          "--out", "s.csv"]) == 3
         assert "grid must be strictly increasing" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
+
+
+GRID_CAP = encoding.MAX_GRID_POINTS.cap
+# flags of a grid that breaks the grid rule, the exit code, and the message of
+# the one stderr line, with the fewest points the command takes for {fewest}
+BAD_GRIDS = {
+    "count-0": (["--points", "0"], 3, "n_points must be at least {fewest}"),
+    "count-past-the-cap": (["--points", str(GRID_CAP + 1)], 2,
+                           f"--points {GRID_CAP + 1}: at most {GRID_CAP} points"),
+    "nan-bound": (["--min", "nan"], 3, "sweep bounds must be finite"),
+    "reversed-bounds": (["--min", "0.5", "--max", "0.1"], 3,
+                        "sweep needs its lower bound below its upper bound"),
+    # the next double above 0.5 as the upper bound
+    "repeated-values": (["--min", "0.5", "--max", "0.5000000000000001", "--points", "3"], 3,
+                        "grid must be strictly increasing with >= 2 points"),
+}
+
+
+class TestGridRule:
+    """The five grid commands reject a bad grid by one rule, before any eigensolve."""
+
+    @pytest.mark.parametrize("bad", list(BAD_GRIDS))
+    @pytest.mark.parametrize("command", ["sweep-field", "sweep-intra", "sweep-inter",
+                                         "lambdas", "verify-eq7"])
+    def test_bad_grid_is_rejected_before_any_eigensolve(self, run_main, tmp_path, monkeypatch,
+                                                        command, bad):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("eigensolve before the grid was checked")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+        monkeypatch.setattr(np.linalg, "eigh", no_solve)
+        flags, code, message = BAD_GRIDS[bad]
+        fewest = 1 if command in ("lambdas", "verify-eq7") else 2
+        res = run_main([command, *flags, "--out", "x.out"])
+        assert (res.returncode, res.stdout) == (code, "")
+        kind = "error" if code == cli.EXIT_CONFIG else "precondition violated"
+        assert res.stderr == f"{kind}: {message.format(fewest=fewest)}\n"
+        assert not any(tmp_path.iterdir())
 
 
 def jsonable(obj):

@@ -12,6 +12,7 @@ from trispin.encoding import (
     project_effective,
     singlet_probability,
     two_lq_basis,
+    uniform_grid,
     verify_lambda_polynomials,
 )
 from trispin.gates import RAMP_PROFILES
@@ -21,7 +22,7 @@ from trispin.hamiltonian import (
     single_lq_graph,
     two_lq_graph,
 )
-from trispin.linalg import max_abs
+from trispin.linalg import BudgetError, max_abs
 
 from test_hamiltonian import swap_matrix, total_spin
 
@@ -262,6 +263,45 @@ class TestLambdaSpectrum:
     def test_triples_equal_lambda_spectrum(self):
         grid = [0.0, 0.25, 0.7]
         assert encoding.lambda_triples(grid, h=0.3) == [lambda_spectrum(x, h=0.3) for x in grid]
+
+
+class TestUniformGrid:
+    @pytest.mark.parametrize("lo, hi, n", [(0.0, 0.7, 71), (0.0, 1.5, 301), (-0.5, 2.0, 2),
+                                           (0.5, 0.6, 1), (0.0, 5e-324, 2)])
+    def test_is_linspace(self, lo, hi, n):
+        grid = uniform_grid(lo, hi, n)
+        assert grid.dtype == np.float64
+        assert grid.tobytes() == np.linspace(lo, hi, n).tobytes()
+
+    @pytest.mark.parametrize("lo, hi, n, message", [
+        (0.0, 0.7, 3.0, "^n_points must be an integer, got 3.0$"),
+        (0.0, 0.7, True, "^n_points must be an integer, got True$"),
+        (0.0, 0.7, "3", "^n_points must be an integer, got '3'$"),
+        (0.0, 0.7, 0, "^n_points must be at least 1$"),
+        (0.0, 0.7, -2, "^n_points must be at least 1$"),
+        (np.nan, 0.7, 3, "^sweep bounds must be finite$"),
+        (0.0, np.inf, 1, "^sweep bounds must be finite$"),
+        (0.5, 0.1, 1, "^sweep needs its lower bound below its upper bound$"),
+        (0.5, 0.5, 3, "^sweep needs its lower bound below its upper bound$"),
+        (-1e308, 1e308, 3, "^sweep bounds must lie less than the largest double apart$"),
+        (0.0, 5e-324, 3, r"^grid must be strictly increasing with >= 2 points$"),
+        (0.5, 0.5000000000000001, 3, r"^grid must be strictly increasing with >= 2 points$"),
+    ])
+    def test_each_rule_is_checked(self, lo, hi, n, message):
+        with pytest.raises(ValueError, match=message) as err:
+            uniform_grid(lo, hi, n)
+        assert not isinstance(err.value, BudgetError)
+
+    def test_cap_is_checked_before_the_grid_is_built(self, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built past the cap")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        cap = encoding.MAX_GRID_POINTS.cap
+        with pytest.raises(BudgetError, match=f"^at most {cap} points$"):
+            uniform_grid(0.0, 0.7, cap + 1)
+        with pytest.raises(ValueError, match="finite"):
+            uniform_grid(0.0, np.nan, 3)
 
 
 class TestVerifyPolynomials:

@@ -272,10 +272,10 @@ class TestSectorOperators:
             ops.weights(g)
 
     # a site off the register, a self-loop, a float site, a negative site, no
-    # sites, a float site count, a reversed pair
+    # sites, a float site count, a reversed pair, a str and a None site count
     @pytest.mark.parametrize("n_sites,pairs", [
         (3, [(0, 3)]), (3, [(1, 1)]), (3, [(0, 2.5)]), (3, [(0, -1)]),
-        (0, []), (2.5, []), (3, [(1, 0)]),
+        (0, []), (2.5, []), (3, [(1, 0)]), ("3", []), (None, []),
     ])
     def test_bad_registers_are_rejected_before_any_operator(self, monkeypatch, n_sites, pairs):
         monkeypatch.setattr(SectorOperators, "_exchange_blocks", _no_operators)

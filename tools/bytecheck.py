@@ -30,7 +30,8 @@ HUGE = "1.7976931348623157e308"
 # every command in every format it writes, then the edge cases: general
 # graphs, values that start with "-" after a space, huge and non-finite
 # fields, requests past a cap, bad input, a flag without its value, a prefix
-# of a flag, a triangle coupling beside --edges and the empty schedule
+# of a flag, a triangle coupling beside --edges, the empty schedule, the help
+# texts and bad grids
 COMMANDS = [
     ["spectrum"], ["spectrum", "--format", "csv"],
     ["spectrum", "--n-sites", "4", "--edges", "0-1:1,1-2:0.5,2-3:1,0-3:0.25", "--h", "0.3"],
@@ -57,7 +58,7 @@ COMMANDS = [
      "--format", "json"],
     ["lambdas"], ["lambdas", "--format", "json"], ["lambdas", "--points", "1"],
     ["lambdas", "--h", "1e300", "--points", "3"],
-    ["verify-eq7"], ["verify-eq7", "--grid", "0:0.5:3", "--h", "0.3"],
+    ["verify-eq7"], ["verify-eq7", "--min", "0", "--max", "0.5", "--points", "3", "--h", "0.3"],
     ["gate"], ["gate", "--type", "rx", "--theta=-pi/4"],
     ["gate", "--type", "rx", "--theta", "-pi/4"], ["lambdas", "--h", "-1e-3", "--points", "3"],
     ["gate", "--type", "axis120", "--which", "j13"],
@@ -81,6 +82,10 @@ COMMANDS = [
     ["units", "--h", HUGE], ["units", "--h", "1e300", "--j", "1e10"],
     ["sweep-field", "--poin", "5"],
     ["spectrum", "--n-sites", "3", "--edges", "0-1:1", "--j12", "5"],
+    # the help texts, and grids that break the grid rule
+    ["--help"], ["gate", "--help"],
+    ["lambdas", "--points", "0"], ["lambdas", "--min", "0", "--max", "5e-324", "--points", "3"],
+    ["lambdas", "--min", "0.5", "--max", "0.1"], ["verify-eq7", "--points", "1"],
 ]
 
 # run in the child: argv lists on stdin, one result per argv on stdout
